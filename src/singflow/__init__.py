@@ -10,7 +10,7 @@ bundles four instruments:
   (``singflow.wave``),
 * explicit sub- and super-solution families with pointwise certification
   of their differential inequalities (``singflow.barriers``),
-* a monotone explicit finite-difference solver with cap ladders probing
+* an explicit finite-difference solver with cap ladders probing
   existence versus instantaneous blow-up (``singflow.solver``).
 
 ``singflow.cli`` exposes all of it as a scenario-driven command line tool;

@@ -38,9 +38,7 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -127,18 +125,6 @@ class SuperFamilyParams:
     T: float
     L: Callable[[float], float]
     C4: float
-
-
-def _thread_count(n_jobs: Optional[int]) -> int:
-    if n_jobs is not None:
-        return max(1, int(n_jobs))
-    env = os.environ.get("SINGFLOW_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            log.warning("ignoring malformed SINGFLOW_THREADS=%r", env)
-    return min(8, os.cpu_count() or 1)
 
 
 def _xt(core: Callable[[np.ndarray, float], np.ndarray]):
@@ -924,8 +910,7 @@ def _constant_estimates(params) -> Dict[str, float]:
 
 def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
                       samples: int, t_window: Optional[Tuple[float, float]]
-                      = None, seed: int = 0,
-                      n_jobs: Optional[int] = None) -> Dict:
+                      = None, seed: int = 0) -> Dict:
     """Check the barrier's differential inequality on a stratified sample.
 
     The residual dt - f(factor * g(dx) * dxx) must be <= 0 for sub sides
@@ -998,12 +983,7 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
         return (t, res[i_hi], xs[i_hi], res[i_lo], xs[i_lo],
                 float(np.min(dtv)), xs.size)
 
-    workers = min(_thread_count(n_jobs), n_t)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_stratum, range(n_t)))
-    else:
-        results = [run_stratum(j) for j in range(n_t)]
+    results = [run_stratum(j) for j in range(n_t)]
 
     worst_hi = max(results, key=lambda r: r[1])
     worst_lo = min(results, key=lambda r: r[3])

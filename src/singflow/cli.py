@@ -10,8 +10,7 @@ scenario schema violations are reported with file and line.
 
 Reruns of the same scenario file write bit-identical artifacts: seeds are
 fixed, reductions are deterministic, and no timestamps or timings are
-recorded.  The environment variable SINGFLOW_THREADS caps the thread pools
-used by barrier verification and cap sweeps.
+recorded.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import dataclasses
 import json
 import logging
 import math
-import os
 import platform
 import re
 import sys
@@ -715,7 +713,6 @@ def _manifest(scn: Dict, report: Dict, files: List[str]) -> Dict:
             "scipy": scipy.__version__,
         },
         "seed": scn.get("seed", 0),
-        "threads": os.environ.get("SINGFLOW_THREADS") or "auto",
         "constant_estimates": report.get("constant_estimates", {}),
         "outputs": sorted(files),
     }

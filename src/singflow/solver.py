@@ -1,4 +1,4 @@
-"""Monotone explicit finite differences for u_t = f(g(u_x) u_xx) on (-b, b).
+"""Explicit finite differences for u_t = f(g(u_x) u_xx) on (-b, b).
 
 The singular boundary condition u(+-b, t) = +infinity is realized by a cap:
 ghost nodes at +-b carry a large finite value M, and behavior as M grows
@@ -10,20 +10,26 @@ The scheme is the plain explicit update
 
     u_i  <-  u_i + dt * f(g(Dc u_i) * D2 u_i)
 
-with centered first and second differences.  Monotonicity (hence a discrete
-comparison principle) holds under the CFL bound returned by `cfl_limit`,
+with centered first and second differences, and dt bounded by `cfl_limit`,
 which estimates the local slope of z -> f(g(p) z) by symmetric secants over
-the realized (p, z) range of the field.
+the realized (p, z) range of the field.  That bound does not make the scheme
+order-preserving for sublinear f (growth rate beta < 1): the unit secant
+floor understates f' near zero curvature, and ordered pairs a small gap
+apart (1e-3 and below) swap order by up to about 1e-5 within 50 steps.  An
+implicit monotone step is the pending fix.  The tests check the maximum
+principle and that ordered pairs at least 0.05 apart stay ordered.
+
+One kernel evaluates the scheme on a batch of ghost-padded rows; `solve`,
+`step` and `cfl_limit` run it on one row, and `cap_study` on a whole cap
+ladder at once.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,15 +124,33 @@ def make_field(b: float, n: int, values, cap: float,
                      cap_minus=cap_minus)
 
 
-def _differences(field: GridField):
-    ext = np.empty(field.n + 2)
-    ext[0] = field.ghost_left
-    ext[1:-1] = field.values
-    ext[-1] = field.cap
-    dx = field.dx
-    slope = (ext[2:] - ext[:-2]) / (2.0 * dx)
-    curv = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / (dx * dx)
-    return slope, curv
+def _padded(fields: Sequence[GridField]) -> np.ndarray:
+    """Rows of ghost-padded states: [ghost_left, values..., cap]."""
+    return np.array([np.concatenate(([fld.ghost_left], fld.values,
+                                     [fld.cap])) for fld in fields])
+
+
+def _kernel(u: np.ndarray, dx: float, spec: ProblemSpec):
+    """The scheme on ghost-padded rows u: per-row CFL step and f(g(p) z).
+
+    Slope, curvature and g(slope) are evaluated once, and f once on the
+    stacked arguments [s, s + r, s - r] of the update and of the secants
+    (see cfl_limit); f and g see flat 1-D arrays.
+    """
+    slope = (u[:, 2:] - u[:, :-2]) / (2.0 * dx)
+    curv = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (dx * dx)
+    weight = np.asarray(spec.g.eval(slope.ravel()),
+                        dtype=float).reshape(curv.shape)
+    args = np.empty((3,) + curv.shape)
+    arg = np.multiply(weight, curv, out=args[0])
+    half = np.maximum(0.5 * np.abs(arg), SECANT_ARG_FLOOR)
+    np.add(arg, half, out=args[1])
+    np.subtract(arg, half, out=args[2])
+    rate, up, down = np.asarray(spec.f.eval(args.ravel()),
+                                dtype=float).reshape(args.shape)
+    lam = (weight * (up - down) / (2.0 * half)).max(axis=1)
+    lam = np.maximum(lam, LAMBDA_FLOOR)
+    return CFL_SAFETY * dx ** 2 / (2.0 * lam), rate
 
 
 def cfl_limit(field: GridField, spec: ProblemSpec) -> float:
@@ -142,22 +166,19 @@ def cfl_limit(field: GridField, spec: ProblemSpec) -> float:
     large-curvature growth intact.  A secant (not a derivative) keeps this
     meaningful for non-smooth f.
     """
-    slope, curv = _differences(field)
-    weight = np.asarray(spec.g.eval(slope), dtype=float)
-    arg = weight * curv
-    half = np.maximum(0.5 * np.abs(arg), SECANT_ARG_FLOOR)
-    up = np.asarray(spec.f.eval(arg + half), dtype=float)
-    down = np.asarray(spec.f.eval(arg - half), dtype=float)
-    lam = float(np.max(weight * (up - down) / (2.0 * half)))
-    lam = max(lam, LAMBDA_FLOOR)
-    return CFL_SAFETY * field.dx ** 2 / (2.0 * lam)
+    return float(_kernel(_padded([field]), field.dx, spec)[0][0])
 
 
-def _advance(field: GridField, spec: ProblemSpec, dt: float) -> GridField:
-    slope, curv = _differences(field)
-    rhs = np.asarray(spec.f.eval(np.asarray(spec.g.eval(slope), dtype=float)
-                                 * curv), dtype=float)
-    new_vals = field.values + dt * rhs
+def step(field: GridField, spec: ProblemSpec, dt: float) -> GridField:
+    """One explicit update; rejects steps beyond the CFL bound."""
+    if dt <= 0.0:
+        raise ParameterError(f"dt must be positive, got {dt}")
+    limit, rate = _kernel(_padded([field]), field.dx, spec)
+    limit = float(limit[0])
+    if dt > limit * (1.0 + 1e-9):
+        raise StepSizeError(
+            f"dt = {dt:.3g} exceeds the stability limit {limit:.3g}")
+    new_vals = field.values + dt * rate[0]
     if not np.all(np.isfinite(new_vals)):
         node = int(np.flatnonzero(~np.isfinite(new_vals))[0])
         raise SolverOverflowError(
@@ -165,17 +186,6 @@ def _advance(field: GridField, spec: ProblemSpec, dt: float) -> GridField:
             f"at t = {field.time + dt:.6g}", node=node, time=field.time + dt)
     return GridField(b=field.b, n=field.n, values=new_vals, cap=field.cap,
                      time=field.time + dt, cap_minus=field.cap_minus)
-
-
-def step(field: GridField, spec: ProblemSpec, dt: float) -> GridField:
-    """One explicit update; rejects steps beyond the CFL bound."""
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    limit = cfl_limit(field, spec)
-    if dt > limit * (1.0 + 1e-9):
-        raise StepSizeError(
-            f"dt = {dt:.3g} exceeds the stability limit {limit:.3g}")
-    return _advance(field, spec, dt)
 
 
 def _fit_rates(field: GridField, spec: ProblemSpec):
@@ -197,6 +207,116 @@ def _fit_rates(field: GridField, spec: ProblemSpec):
     return out
 
 
+def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
+           snapshot_times: Optional[Sequence[float]] = None
+           ) -> List[SolveReport]:
+    """Evolve fields on one grid to t_end together, one kernel call a step.
+
+    Every row keeps its own CFL step, time, step count, dt range, violation
+    count and snapshots, exactly as if it were marched alone.  A row that
+    finishes or diverges is copied out and the batch is compacted then.
+    """
+    if not fields:
+        return []
+    b, n, dx = fields[0].b, fields[0].n, fields[0].dx
+    wanted = [] if snapshot_times is None else [float(t) for t in
+                                                snapshot_times]
+    pending = sorted(t for t in wanted if 0.0 < t <= t_end)
+    stops = np.array(pending + [t_end])
+    snaps = [[(0.0, fld.values.copy())] if 0.0 in wanted else []
+             for fld in fields]
+    reports: List[Optional[SolveReport]] = [None] * len(fields)
+
+    def retire(k: int, values: np.ndarray, time: float, n_steps: int,
+               blowup_time: Optional[float]) -> None:
+        """Copy batch row k out as a report."""
+        src = fields[row[k]]
+        final = GridField(b=b, n=n, values=values.copy(), cap=src.cap,
+                          time=float(time), cap_minus=src.cap_minus)
+        diverged = blowup_time is not None
+        reports[row[k]] = SolveReport(
+            final=final,
+            dt_history={
+                "n_steps": float(n_steps),
+                "dt_min": float(dt_min[k]) if n_steps else 0.0,
+                "dt_max": float(dt_max[k]),
+                "dt_mean": final.time / n_steps if n_steps else 0.0,
+            },
+            comparison_violations=int(violations[k]), diverged=diverged,
+            rate_fit=(_fit_rates(final, spec) if spec.u0.klass == "B3"
+                      and not diverged else None),
+            blowup_time=None if blowup_time is None else float(blowup_time),
+            snapshots=tuple(snaps[row[k]]))
+
+    row = np.arange(len(fields))
+    u = _padded(fields)
+    time = np.array([fld.time for fld in fields])
+    bounds = [max(fld.cap, fld.ghost_left, float(np.max(fld.values)))
+              for fld in fields]
+    tol = np.array([bd + 1e-9 * max(1.0, abs(bd)) for bd in bounds])
+    # A step is quiet when no row collapses, leaves the float range, passes
+    # its bound or reaches its next stop; only other steps take the slow
+    # path below, so the common step costs a handful of array operations.
+    quiet_top = np.minimum(tol, BLOWUP_VALUE)
+    marks = stops * (1.0 - 1e-12)
+    dt_min = np.full(len(fields), math.inf)
+    dt_max = np.zeros(len(fields))
+    violations = np.zeros(len(fields), dtype=np.int64)
+    nxt = np.zeros(len(fields), dtype=np.intp)
+    n_steps = 0   # rows start together, so one count serves them all
+
+    while row.size:
+        limit, rate = _kernel(u, dx, spec)
+        dt = np.minimum(limit, stops[nxt] - time)
+        new = u[:, 1:-1] + dt[:, None] * rate
+        top = new.max(axis=1)
+        later = time + dt
+        quiet = ((limit >= DT_FLOOR) & (top <= quiet_top)
+                 & (later < marks[nxt]))
+        n_steps += 1
+        if np.count_nonzero(quiet) == row.size and np.isfinite(new).all():
+            u[:, 1:-1] = new
+            time = later
+            np.minimum(dt_min, dt, out=dt_min)
+            np.maximum(dt_max, dt, out=dt_max)
+            continue
+        # Rows whose CFL step collapsed, or whose update left the float
+        # range, end on their current state without taking the step.
+        gone = (limit < DT_FLOOR) | ~np.isfinite(new).all(axis=1)
+        for k in np.flatnonzero(gone):
+            if limit[k] < DT_FLOOR:
+                log.warning("CFL step collapsed to %.3g at t = %.6g",
+                            limit[k], time[k])
+                blowup_time = time[k]
+            else:
+                blowup_time = later[k]
+            retire(k, u[k, 1:-1], time[k], n_steps - 1, blowup_time)
+        u[:, 1:-1] = new
+        time = later
+        np.minimum(dt_min, dt, out=dt_min)
+        np.maximum(dt_max, dt, out=dt_max)
+        violations += np.count_nonzero(new > tol[:, None], axis=1)
+        blown = ~gone & (top > BLOWUP_VALUE)
+        for k in np.flatnonzero(blown):
+            retire(k, new[k], time[k], n_steps, time[k])
+        gone |= blown
+        hit = ~gone & (nxt < len(pending))
+        hit[hit] = time[hit] >= marks[nxt[hit]]
+        for k in np.flatnonzero(hit):
+            snaps[row[k]].append((pending[nxt[k]], new[k].copy()))
+        nxt += hit
+        done = ~gone & (time >= marks[-1])
+        for k in np.flatnonzero(done):
+            retire(k, new[k], time[k], n_steps, None)
+        gone |= done
+        if gone.any():
+            keep = ~gone
+            row, u, time, tol, quiet_top, dt_min, dt_max, violations, nxt = (
+                arr[keep] for arr in (row, u, time, tol, quiet_top, dt_min,
+                                      dt_max, violations, nxt))
+    return reports
+
+
 def solve(spec: ProblemSpec, n: int, cap: float, t_end: float,
           cap_minus: Optional[float] = None,
           snapshot_times: Optional[Sequence[float]] = None) -> SolveReport:
@@ -213,75 +333,7 @@ def solve(spec: ProblemSpec, n: int, cap: float, t_end: float,
     if t_end <= 0.0:
         raise ParameterError(f"t_end must be positive, got {t_end}")
     field = make_field(spec.b, n, spec.u0.values, cap, cap_minus=cap_minus)
-    bound = max(cap, field.ghost_left, float(np.max(field.values)))
-    tol_bound = bound + 1e-9 * max(1.0, abs(bound))
-
-    snaps: List[Tuple[float, np.ndarray]] = []
-    wanted = [] if snapshot_times is None else [float(t) for t in
-                                                snapshot_times]
-    pending = sorted(t for t in wanted if 0.0 < t <= t_end)
-    if any(t == 0.0 for t in wanted):
-        snaps.append((0.0, field.values.copy()))
-
-    violations = 0
-    diverged = False
-    blowup_time: Optional[float] = None
-    n_steps = 0
-    dt_min, dt_max = math.inf, 0.0
-
-    while field.time < t_end * (1.0 - 1e-12):
-        dt = cfl_limit(field, spec)
-        if dt < DT_FLOOR:
-            diverged = True
-            blowup_time = field.time
-            log.warning("CFL step collapsed to %.3g at t = %.6g", dt,
-                        field.time)
-            break
-        horizon = t_end
-        if pending:
-            horizon = min(horizon, pending[0])
-        dt = min(dt, horizon - field.time)
-        try:
-            field = _advance(field, spec, dt)
-        except SolverOverflowError as exc:
-            diverged = True
-            blowup_time = exc.time
-            break
-        n_steps += 1
-        dt_min = min(dt_min, dt)
-        dt_max = max(dt_max, dt)
-        violations += int(np.count_nonzero(field.values > tol_bound))
-        if float(np.max(field.values)) > BLOWUP_VALUE:
-            diverged = True
-            blowup_time = field.time
-            break
-        if pending and field.time >= pending[0] * (1.0 - 1e-12):
-            snaps.append((pending.pop(0), field.values.copy()))
-
-    dt_history = {
-        "n_steps": float(n_steps),
-        "dt_min": dt_min if n_steps else 0.0,
-        "dt_max": dt_max,
-        "dt_mean": field.time / n_steps if n_steps else 0.0,
-    }
-    rate_fit = None
-    if spec.u0.klass == "B3" and not diverged:
-        rate_fit = _fit_rates(field, spec)
-    return SolveReport(final=field, dt_history=dt_history,
-                       comparison_violations=violations, diverged=diverged,
-                       rate_fit=rate_fit, blowup_time=blowup_time,
-                       snapshots=tuple(snaps))
-
-
-def _thread_count(n_jobs: int) -> int:
-    env = os.environ.get("SINGFLOW_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, min(n_jobs, int(env)))
-        except ValueError:
-            raise ParameterError(
-                f"SINGFLOW_THREADS must be an integer, got {env!r}")
-    return max(1, min(n_jobs, os.cpu_count() or 1))
+    return _march(spec, [field], t_end, snapshot_times)[0]
 
 
 @dataclass(frozen=True)
@@ -321,9 +373,10 @@ def cap_study(spec: ProblemSpec, n: int, caps: Sequence[float],
               probe: Tuple[float, float]) -> CapStudy:
     """Probe u(x, t) across an increasing cap sequence and call the regime.
 
-    Caps run concurrently (SINGFLOW_THREADS bounds the pool); rows come back
-    in cap order, so reruns are deterministic.  Verdict rules on the last
-    three successive probe differences via their mean geometric ratio: below
+    The whole ladder is marched as one batch, each cap a row with its own
+    CFL step, so every row equals the one-cap `solve` and reruns are
+    deterministic.  Verdict rules on the last three successive probe
+    differences via their mean geometric ratio: below
     0.7 (or a dead-flat tail) reads ``saturating``; above 0.95 with the last
     difference still exceeding 1 reads ``diverging``; anything else,
     including fewer than four caps, is ``inconclusive``.
@@ -335,11 +388,8 @@ def cap_study(spec: ProblemSpec, n: int, caps: Sequence[float],
     if not (-spec.b < x < spec.b) or t <= 0.0:
         raise ParameterError("probe must be interior with positive time")
 
-    def run(cap: float) -> SolveReport:
-        return solve(spec, n, cap, t)
-
-    with ThreadPoolExecutor(max_workers=_thread_count(len(caps))) as pool:
-        reports = list(pool.map(run, caps))
+    reports = _march(spec, [make_field(spec.b, n, spec.u0.values, cap)
+                            for cap in caps], t)
 
     rows: List[Dict[str, float]] = []
     values: List[float] = []

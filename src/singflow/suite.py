@@ -615,7 +615,8 @@ def run_suite() -> Dict:
         t0 = time.time()
         try:
             passed, detail = fn()
-        except SingflowError as exc:
+        except Exception as exc:   # one broken check must not end the run
+            log.error("check %s raised", name, exc_info=True)
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.time() - t0
         results.append(CheckResult(name=name, passed=passed, detail=detail,

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from singflow import (ParameterError, cap_study, cfl_limit, initial_b1,
                       initial_b3, make_field, make_problem, preset_curvature,
                       preset_p_heat, psi, solve, step)
+from singflow.solver import _march, _probe_value
 
 
 def _flat():
@@ -182,3 +187,99 @@ def test_cap_study_validation():
         cap_study(spec, 100, [2.0, 4.0], probe=(1.5, 0.05))
     with pytest.raises(ParameterError):
         cap_study(spec, 100, [2.0, 4.0], probe=(0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# batched marching reproduces one-row solves bit for bit
+# ---------------------------------------------------------------------------
+
+
+# sha256 of final.values.tobytes() and the dt history of flat-datum solves at
+# n = 50, recorded from the unbatched scheme (separate CFL and update passes).
+PINNED = [
+    (preset_curvature(1.0), 5.0, 0.05,
+     "29baa3fd7406396baa7e7b940daad5e83e57c57df25f7889b3ba4a33bba07e34",
+     {"n_steps": 131.0, "dt_min": 1.9223352949994388e-05,
+      "dt_max": 0.00038446751450742055, "dt_mean": 0.0003816793893129771}),
+    (preset_p_heat(2.0, 2.0, 0.1), 20.0, 0.02,
+     "4890a22a757ccbc71f7c2221b962da997899684daee12d807faea81a5d991101",
+     {"n_steps": 3342.0, "dt_min": 1.2216137864813407e-08,
+      "dt_max": 1.1663861655718808e-05, "dt_mean": 5.984440454817474e-06}),
+]
+
+
+@pytest.mark.parametrize("fg, cap, t_end, digest, history", PINNED,
+                         ids=["curvature(1)", "p_heat(2,2,0.1)"])
+def test_solve_matches_pinned_results(fg, cap, t_end, digest, history):
+    report = solve(make_problem(1.0, *fg, _flat()), 50, cap, t_end)
+    assert hashlib.sha256(report.final.values.tobytes()).hexdigest() == digest
+    assert report.dt_history == history
+    assert report.final.time == t_end
+
+
+def _assert_same_report(batch, alone):
+    assert batch.final.values.tobytes() == alone.final.values.tobytes()
+    # repr keeps a nan blow-up time comparable
+    assert repr((batch.final.time, batch.final.cap, batch.final.cap_minus,
+                 batch.dt_history, batch.comparison_violations,
+                 batch.diverged, batch.blowup_time)) == repr(
+        (alone.final.time, alone.final.cap, alone.final.cap_minus,
+         alone.dt_history, alone.comparison_violations, alone.diverged,
+         alone.blowup_time))
+    assert len(batch.snapshots) == len(alone.snapshots)
+    for (tb, vb), (ta, va) in zip(batch.snapshots, alone.snapshots):
+        assert tb == ta and vb.tobytes() == va.tobytes()
+
+
+def _assert_ladder_matches_solves(spec, n, caps, probe):
+    alone = [solve(spec, n, cap, probe[1]) for cap in caps]
+    fields = [make_field(spec.b, n, spec.u0.values, cap) for cap in caps]
+    for batch, solo in zip(_march(spec, fields, probe[1]), alone):
+        _assert_same_report(batch, solo)
+    study = cap_study(spec, n, caps, probe)
+    assert [row["value"] for row in study.rows] == [
+        _probe_value(rep, probe[0]) for rep in alone]
+    assert [row["diverged"] for row in study.rows] == [
+        float(rep.diverged) for rep in alone]
+    return alone
+
+
+def test_cap_study_rows_retiring_at_different_steps():
+    spec = make_problem(1.0, *preset_p_heat(2.0, 2.0, 0.1), _flat())
+    alone = _assert_ladder_matches_solves(spec, 30, [10.0, 20.0, 40.0, 1e13],
+                                          (0.0, 0.005))
+    steps = [rep.dt_history["n_steps"] for rep in alone]
+    assert len(set(steps[:3])) == 3
+    assert alone[-1].diverged and alone[-1].blowup_time == 0.0
+
+
+def test_cap_study_with_an_overflowing_row():
+    """f turns non-finite above an argument the steepest caps reach at once,
+    so those rows leave the batch on their first step."""
+    base = make_problem(1.0, *preset_p_heat(2.0, 1.0, 0.1), _flat())
+
+    def f_eval(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(s > 1.2e4, np.nan, s)
+
+    spec = dataclasses.replace(base, f=dataclasses.replace(base.f,
+                                                            eval=f_eval))
+    alone = _assert_ladder_matches_solves(spec, 30, [5.0, 10.0, 20.0, 40.0],
+                                          (0.0, 0.005))
+    assert [rep.diverged for rep in alone] == [False, False, False, True]
+    assert alone[-1].dt_history["n_steps"] == 0.0
+    assert math.isnan(alone[-1].blowup_time)   # t + dt with a nan step
+
+
+def test_march_with_asymmetric_caps_and_snapshots():
+    spec = _curvature_spec()
+    caps, t_end = [2.0, 4.0, 8.0], 0.02
+    times = [0.0, 0.005, 0.0125, t_end]
+    fields = [make_field(1.0, 40, spec.u0.values, cap, cap_minus=-0.5 * cap)
+              for cap in caps]
+    batch = _march(spec, fields, t_end, snapshot_times=times)
+    for cap, rep in zip(caps, batch):
+        alone = solve(spec, 40, cap, t_end, cap_minus=-0.5 * cap,
+                      snapshot_times=times)
+        assert [t for t, _ in alone.snapshots] == times
+        _assert_same_report(rep, alone)

@@ -154,3 +154,29 @@ def test_fit_input_validation():
         fit_boundary_rate(b - dist, dist, b, side=2)
     with pytest.raises(ParameterError):
         fit_boundary_rate(np.array([0.5, 1.5]), np.array([1.0, 2.0]), b)
+
+
+# ---------------------------------------------------------------------------
+# invariant suite
+# ---------------------------------------------------------------------------
+
+
+def test_run_suite_survives_a_raising_check(monkeypatch):
+    from singflow import suite
+
+    def broken():
+        raise ZeroDivisionError("planted")
+
+    ran = []
+
+    def after():
+        ran.append(True)
+        return True, "ran"
+
+    monkeypatch.setattr(suite, "CHECKS", (("broken", broken),
+                                          ("after", after)))
+    summary = suite.run_suite()
+    assert ran == [True]
+    assert [c["pass"] for c in summary["checks"]] == [False, True]
+    assert "ZeroDivisionError" in summary["checks"][0]["detail"]
+    assert summary["n_failed"] == 1 and not summary["pass"]
