@@ -43,8 +43,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import bisect, brentq
 
 from .errors import HorizonError, ParameterError, RegimeError
 from .model import ProblemSpec
@@ -275,6 +273,7 @@ def sub_uk(spec: ProblemSpec, k: float) -> BarrierFunction:
         raise ParameterError(
             f"k = {k} is too small for the boundary-layer root (need the "
             "layer thickness equation solvable, k >= e)")
+    from scipy.optimize import bisect   # on use: it dominates import time
     y_k = float(bisect(y_equation, 1e-300, y_top, xtol=1e-14,
                        rtol=4.0 * np.finfo(float).eps))
     if y_k >= b:
@@ -555,6 +554,7 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
     hi = max(2.0 * L0, 4.0)
     while steepness_needed(hi) < nu:
         hi *= 2.0
+    from scipy.optimize import brentq   # on use: it dominates import time
     l_max = brentq(lambda ln: steepness_needed(ln) - nu, L0, hi,
                    xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
 
@@ -628,6 +628,7 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
     hit_top.terminal = True
     hit_top.direction = 1.0
 
+    from scipy.integrate import solve_ivp   # on use: it dominates import time
     horizon = None
     t_hi = max(2.5 * t_guess, 1e-9)
     for _ in range(8):

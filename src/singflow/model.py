@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, ParameterError
 
@@ -210,6 +209,9 @@ def _bracketed_inverse(fn) -> Callable[[float], float]:
             if abs(probe) > 1e300:
                 raise DomainError(f"value {y:g} is never attained")
         lo, hi = (lo, probe) if y > 0.0 else (probe, hi)
+        # Imported here, not at module level: scipy.optimize is most of the
+        # cost of `import singflow`, and only custom inverses need it.
+        from scipy.optimize import brentq
         return float(brentq(lambda s: float(fn(np.asarray(s))) - y, lo, hi,
                             xtol=1e-300, rtol=4 * np.finfo(float).eps,
                             maxiter=200))

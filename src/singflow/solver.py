@@ -130,12 +130,14 @@ def _padded(fields: Sequence[GridField]) -> np.ndarray:
                                      [fld.cap])) for fld in fields])
 
 
-def _kernel(u: np.ndarray, dx: float, spec: ProblemSpec):
+def _kernel(u: np.ndarray, dx: float, spec: ProblemSpec,
+            with_rate: bool = True):
     """The scheme on ghost-padded rows u: per-row CFL step and f(g(p) z).
 
     Slope, curvature and g(slope) are evaluated once, and f once on the
     stacked arguments [s, s + r, s - r] of the update and of the secants
-    (see cfl_limit); f and g see flat 1-D arrays.
+    (see cfl_limit); f and g see flat 1-D arrays.  Without ``with_rate`` f
+    sees only the secant arguments and the rate is None.
     """
     slope = (u[:, 2:] - u[:, :-2]) / (2.0 * dx)
     curv = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (dx * dx)
@@ -146,11 +148,13 @@ def _kernel(u: np.ndarray, dx: float, spec: ProblemSpec):
     half = np.maximum(0.5 * np.abs(arg), SECANT_ARG_FLOOR)
     np.add(arg, half, out=args[1])
     np.subtract(arg, half, out=args[2])
-    rate, up, down = np.asarray(spec.f.eval(args.ravel()),
-                                dtype=float).reshape(args.shape)
+    stacked = args if with_rate else args[1:]
+    vals = np.asarray(spec.f.eval(stacked.ravel()),
+                      dtype=float).reshape(stacked.shape)
+    up, down = vals[-2], vals[-1]
     lam = (weight * (up - down) / (2.0 * half)).max(axis=1)
     lam = np.maximum(lam, LAMBDA_FLOOR)
-    return CFL_SAFETY * dx ** 2 / (2.0 * lam), rate
+    return CFL_SAFETY * dx ** 2 / (2.0 * lam), vals[0] if with_rate else None
 
 
 def cfl_limit(field: GridField, spec: ProblemSpec) -> float:
@@ -166,7 +170,8 @@ def cfl_limit(field: GridField, spec: ProblemSpec) -> float:
     large-curvature growth intact.  A secant (not a derivative) keeps this
     meaningful for non-smooth f.
     """
-    return float(_kernel(_padded([field]), field.dx, spec)[0][0])
+    return float(_kernel(_padded([field]), field.dx, spec,
+                         with_rate=False)[0][0])
 
 
 def step(field: GridField, spec: ProblemSpec, dt: float) -> GridField:
@@ -280,17 +285,20 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
             np.minimum(dt_min, dt, out=dt_min)
             np.maximum(dt_max, dt, out=dt_max)
             continue
-        # Rows whose CFL step collapsed, or whose update left the float
-        # range, end on their current state without taking the step.
-        gone = (limit < DT_FLOOR) | ~np.isfinite(new).all(axis=1)
+        # Rows whose CFL step collapsed or is nan (f returned non-finite
+        # values on the secants), or whose update left the float range, end
+        # on their current state without taking the step.
+        stalled = ~(limit >= DT_FLOOR)
+        gone = stalled | ~np.isfinite(new).all(axis=1)
         for k in np.flatnonzero(gone):
-            if limit[k] < DT_FLOOR:
+            if np.isnan(limit[k]):
+                log.warning("f returned non-finite values at t = %.6g",
+                            time[k])
+            elif stalled[k]:
                 log.warning("CFL step collapsed to %.3g at t = %.6g",
                             limit[k], time[k])
-                blowup_time = time[k]
-            else:
-                blowup_time = later[k]
-            retire(k, u[k, 1:-1], time[k], n_steps - 1, blowup_time)
+            retire(k, u[k, 1:-1], time[k], n_steps - 1,
+                   time[k] if stalled[k] else later[k])
         u[:, 1:-1] = new
         time = later
         np.minimum(dt_min, dt, out=dt_min)
@@ -328,7 +336,9 @@ def solve(spec: ProblemSpec, n: int, cap: float, t_end: float,
     narrow to fit.
 
     A run is flagged ``diverged`` when a node passes 1e12, a value leaves
-    the float range, or the CFL step collapses below 1e-14.
+    the float range, the CFL step collapses below 1e-14, or f returns
+    non-finite values on the CFL secants; in the last two cases
+    ``blowup_time`` is the time reached.
     """
     if t_end <= 0.0:
         raise ParameterError(f"t_end must be positive, got {t_end}")

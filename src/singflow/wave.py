@@ -1,4 +1,4 @@
-"""Traveling-wave profiles by tail-corrected quadrature and monotone inversion.
+"""Traveling-wave profiles by tail-corrected quadrature and safeguarded Newton.
 
 A traveling wave W(x) + c t of the flow u_t = f(g(u_x) u_xx) on (-b, b)
 solves the profile identity g(W_x) W_xx = f^{-1}(c).  Integrating once gives
@@ -20,6 +20,11 @@ weight matches the asymptote to 1e-7 at the cut and (ii) the tail-corrected
 total G(inf) is stable to 1e-11 between doublings.  Everything downstream
 (speed, inversion, H) is then exact for the hybrid weight, which matches g
 pointwise inside the cut and to 1e-7 relative outside.
+
+Inside the cut G^{-1} is a safeguarded Newton iteration on one panel of the
+table: G' = g exactly, so each step costs one Gauss-Legendre partial
+integral and one evaluation of g, and a bracket on the panel catches every
+step that would leave it.
 """
 
 from __future__ import annotations
@@ -45,8 +50,10 @@ _PANEL_ABS_TOL = 1.0e-14
 _PANEL_MAX_DEPTH = 28
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
-# Inversion.
-_BISECT_ITERS = 80
+# Inversion: Newton stops once |G(s) - w| <= _NEWTON_RTOL * w; the count is
+# only a cap for residuals that rounding keeps above that.
+_NEWTON_RTOL = 4.0 * np.finfo(float).eps
+_NEWTON_MAX_ITERS = 80
 
 # Geometric boundary grid x = +-(b - b 2^-j).
 _J_LO = 3
@@ -62,13 +69,18 @@ _RATE_SPREAD_MAX = 0.10
 
 
 def _gl_partial(fn, a, s):
-    """Vectorized 24-node Gauss-Legendre integral of fn over [a_i, s_i]."""
+    """Vectorized 24-node Gauss-Legendre integral of fn over [a_i, s_i].
+
+    The weighted sum is an elementwise product and a per-row reduction, not
+    a BLAS matrix product, whose rounding depends on the batch size: every
+    row gets the same bits whatever else is in the batch.
+    """
     a = np.asarray(a, dtype=float)
     s = np.asarray(s, dtype=float)
     half = 0.5 * (s - a)
     pts = a[..., None] + half[..., None] * (_GL_NODES + 1.0)
     vals = np.asarray(fn(pts), dtype=float)
-    return half * (vals @ _GL_WEIGHTS)
+    return half * (vals * _GL_WEIGHTS).sum(axis=-1)
 
 
 class _TailCorrectedG:
@@ -243,7 +255,9 @@ class _TailCorrectedG:
         return (self.g.cg_plus / ((alpha - 1.0) * g)) ** (1.0 / (alpha - 1.0))
 
     def inverse(self, w):
-        """G^{-1}(w), vectorized bisection inside, closed form in the tails."""
+        """G^{-1}(w), vectorized; safeguarded Newton inside the table (see
+        `_panel_inverse`), closed form in the analytic tails.  Each point's
+        result is independent of the other points passed with it."""
         arr = np.atleast_1d(np.asarray(w, dtype=float))
         scalar = np.asarray(w).ndim == 0
         if np.any(arr <= 0.0) or np.any(arr >= self.total):
@@ -264,17 +278,45 @@ class _TailCorrectedG:
             wm = arr[mid]
             idx = np.clip(np.searchsorted(self.cum, wm, side="right") - 1,
                           0, len(self.bps) - 2)
-            lo = self.bps[idx].copy()
-            hi = self.bps[idx + 1].copy()
-            anchor = self.bps[idx]
-            tau = wm - self.cum[idx]
-            for _ in range(_BISECT_ITERS):
-                mid_pt = 0.5 * (lo + hi)
-                high = _gl_partial(self.g.eval, anchor, mid_pt) > tau
-                hi = np.where(high, mid_pt, hi)
-                lo = np.where(high, lo, mid_pt)
-            out[mid] = 0.5 * (lo + hi)
+            out[mid] = self._panel_inverse(wm, idx)
         return float(out[0]) if scalar else out
+
+    def _panel_inverse(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Root of F(s) = G(s) - w in table panel idx, by Newton on F' = g.
+
+        Starts from linear interpolation in the cumulative table and keeps
+        the bracket [lo, hi] around the root by the sign of F; a Newton point
+        outside the open bracket is replaced by its midpoint.  A point stops
+        once |F| <= _NEWTON_RTOL * w and takes its Newton-polished value,
+        clipped to the bracket, then leaves the working arrays.
+        """
+        g = self.g.eval
+        anchor = self.bps[idx]
+        lo, hi = anchor, self.bps[idx + 1]
+        tau = w - self.cum[idx]
+        s = lo + (hi - lo) * tau / (self.cum[idx + 1] - self.cum[idx])
+        tol = _NEWTON_RTOL * w        # w >= cum[idx] > 0 inside the table
+        out = np.empty_like(w)
+        todo = np.arange(w.size)
+        for _ in range(_NEWTON_MAX_ITERS):
+            resid = _gl_partial(g, anchor, s) - tau
+            newton = s - resid / np.asarray(g(s), dtype=float)
+            high = resid > 0.0
+            hi = np.where(high, s, hi)
+            lo = np.where(high, lo, s)
+            done = np.abs(resid) <= tol
+            if done.any():
+                out[todo[done]] = np.clip(newton[done], lo[done], hi[done])
+                keep = ~done
+                todo, anchor, tau, tol, lo, hi, newton = (
+                    arr[keep] for arr in (todo, anchor, tau, tol, lo, hi,
+                                          newton))
+                if not todo.size:
+                    return out
+            s = np.where((lo < newton) & (newton < hi), newton,
+                         0.5 * (lo + hi))
+        out[todo] = s
+        return out
 
 
 _G_CACHE: "weakref.WeakKeyDictionary[DiffusionWeight, _TailCorrectedG]" = \

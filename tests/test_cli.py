@@ -234,3 +234,15 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "classify" in proc.stdout
+
+
+def test_import_leaves_scipy_solvers_unloaded():
+    """scipy.optimize and scipy.integrate are most of the import cost; only
+    the code that calls them imports them."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, singflow, singflow.cli; print(sorted(m for m in "
+         "('scipy.optimize', 'scipy.integrate') if m in sys.modules))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

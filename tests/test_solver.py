@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
+import logging
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ import pytest
 from singflow import (ParameterError, cap_study, cfl_limit, initial_b1,
                       initial_b3, make_field, make_problem, preset_curvature,
                       preset_p_heat, psi, solve, step)
-from singflow.solver import _march, _probe_value
+from singflow.solver import _kernel, _march, _padded, _probe_value
 
 
 def _flat():
@@ -77,6 +77,21 @@ def test_max_principle_and_no_violations():
     assert report.comparison_violations == 0
     assert not report.diverged
     assert float(np.max(report.final.values)) <= 5.0 + 1e-9
+
+
+@pytest.mark.parametrize("fg", [preset_curvature(0.6), preset_curvature(1.0),
+                                preset_p_heat(2.0, 2.0, 0.1)],
+                         ids=["curvature(0.6)", "curvature(1)",
+                              "p_heat(2,2,0.1)"])
+def test_cfl_limit_equals_the_step_kernel_limit(fg):
+    """cfl_limit skips f on the update argument but keeps the step's bits."""
+    spec = make_problem(1.0, *fg, _flat())
+    rng = np.random.default_rng(7)
+    for n, cap in ((20, 1.0), (100, 30.0), (400, 1e6)):
+        field = make_field(1.0, n, cap * rng.random(n) ** 3, cap,
+                           cap_minus=0.5 * cap)
+        limit, _ = _kernel(_padded([field]), field.dx, spec)
+        assert cfl_limit(field, spec) == float(limit[0])
 
 
 def test_lockstep_comparison_preserves_order():
@@ -253,7 +268,7 @@ def test_cap_study_rows_retiring_at_different_steps():
     assert alone[-1].diverged and alone[-1].blowup_time == 0.0
 
 
-def test_cap_study_with_an_overflowing_row():
+def test_cap_study_with_an_overflowing_row(caplog):
     """f turns non-finite above an argument the steepest caps reach at once,
     so those rows leave the batch on their first step."""
     base = make_problem(1.0, *preset_p_heat(2.0, 1.0, 0.1), _flat())
@@ -264,11 +279,13 @@ def test_cap_study_with_an_overflowing_row():
 
     spec = dataclasses.replace(base, f=dataclasses.replace(base.f,
                                                             eval=f_eval))
-    alone = _assert_ladder_matches_solves(spec, 30, [5.0, 10.0, 20.0, 40.0],
-                                          (0.0, 0.005))
+    with caplog.at_level(logging.WARNING, logger="singflow.solver"):
+        alone = _assert_ladder_matches_solves(
+            spec, 30, [5.0, 10.0, 20.0, 40.0], (0.0, 0.005))
+    assert "f returned non-finite values at t = 0" in caplog.text
     assert [rep.diverged for rep in alone] == [False, False, False, True]
     assert alone[-1].dt_history["n_steps"] == 0.0
-    assert math.isnan(alone[-1].blowup_time)   # t + dt with a nan step
+    assert alone[-1].blowup_time == 0.0         # the time reached
 
 
 def test_march_with_asymmetric_caps_and_snapshots():

@@ -6,13 +6,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singflow import (ParameterError, RegimeError, check_points,
-                      compute_wave, divergence_rate, g_antiderivative,
-                      initial_b1, make_problem, preset_curvature,
-                      profile_residuals)
+                      compute_wave, custom_weight, divergence_rate,
+                      g_antiderivative, initial_b1, make_problem,
+                      power_tail_weight, preset_curvature, profile_residuals)
+from singflow.wave import _gl_partial, _TailCorrectedG
 
 HALF_PI = math.pi / 2.0
+EPS = np.finfo(float).eps
 
 
 def _spec(beta2, b=1.0):
@@ -112,3 +116,85 @@ def test_check_points_avoid_walls():
     assert xs.size > 0
     dist = np.minimum(profile.b - xs, profile.b + xs)
     assert np.min(dist) >= profile.b * 2.0 ** -26
+
+
+# ---------------------------------------------------------------------------
+# G^{-1}: safeguarded Newton against an 80-step reference bisection
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _weights(draw):
+    alpha = draw(st.floats(1.05, 2.95))
+    if draw(st.booleans()):
+        return preset_curvature(1.0 / (3.0 - alpha))[1]   # alpha = 3 - 1/beta2
+    cg_plus, cg_minus = draw(st.tuples(st.floats(0.2, 5.0),
+                                       st.floats(0.2, 5.0))
+                             .filter(lambda c: abs(c[0] - c[1]) > 0.1))
+    return power_tail_weight(alpha, cg_plus, cg_minus)
+
+
+def _table_points(table):
+    """Arguments strictly inside the panel table: a uniform sweep, every
+    inner panel edge, and every panel midpoint."""
+    cum = table.cum
+    return np.concatenate([np.linspace(cum[0], cum[-1], 201)[1:-1],
+                           cum[1:-1], 0.5 * (cum[:-1] + cum[1:])])
+
+
+def _bisection_inverse(table, w):
+    """Reference G^{-1}: 80 bisection steps on the panel holding w."""
+    idx = np.clip(np.searchsorted(table.cum, w, side="right") - 1,
+                  0, len(table.bps) - 2)
+    lo, hi = table.bps[idx], table.bps[idx + 1]
+    anchor, tau = table.bps[idx], w - table.cum[idx]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        high = _gl_partial(table.g.eval, anchor, mid) > tau
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=_weights())
+def test_inverse_composes_and_matches_bisection(g):
+    table = _TailCorrectedG(g)
+    w = _table_points(table)
+    s = table.inverse(w)
+    assert np.all(np.abs(table.value(s) - w) <= 8.0 * EPS * w)
+    gap = np.abs(s - _bisection_inverse(table, w)) * np.asarray(g.eval(s))
+    assert np.all(gap <= 16.0 * EPS * w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=_weights())
+def test_inverse_is_batch_independent(g):
+    table = _TailCorrectedG(g)
+    w = _table_points(table)
+    full = table.inverse(w)
+    sliced = np.concatenate([table.inverse(w[i:i + 7])
+                             for i in range(0, w.size, 7)])
+    assert sliced.tobytes() == full.tobytes()
+    alone = np.array([table.inverse(x) for x in w[::9]])
+    assert alone.tobytes() == full[::9].tobytes()
+
+
+def test_inverse_survives_a_sharp_bump():
+    """A narrow tall bump makes G kink inside a panel, so Newton steps from
+    the flanks overshoot the panel and the midpoint fallback takes over."""
+    def fn(s):
+        a = np.asarray(s, dtype=float)
+        return 1.0 / (1.0 + a * a) + 40.0 * np.exp(-((a - 0.3) / 0.01) ** 2)
+
+    table = _TailCorrectedG(custom_weight(fn, 2.0, 1.0, 1.0))
+    w = np.linspace(table.cum[0], table.cum[-1], 4001)[1:-1]
+    # The first Newton step from the interpolated start leaves the panel.
+    idx = np.searchsorted(table.cum, w, side="right") - 1
+    lo, hi = table.bps[idx], table.bps[idx + 1]
+    tau = w - table.cum[idx]
+    start = lo + (hi - lo) * tau / (table.cum[idx + 1] - table.cum[idx])
+    newton = start - (_gl_partial(fn, lo, start) - tau) / fn(start)
+    assert np.count_nonzero((newton <= lo) | (newton >= hi)) > 100
+    s = table.inverse(w)
+    assert np.all(np.abs(table.value(s) - w) <= 8.0 * EPS * w)
