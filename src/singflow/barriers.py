@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import HorizonError, ParameterError, RegimeError
 from .model import ProblemSpec
+from .verify import residual_values
 from .wave import WaveProfile
 
 log = logging.getLogger(__name__)
@@ -61,6 +62,7 @@ SAFETY = 0.5
 # Residual sampling.
 RESIDUAL_SLACK = 1.0e-9
 KINK_EXCLUSION = 1.0e-8
+KINK_REDRAW_ROUNDS = 60
 KINK_PROBE = 1.0e-10
 KINK_SLOPE_TOL = 1.0e-12
 T_STRATA = 32
@@ -90,6 +92,10 @@ class BarrierFunction:
     a location callable may return nan once the kink has left the domain.
     ``valid_until`` is the time horizon (math.inf when unlimited), and
     ``domain`` the open x-interval on which the closures are defined.
+    ``jet``, when set, maps an array x and a scalar t to the triple
+    (dx, dxx, dt) in one call, sharing work the three closures would each
+    repeat; its values must equal theirs bit for bit.  `verify_inequality`
+    prefers it.
     """
 
     eval: Callable[..., Any]
@@ -105,6 +111,8 @@ class BarrierFunction:
     # whose slope field turns inside a layer narrower than any probe step.
     kink_slopes: Optional[Tuple[Tuple[Callable[[float], float],
                                       Callable[[float], float]], ...]] = None
+    jet: Optional[Callable[[np.ndarray, float],
+                           Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
 
 
 @dataclass(frozen=True)
@@ -819,18 +827,26 @@ def translate_wave(profile: WaveProfile, spec: ProblemSpec,
     def d1(xs: np.ndarray, t: float) -> np.ndarray:
         return np.asarray(profile.wx(xs), dtype=float)
 
-    def d2(xs: np.ndarray, t: float) -> np.ndarray:
-        slope = np.asarray(profile.wx(xs), dtype=float)
+    def curvature(slope: np.ndarray) -> np.ndarray:
         return q / np.asarray(spec.g.eval(slope), dtype=float)
+
+    def d2(xs: np.ndarray, t: float) -> np.ndarray:
+        return curvature(d1(xs, t))
 
     def d_t(xs: np.ndarray, t: float) -> np.ndarray:
         return np.full_like(xs, profile.c)
+
+    def jet(xs: np.ndarray, t: float):
+        # One slope inversion serves both space derivatives.
+        slope = d1(xs, t)
+        return slope, curvature(slope), d_t(xs, t)
 
     params = {"c": profile.c, "shift": shift}
     return BarrierFunction(eval=_xt(val), dx=_xt(d1), dxx=_xt(d2),
                            dt=_xt(d_t), kinks=(), valid_until=math.inf,
                            family="translate_wave",
-                           domain=(-profile.b, profile.b), params=params)
+                           domain=(-profile.b, profile.b), params=params,
+                           jet=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -899,6 +915,13 @@ def _kink_checks(bf: BarrierFunction, times: Sequence[float],
     return checks
 
 
+def _near_kinks(xs: np.ndarray, locs: Sequence[float]) -> np.ndarray:
+    near = np.zeros(xs.shape, dtype=bool)
+    for xk in locs:
+        near |= np.abs(xs - xk) <= KINK_EXCLUSION
+    return near
+
+
 def _constant_estimates(params) -> Dict[str, float]:
     if isinstance(params, SuperFamilyParams):
         return {"mu": params.mu, "L0": params.L0, "nu": params.nu,
@@ -920,7 +943,9 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
     super_strict(delta), which also requires dt >= -slack (the
     nonnegative-speed form).  Sampling is stratified over time slices and
     space bins with a fixed seed, keeps an exclusion radius of 1e-8 around
-    kinks, and adds one-sided slope checks at every kink inside the domain.
+    kinks (redrawing at most 60 times, then logging a warning for points
+    still inside it), and adds one-sided slope checks at every kink inside
+    the domain.
     Time slices run over ``t_window`` (default: up to min(horizon, 1));
     windows beyond the validity horizon raise a horizon error.
     """
@@ -960,25 +985,30 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
         locs = [float(loc(t)) for loc, _ in bf.kinks]
         locs = [xk for xk in locs if math.isfinite(xk)]
         if locs:
-            for _ in range(60):
-                near = np.zeros(xs.shape, dtype=bool)
-                for xk in locs:
-                    near |= np.abs(xs - xk) <= KINK_EXCLUSION
+            for _ in range(KINK_REDRAW_ROUNDS):
+                near = _near_kinks(xs, locs)
                 if not near.any():
                     break
                 redraw = (np.flatnonzero(near) + rng.random(int(near.sum()))
                           ) / n_x
                 xs[near] = x_lo + (x_hi - x_lo) * redraw
-        dxv = np.asarray(bf.dx(xs, t), dtype=float)
-        dxxv = np.asarray(bf.dxx(xs, t), dtype=float)
-        dtv = np.asarray(bf.dt(xs, t), dtype=float)
-        weight = np.asarray(spec.g.eval(dxv), dtype=float)
+            else:
+                n_near = int(_near_kinks(xs, locs).sum())
+                if n_near:
+                    log.warning(
+                        "kink redraws exhausted at t = %.9g: %d of %d "
+                        "points stay within %g of a kink", t, n_near,
+                        xs.size, KINK_EXCLUSION)
+        if bf.jet is not None:
+            dxv, dxxv, dtv = bf.jet(xs, t)
+        else:
+            dxv, dxxv, dtv = bf.dx(xs, t), bf.dxx(xs, t), bf.dt(xs, t)
+        dtv = np.asarray(dtv, dtype=float)
         # Barriers may legitimately reach inf near a wall or front; an
         # inf - inf there yields nan, which argmax/argmin treat as extreme,
         # so a nan residual fails the check loudly rather than hiding.
         with np.errstate(over="ignore", invalid="ignore"):
-            res = dtv - np.asarray(spec.f.eval(factor * weight * dxxv),
-                                   dtype=float)
+            res = residual_values(spec.f, spec.g, dtv, dxv, dxxv, factor)
         i_hi = int(np.argmax(res))
         i_lo = int(np.argmin(res))
         return (t, res[i_hi], xs[i_hi], res[i_lo], xs[i_lo],

@@ -17,7 +17,9 @@ G converges only for tail exponents alpha > 1; the integrable tails are
 handled analytically.  Beyond a cut |s| > S0 the weight is replaced by its
 declared asymptote cg * |s|^(-alpha), with S0 doubled until (i) the true
 weight matches the asymptote to 1e-7 at the cut and (ii) the tail-corrected
-total G(inf) is stable to 1e-11 between doublings.  Everything downstream
+total G(inf) is stable to 1e-11 between doublings.  The breakpoints of 2 S0
+are those of S0 plus +-2 S0, so each doubling extends the panel table by its
+two new outer panels and refines nothing twice.  Everything downstream
 (speed, inversion, H) is then exact for the hybrid weight, which matches g
 pointwise inside the cut and to 1e-7 relative outside.
 
@@ -99,20 +101,12 @@ class _TailCorrectedG:
                 f"{g.alpha:g} <= 1; no finite antiderivative exists")
         self.g = g
         self.alpha = float(g.alpha)
-        self._pick_cut()
-        self._build_tables()
+        self._build_tables(self._pick_cut())
 
     # -- construction ------------------------------------------------------
 
     def _tail_mass(self, cg: float, s0: float) -> float:
         return cg * s0 ** (1.0 - self.alpha) / (self.alpha - 1.0)
-
-    def _finite_part(self, s0: float) -> float:
-        bps = self._breakpoints(s0)
-        total = 0.0
-        for a, bb in zip(bps[:-1], bps[1:]):
-            total += self._refine(a, bb)[1]
-        return total
 
     def _breakpoints(self, s0: float) -> np.ndarray:
         k_max = int(np.ceil(np.log2(s0 * 64.0)))
@@ -141,16 +135,33 @@ class _TailCorrectedG:
         out.sort()
         return out, total
 
-    def _pick_cut(self) -> None:
+    def _pick_cut(self) -> list:
+        """Double S0 until the cut settles; return the refined panels of the
+        chosen table, left to right.
+
+        breakpoints(2 S0) is breakpoints(S0) plus +-2 S0, so each doubling
+        refines only its two new outer panels and reuses the rest.  The
+        reuse map is local to the search, so no finished table carries it.
+        """
         g, alpha = self.g, self.alpha
+        refined = {}
         s0 = _S0_INIT
         prev_total = None
         while True:
+            bps = self._breakpoints(s0)
+            panels = []
+            for key in zip(bps[:-1], bps[1:]):
+                if key not in refined:
+                    refined[key] = self._refine(*key)
+                panels.append(refined[key])
             dev_p = abs(float(np.asarray(g.eval(np.asarray(s0))))
                         * s0 ** alpha / g.cg_plus - 1.0)
             dev_m = abs(float(np.asarray(g.eval(np.asarray(-s0))))
                         * s0 ** alpha / g.cg_minus - 1.0)
-            total = (self._finite_part(s0)
+            finite = 0.0
+            for _, part in panels:
+                finite += part
+            total = (finite
                      + self._tail_mass(g.cg_minus, s0)
                      + self._tail_mass(g.cg_plus, s0))
             settled = (prev_total is not None and
@@ -165,13 +176,11 @@ class _TailCorrectedG:
                     "weight tail never stabilizes against its declared "
                     "asymptote; check alpha and the tail constants")
         self.s0 = s0
+        return panels
 
-    def _build_tables(self) -> None:
+    def _build_tables(self, panels: list) -> None:
         g = self.g
-        subpanels = []
-        for a, bb in zip(self._breakpoints(self.s0)[:-1],
-                         self._breakpoints(self.s0)[1:]):
-            subpanels.extend(self._refine(a, bb)[0])
+        subpanels = [sub for sub_list, _ in panels for sub in sub_list]
         bps = np.array([p[0] for p in subpanels] + [subpanels[-1][1]])
         vals_g = _gl_partial(g.eval, bps[:-1], bps[1:])
         vals_h = _gl_partial(lambda t: t * np.asarray(g.eval(t)),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import logging
 import math
 
 import numpy as np
@@ -221,6 +224,72 @@ def test_translated_wave_is_both_sided():
         report = verify_inequality(bf, spec, side, samples=2000, seed=1)
         assert report["pass"], side
         assert abs(report["worst_residual"]) < 1e-8
+
+
+# sha256 over the reprs of sub and super reports for three translated waves
+# (10016 samples, seed 7), recorded while the verifier called dx and dxx
+# separately and inverted the slope map twice per sample.
+PINNED_TRANSLATE_REPORTS = \
+    "b0c112450cde311bfb5f37f07eeba69f2d591a56d15eb658a973a983614210c4"
+
+
+def test_translated_wave_reports_match_pinned_digest():
+    h = hashlib.sha256()
+    for beta2, b in ((1.0, math.pi / 2.0), (0.6667, 1.0), (2.0, 1.3)):
+        spec = _curvature_spec(beta2, b=b)
+        bf = translate_wave(compute_wave(spec), spec)
+        for side in ("sub", "super"):
+            report = verify_inequality(bf, spec, side, samples=10000, seed=7)
+            h.update(repr(report).encode())
+    assert h.hexdigest() == PINNED_TRANSLATE_REPORTS
+
+
+@pytest.mark.parametrize("beta2", [2.0 / 3.0, 1.0, 2.0])
+def test_translated_wave_jet_equals_the_three_closures(beta2):
+    spec = _curvature_spec(beta2)
+    bf = translate_wave(compute_wave(spec), spec, shift=0.5)
+    xs = np.concatenate([np.linspace(-0.999, 0.999, 257),
+                         1.0 - 2.0 ** -np.arange(10.0, 40.0)])
+    for t in (0.0, 0.37):
+        dx, dxx, dt = bf.jet(xs, t)
+        assert dx.tobytes() == bf.dx(xs, t).tobytes()
+        assert dxx.tobytes() == bf.dxx(xs, t).tobytes()
+        assert dt.tobytes() == bf.dt(xs, t).tobytes()
+
+
+def test_translated_wave_inverts_the_slope_once_per_stratum():
+    spec = _curvature_spec(1.0)
+    profile = compute_wave(spec)
+    calls = []
+
+    def counting_wx(x):
+        calls.append(np.size(x))
+        return profile.wx(x)
+
+    bf = translate_wave(dataclasses.replace(profile, wx=counting_wx), spec)
+    verify_inequality(bf, spec, "sub", samples=2000, seed=1)
+    assert len(calls) == 32
+
+
+def test_verifier_warns_when_kink_redraws_run_out(caplog):
+    """On a domain narrower than the kink exclusion radius every draw stays
+    near the kink; the verifier must say so and still report."""
+    zero = lambda xs, t: np.zeros_like(np.asarray(xs, dtype=float))
+    bf = BarrierFunction(
+        eval=lambda xs, t: np.abs(np.asarray(xs, dtype=float)),
+        dx=lambda xs, t: np.sign(np.asarray(xs, dtype=float)),
+        dxx=zero, dt=zero,
+        kinks=((lambda t: 0.0, "convex"),),
+        valid_until=math.inf, family="corner", domain=(-5e-9, 5e-9))
+    spec = _curvature_spec(1.0)
+    with caplog.at_level(logging.WARNING, logger="singflow.barriers"):
+        report = verify_inequality(bf, spec, "sub", samples=2000)
+    warnings = [r.getMessage() for r in caplog.records
+                if "kink redraws exhausted" in r.getMessage()]
+    assert len(warnings) == 32
+    assert all("63 of 63 points" in msg for msg in warnings)
+    assert report["n_samples"] == 32 * 63
+    assert report["pass"]
 
 
 def test_verifier_rejects_small_samples_and_bad_sides():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -198,3 +199,55 @@ def test_inverse_survives_a_sharp_bump():
     assert np.count_nonzero((newton <= lo) | (newton >= hi)) > 100
     s = table.inverse(w)
     assert np.all(np.abs(table.value(s) - w) <= 8.0 * EPS * w)
+
+
+# ---------------------------------------------------------------------------
+# Table construction: pinned tables, each panel refined once
+# ---------------------------------------------------------------------------
+
+
+TABLE_ALPHAS = (1.3, 1.9, 2.5, 2.8)
+
+# sha256 over (s0, total, bps, cum, hcum) for every alpha above, recorded
+# from the cut search that re-refined every panel at each S0 doubling.
+PINNED_TABLES = [
+    (lambda a: preset_curvature(1.0 / (3.0 - a))[1],
+     "0cebc5558403be2d9b963a6f6ee496c069cb06ac7c61257768da1e608d6100bf"),
+    (lambda a: power_tail_weight(a, 1.7, 0.6),
+     "e0bd13639f9e8c342c5fbd4e32cd990497b3602f88cdfa4c1b6f751e561b4fcd"),
+]
+
+
+@pytest.mark.parametrize("make, digest", PINNED_TABLES,
+                         ids=["curvature", "asymmetric_power_tail"])
+def test_tables_match_pinned_digests(make, digest):
+    h = hashlib.sha256()
+    for alpha in TABLE_ALPHAS:
+        table = _TailCorrectedG(make(alpha))
+        h.update(np.float64(table.s0).tobytes())
+        h.update(np.float64(table.total).tobytes())
+        for arr in (table.bps, table.cum, table.hcum):
+            h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("make", [make for make, _ in PINNED_TABLES],
+                         ids=["curvature", "asymmetric_power_tail"])
+def test_table_build_refines_each_panel_once(make, monkeypatch):
+    calls = []
+    refine = _TailCorrectedG._refine
+
+    def counting(self, a, bb):
+        calls.append((float(a), float(bb)))
+        return refine(self, a, bb)
+
+    monkeypatch.setattr(_TailCorrectedG, "_refine", counting)
+    for alpha in TABLE_ALPHAS:
+        calls.clear()
+        table = _TailCorrectedG(make(alpha))
+        assert len(calls) == len(set(calls))
+        # Every refined panel lies inside the chosen cut.
+        assert min(a for a, _ in calls) == -table.s0
+        assert max(bb for _, bb in calls) == table.s0
+        # The reuse map dies with the constructor.
+        assert not any(isinstance(v, dict) for v in vars(table).values())
