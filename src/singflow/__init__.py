@@ -39,8 +39,8 @@ from .barriers import (BarrierFunction, SuperFamilyParams, convex_envelope,
                        translate_wave, verify_inequality)
 from .solver import (CapStudy, GridField, SolveReport, cap_study, cfl_limit,
                      make_field, solve, step)
-from .verify import (Residual, default_gamma_grid, fit_boundary_rate,
-                     residual, residual_values, scale_sub, scale_super)
+from .verify import (default_gamma_grid, fit_boundary_rate, residual_values,
+                     scale_sub, scale_super)
 from .suite import run_suite
 
 __all__ = [
@@ -68,7 +68,7 @@ __all__ = [
     "GridField", "SolveReport", "CapStudy", "make_field", "cfl_limit",
     "step", "solve", "cap_study",
     # verify
-    "Residual", "residual", "residual_values", "scale_super", "scale_sub",
+    "residual_values", "scale_super", "scale_sub",
     "fit_boundary_rate", "default_gamma_grid",
     # suite
     "run_suite",

@@ -2,11 +2,16 @@
 
 Subcommands mirror the experiment vocabulary: ``classify``, ``wave``,
 ``barrier``, ``solve``, ``capstudy`` and ``verify``.  Each accepts either
-``--scenario <file>`` (a JSON document) or inline flags; results land in an
-output directory as CSV curves (RFC 4180, header row, '.' decimal), a JSON
-report and a reproducibility manifest.  Exit status is 0 on pass, 2 when a
-verification step or a declared expectation fails, and 1 on any error;
-scenario schema violations are reported with file and line.
+``--scenario <file>`` (a JSON document) or inline flags, never both; results
+land in an output directory as CSV curves (RFC 4180, header row, '.'
+decimal), a JSON report and a reproducibility manifest.  Exit status is 0 on
+pass, 2 when a verification step or a declared expectation fails, and 1 on
+any error; scenario schema violations are reported with file and line.
+
+`SCHEMA` lists each experiment's fields as rows ``(key, kind, default,
+flag)``.  The rows alone decide which keys a scenario may hold, how each
+field is checked and normalized, which flags a subcommand has, and how the
+inline document is built from those flags.
 
 Reruns of the same scenario file write bit-identical artifacts: seeds are
 fixed, reductions are deterministic, and no timestamps or timings are
@@ -16,6 +21,7 @@ recorded.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import dataclasses
 import json
@@ -25,7 +31,8 @@ import platform
 import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 import scipy
@@ -49,12 +56,10 @@ EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_FAIL = 2
 
-EXPERIMENTS = ("classify", "wave", "barrier", "solve", "capstudy", "verify")
 PRESETS = ("p_heat", "curvature")
 PRESET_PARAMS = {"p_heat": ("p", "beta1", "eps"), "curvature": ("beta2",)}
 OPTIONAL_PARAMS = ("f_beta",)
 U0_KINDS = ("constant", "poly", "psi", "wave")
-FAMILIES = ("uk", "vL", "super", "h")
 
 DEFAULT_B = 1.0
 DEFAULT_N_GRID = 512
@@ -82,43 +87,22 @@ def _schema_error(path: str, raw: str, key: str, msg: str) -> ScenarioError:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite number; bools, nan, inf and ints past the float range fail
+    (``json`` reads NaN and Infinity, ``float`` reads nan and inf)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _number(doc, key, path, raw, positive=False):
-    value = doc[key]
-    if not _is_number(value):
-        raise _schema_error(path, raw, key, f"'{key}' must be a number")
-    if positive and value <= 0:
-        raise _schema_error(path, raw, key, f"'{key}' must be positive")
-    return float(value)
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
-def _require(doc, key, path, raw):
-    if key not in doc:
-        raise _schema_error(path, raw, key,
-                            f"missing required field '{key}'")
-    return doc[key]
+def _floats(values) -> List[float]:
+    return [float(v) for v in values]
 
 
-_COMMON_KEYS = ("name", "preset", "params", "experiment", "output_dir",
-                "b", "u0", "seed", "expect")
-_EXTRA_KEYS = {
-    "classify": (),
-    "wave": ("n_grid", "w0"),
-    "barrier": ("family", "k", "L", "L0", "nu", "gamma_plus", "gamma_minus",
-                "d_plus", "d_minus", "b0", "samples", "side", "verify",
-                "t_window"),
-    "solve": ("n", "cap", "cap_minus", "t_end", "snapshot_times"),
-    "capstudy": ("n", "caps", "t_end", "probe", "probes"),
-    "verify": (),
-}
-
-
-def _validate_u0(doc, path, raw) -> Dict:
-    u0 = doc.get("u0")
-    if u0 is None:
-        return {"class": "B1", "spec": {"kind": "constant", "value": 0.0}}
+def _validate_u0(doc, key, path, raw) -> Dict:
+    u0 = doc[key]
     if not isinstance(u0, dict):
         raise _schema_error(path, raw, "u0", "'u0' must be an object")
     klass = u0.get("class")
@@ -141,21 +125,20 @@ def _validate_u0(doc, path, raw) -> Dict:
         out = {"kind": "constant", "value": float(spec["value"])}
     elif kind == "poly":
         coeffs = spec.get("coeffs")
-        if (not isinstance(coeffs, list) or not coeffs
-                or not all(_is_number(c) for c in coeffs)):
+        if not coeffs or not _is_numbers(coeffs):
             raise _schema_error(path, raw, "coeffs",
                                 "poly datum needs a numeric 'coeffs' list")
         if klass != "B1":
             raise _schema_error(path, raw, "class",
                                 "a polynomial datum is bounded; use class B1")
-        out = {"kind": "poly", "coeffs": [float(c) for c in coeffs]}
+        out = {"kind": "poly", "coeffs": _floats(coeffs)}
     elif kind == "psi":
         out = {"kind": "psi"}
-        for key in ("gamma_plus", "gamma_minus", "d_plus", "d_minus"):
-            if not _is_number(spec.get(key)):
+        for name in ("gamma_plus", "gamma_minus", "d_plus", "d_minus"):
+            if not _is_number(spec.get(name)):
                 raise _schema_error(path, raw, "spec",
-                                    f"psi datum needs numeric '{key}'")
-            out[key] = float(spec[key])
+                                    f"psi datum needs numeric '{name}'")
+            out[name] = float(spec[name])
         out["offset"] = (float(spec["offset"])
                          if _is_number(spec.get("offset")) else 0.0)
         if klass == "B1":
@@ -178,19 +161,19 @@ def _validate_u0(doc, path, raw) -> Dict:
     return {"class": klass, "spec": out}
 
 
-def _validate_params(doc, preset, path, raw) -> Dict[str, float]:
-    params = _require(doc, "params", path, raw)
+def _validate_params(doc, key, path, raw) -> Dict[str, float]:
+    params, preset = doc[key], doc["preset"]
     if not isinstance(params, dict):
         raise _schema_error(path, raw, "params", "'params' must be an object")
     known = PRESET_PARAMS[preset] + OPTIONAL_PARAMS
-    for key, value in params.items():
-        if key not in known:
-            raise _schema_error(path, raw, key,
-                                f"unknown parameter '{key}' for preset "
+    for name, value in params.items():
+        if name not in known:
+            raise _schema_error(path, raw, name,
+                                f"unknown parameter '{name}' for preset "
                                 f"'{preset}' (known: {', '.join(known)})")
         if not _is_number(value):
-            raise _schema_error(path, raw, key,
-                                f"parameter '{key}' must be a number")
+            raise _schema_error(path, raw, name,
+                                f"parameter '{name}' must be a finite number")
     missing = [k for k in PRESET_PARAMS[preset] if k not in params]
     if missing:
         raise _schema_error(path, raw, "params",
@@ -199,27 +182,32 @@ def _validate_params(doc, preset, path, raw) -> Dict[str, float]:
     return {k: float(v) for k, v in params.items()}
 
 
-def _validate_probes(doc, path, raw) -> List[Tuple[float, float]]:
-    entries = doc.get("probes")
-    if entries is None and "probe" in doc:
-        entries = [doc["probe"]]
+def _validate_probes(doc, key, path, raw) -> List[Tuple[float, float]]:
+    probe, entries = doc.get("probe"), doc.get("probes")
+    if probe is not None and entries is not None:
+        raise _schema_error(path, raw, "probe",
+                            "give 'probe' or 'probes', not both")
+    if probe is not None:
+        entries = [probe]
     if entries is None:
         raise _schema_error(path, raw, "experiment",
-                            "capstudy needs 'probe' or 'probes'")
+                            "capstudy needs 'probe' or 'probes' "
+                            "(flag --probe)")
     if not isinstance(entries, list) or not entries:
         raise _schema_error(path, raw, "probes",
                             "'probes' must be a non-empty list")
     probes: List[Tuple[float, float]] = []
     for entry in entries:
         if isinstance(entry, list) and len(entry) == 2 \
-                and all(_is_number(v) for v in entry):
+                and _is_numbers(entry):
             probes.append((float(entry[0]), float(entry[1])))
         elif _is_number(entry):
             # Bare positions share the scenario's t_end as probe time.
             if not _is_number(doc.get("t_end")):
                 raise _schema_error(
                     path, raw, "probes",
-                    "bare probe positions need a numeric 't_end'")
+                    "bare probe positions need a finite 't_end' "
+                    "(flag --t-end)")
             probes.append((float(entry), float(doc["t_end"])))
         else:
             raise _schema_error(path, raw, "probes",
@@ -227,8 +215,166 @@ def _validate_probes(doc, path, raw) -> List[Tuple[float, float]]:
     return probes
 
 
+def _parse_floats(flag: str, text: str) -> List[float]:
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ScenarioError(f"<args>:1: {flag}: '{text}' is not a "
+                            "comma separated number list")
+
+
+def _parse_probes(flag: str, texts: List[str]) -> List:
+    """``X,T`` gives a probe pair, a lone ``X`` a bare position."""
+    values = [_parse_floats(flag, text) for text in texts]
+    return [v[0] if len(v) == 1 else v for v in values]
+
+
+def _parse_kv(flag: str, pairs: List[str]) -> Dict[str, float]:
+    out: Dict[str, float] = {}
+    for pair in pairs:
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise ScenarioError(
+                f"<args>:1: {flag} needs KEY=VALUE, got '{pair}'")
+        try:
+            out[key.strip()] = float(value)
+        except ValueError:
+            raise ScenarioError(
+                f"<args>:1: {flag} {key}: '{value}' is not a number")
+    return out
+
+
+def _parse_json(flag: str, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"<args>:1: {flag}: malformed JSON: {exc.msg}")
+
+
+class _Kind(NamedTuple):
+    """How one scenario field is checked and how its flag is read."""
+
+    check: Callable  # (doc, key, path, raw) -> normalized value
+    what: str  # completes "'key' must be ..." and the flag's help
+    arg: Dict  # argparse keywords of the field's flag
+    from_flag: Optional[Callable] = None  # (flag, parsed) -> field value
+    whole_doc: bool = False  # check runs even when the key is absent
+
+
+def _simple(test, what, norm=None, arg=None, from_flag=None) -> _Kind:
+    """A kind that tests the field's value alone."""
+    def check(doc, key, path, raw):
+        if not test(doc[key]):
+            raise _schema_error(path, raw, key, f"'{key}' must be {what}")
+        return norm(doc[key]) if norm else doc[key]
+    return _Kind(check, what, arg or {}, from_flag)
+
+
+def _integer(low: Optional[int] = None) -> _Kind:
+    return _simple(
+        lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                   and (low is None or v >= low)),
+        "an integer" if low is None else f"an integer >= {low}",
+        arg={"type": int})
+
+
+def _choice(options: Tuple[str, ...]) -> _Kind:
+    def check(doc, key, path, raw):
+        if doc[key] not in options:
+            raise _schema_error(path, raw, key,
+                                f"unknown {key} '{doc[key]}' "
+                                f"(one of {', '.join(options)})")
+        return doc[key]
+    return _Kind(check, "one of " + ", ".join(options), {"choices": options})
+
+
+_TEXT = _simple(lambda v: isinstance(v, str) and v != "",
+                "a non-empty string")
+_NUMBER = _simple(_is_number, "a finite number", float, {"type": float})
+_POSITIVE = _simple(lambda v: _is_number(v) and v > 0,
+                    "a positive finite number", float, {"type": float})
+_PROBES = _Kind(_validate_probes, "[x, t] as X,T, or a bare X probed at "
+                "t_end; repeatable", {"action": "append", "metavar": "X[,T]"},
+                _parse_probes, whole_doc=True)
+
+# Markers for the default column.  A BY_FAMILY field is required when the
+# barrier family lists it in FAMILY_KEYS and refused otherwise; an AUXILIARY
+# field is read by another field's check and never stored in the normalized
+# scenario.
+REQUIRED = "required"
+BY_FAMILY = "by family"
+AUXILIARY = "auxiliary"
+
+_DEFAULT_U0 = {"class": "B1", "spec": {"kind": "constant", "value": 0.0}}
+_COMMON = (
+    ("name", _TEXT, REQUIRED, "--name"),
+    ("output_dir", _TEXT, REQUIRED, None),
+    ("seed", _integer(), 0, "--seed"),
+    ("expect", _simple(lambda v: isinstance(v, dict), "an object"), {}, None),
+)
+_PROBLEM = _COMMON + (
+    ("preset", _choice(PRESETS), REQUIRED, "--preset"),
+    ("params", _Kind(_validate_params, "a preset parameter; repeatable",
+                     {"action": "append", "metavar": "KEY=VALUE"},
+                     _parse_kv), REQUIRED, "--param"),
+    ("b", _POSITIVE, DEFAULT_B, "--b"),
+    ("u0", _Kind(_validate_u0, "an initial datum document",
+                 {"metavar": "JSON"}, _parse_json), _DEFAULT_U0, "--u0"),
+)
+FAMILY_KEYS = {"uk": ("k",), "vL": ("L",), "super": ("L0", "nu"),
+               "h": ("gamma_plus", "gamma_minus", "d_plus", "d_minus", "b0")}
+
+# Each experiment's fields as rows (key, kind, default, flag).  The default
+# is the value an absent field takes, or one of the markers above; a field
+# whose flag is None is set in scenario files only.  A field given as null
+# counts as absent.
+SCHEMA = {
+    "classify": _PROBLEM,
+    "wave": _PROBLEM + (
+        ("n_grid", _integer(64), DEFAULT_N_GRID, "--n-grid"),
+        ("w0", _NUMBER, 0.0, "--w0"),
+    ),
+    "barrier": _PROBLEM + (
+        ("family", _choice(tuple(FAMILY_KEYS)), REQUIRED, "--family"),
+    ) + tuple((key, _NUMBER, BY_FAMILY, "--" + key.replace("_", "-"))
+              for keys in FAMILY_KEYS.values() for key in keys) + (
+        ("samples", _integer(1000), DEFAULT_SAMPLES, "--samples"),
+        ("side", _simple(lambda v: isinstance(v, str),
+                         "sub, super, sub_strict(d) or super_strict(d)"),
+         None, "--side"),
+        ("verify", _simple(lambda v: isinstance(v, bool), "a boolean",
+                           arg={"action": "store_const", "const": False}),
+         True, "--no-verify"),
+        ("t_window", _simple(lambda v: _is_numbers(v) and len(v) == 2,
+                             "[t_lo, t_hi]", _floats), None, None),
+    ),
+    "solve": _PROBLEM + (
+        ("n", _integer(3), REQUIRED, "--n"),
+        ("cap", _NUMBER, REQUIRED, "--cap"),
+        ("cap_minus", _NUMBER, None, "--cap-minus"),
+        ("t_end", _POSITIVE, REQUIRED, "--t-end"),
+        ("snapshot_times", _simple(_is_numbers, "a list of numbers", _floats,
+                                   {"metavar": "T1,T2,..."}, _parse_floats),
+         [], "--snapshots"),
+    ),
+    "capstudy": _PROBLEM + (
+        ("n", _integer(3), REQUIRED, "--n"),
+        ("caps", _simple(lambda v: _is_numbers(v) and len(v) >= 2,
+                         "a list of at least 2 numbers", _floats,
+                         {"metavar": "C1,C2,..."}, _parse_floats),
+         REQUIRED, "--caps"),
+        ("t_end", _NUMBER, AUXILIARY, "--t-end"),
+        ("probe", _PROBES, AUXILIARY, None),
+        ("probes", _PROBES, REQUIRED, "--probe"),
+    ),
+    "verify": _COMMON,
+}
+EXPERIMENTS = tuple(SCHEMA)
+
+
 def validate_scenario(doc, raw: str = "", path: str = "<inline>") -> Dict:
-    """Check a scenario document and return it normalized with defaults.
+    """Check a scenario document against `SCHEMA` and return it normalized
+    with defaults.
 
     Raises
     ------
@@ -237,123 +383,43 @@ def validate_scenario(doc, raw: str = "", path: str = "<inline>") -> Dict:
     """
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}:1: scenario must be a JSON object")
-
-    experiment = _require(doc, "experiment", path, raw)
+    experiment = doc.get("experiment")
+    if experiment is None:
+        raise _schema_error(path, raw, "experiment",
+                            "missing required field 'experiment'")
     if experiment not in EXPERIMENTS:
         raise _schema_error(path, raw, "experiment",
                             f"unknown experiment '{experiment}' "
                             f"(one of {', '.join(EXPERIMENTS)})")
-    allowed = set(_COMMON_KEYS) | set(_EXTRA_KEYS[experiment])
+    rows = SCHEMA[experiment]
+    allowed = {"experiment"} | {row[0] for row in rows}
     for key in doc:
         if key not in allowed:
             raise _schema_error(path, raw, key,
                                 f"unknown field '{key}' for experiment "
                                 f"'{experiment}'")
 
-    name = _require(doc, "name", path, raw)
-    if not isinstance(name, str) or not name:
-        raise _schema_error(path, raw, "name",
-                            "'name' must be a non-empty string")
-    output_dir = _require(doc, "output_dir", path, raw)
-    if not isinstance(output_dir, str) or not output_dir:
-        raise _schema_error(path, raw, "output_dir",
-                            "'output_dir' must be a non-empty string")
-
-    scn: Dict = {"name": name, "experiment": experiment,
-                 "output_dir": output_dir}
-    scn["seed"] = 0
-    if "seed" in doc:
-        if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool):
-            raise _schema_error(path, raw, "seed", "'seed' must be an integer")
-        scn["seed"] = doc["seed"]
-    expect = doc.get("expect", {})
-    if not isinstance(expect, dict):
-        raise _schema_error(path, raw, "expect", "'expect' must be an object")
-    scn["expect"] = expect
-
-    if experiment != "verify":
-        preset = _require(doc, "preset", path, raw)
-        if preset not in PRESETS:
-            raise _schema_error(path, raw, "preset",
-                                f"unknown preset '{preset}' "
-                                f"(one of {', '.join(PRESETS)})")
-        scn["preset"] = preset
-        scn["params"] = _validate_params(doc, preset, path, raw)
-        scn["b"] = (_number(doc, "b", path, raw, positive=True)
-                    if "b" in doc else DEFAULT_B)
-        scn["u0"] = _validate_u0(doc, path, raw)
-
-    if experiment == "wave":
-        scn["n_grid"] = DEFAULT_N_GRID
-        if "n_grid" in doc:
-            if not isinstance(doc["n_grid"], int) or doc["n_grid"] < 8:
-                raise _schema_error(path, raw, "n_grid",
-                                    "'n_grid' must be an integer >= 8")
-            scn["n_grid"] = doc["n_grid"]
-        scn["w0"] = _number(doc, "w0", path, raw) if "w0" in doc else 0.0
-    elif experiment == "barrier":
-        family = _require(doc, "family", path, raw)
-        if family not in FAMILIES:
-            raise _schema_error(path, raw, "family",
-                                f"unknown family '{family}' "
-                                f"(one of {', '.join(FAMILIES)})")
-        scn["family"] = family
-        needed = {"uk": ("k",), "vL": ("L",), "super": ("L0", "nu"),
-                  "h": ("gamma_plus", "gamma_minus", "d_plus", "d_minus",
-                        "b0")}[family]
-        for key in needed:
-            if key not in doc:
-                raise _schema_error(path, raw, "family",
-                                    f"family '{family}' needs '{key}'")
-            scn[key] = _number(doc, key, path, raw)
-        scn["samples"] = DEFAULT_SAMPLES
-        if "samples" in doc:
-            if not isinstance(doc["samples"], int) or doc["samples"] < 1000:
-                raise _schema_error(path, raw, "samples",
-                                    "'samples' must be an integer >= 1000")
-            scn["samples"] = doc["samples"]
-        scn["verify"] = doc.get("verify", True)
-        if not isinstance(scn["verify"], bool):
-            raise _schema_error(path, raw, "verify",
-                                "'verify' must be a boolean")
-        scn["side"] = doc.get("side")
-        if scn["side"] is not None and not isinstance(scn["side"], str):
-            raise _schema_error(path, raw, "side", "'side' must be a string")
-        scn["t_window"] = None
-        if "t_window" in doc:
-            win = doc["t_window"]
-            if (not isinstance(win, list) or len(win) != 2
-                    or not all(_is_number(v) for v in win)):
-                raise _schema_error(path, raw, "t_window",
-                                    "'t_window' must be [t_lo, t_hi]")
-            scn["t_window"] = [float(win[0]), float(win[1])]
-    elif experiment == "solve":
-        if not isinstance(doc.get("n"), int) or doc["n"] < 3:
-            raise _schema_error(path, raw, "n",
-                                "'n' must be an integer >= 3")
-        scn["n"] = doc["n"]
-        scn["cap"] = _number(doc, "cap", path, raw)
-        scn["t_end"] = _number(doc, "t_end", path, raw, positive=True)
-        scn["cap_minus"] = (_number(doc, "cap_minus", path, raw)
-                            if "cap_minus" in doc else None)
-        times = doc.get("snapshot_times", [])
-        if not isinstance(times, list) or not all(_is_number(t)
-                                                  for t in times):
-            raise _schema_error(path, raw, "snapshot_times",
-                                "'snapshot_times' must be a list of numbers")
-        scn["snapshot_times"] = [float(t) for t in times]
-    elif experiment == "capstudy":
-        if not isinstance(doc.get("n"), int) or doc["n"] < 3:
-            raise _schema_error(path, raw, "n",
-                                "'n' must be an integer >= 3")
-        scn["n"] = doc["n"]
-        caps = doc.get("caps")
-        if (not isinstance(caps, list) or len(caps) < 2
-                or not all(_is_number(c) for c in caps)):
-            raise _schema_error(path, raw, "caps",
-                                "'caps' must be a list of at least 2 numbers")
-        scn["caps"] = [float(c) for c in caps]
-        scn["probes"] = _validate_probes(doc, path, raw)
+    scn: Dict = {"experiment": experiment}
+    for key, kind, default, flag in rows:
+        given = doc.get(key) is not None
+        if default is BY_FAMILY:
+            if key not in FAMILY_KEYS[scn["family"]]:
+                if given:
+                    raise _schema_error(path, raw, key,
+                                        f"family '{scn['family']}' does "
+                                        f"not take '{key}'")
+                continue
+            default = REQUIRED
+        if default is AUXILIARY:
+            continue
+        if given or kind.whole_doc:
+            scn[key] = kind.check(doc, key, path, raw)
+        elif default is REQUIRED:
+            hint = f" (flag {flag})" if flag else ""
+            raise _schema_error(path, raw, key,
+                                f"missing required field '{key}'{hint}")
+        else:
+            scn[key] = copy.deepcopy(default)
     return scn
 
 
@@ -732,6 +798,25 @@ def _execute(scn: Dict, out_override: Optional[str] = None) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
+def _load(path: str, experiment: Optional[str] = None) -> Dict:
+    """Read, parse and validate one scenario file.  With ``experiment``,
+    the file must also run that subcommand."""
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read scenario: {exc}")
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}")
+    scn = validate_scenario(doc, raw, path)
+    if experiment is not None and scn["experiment"] != experiment:
+        raise _schema_error(path, raw, "experiment",
+                            f"scenario runs '{scn['experiment']}' but the "
+                            f"'{experiment}' subcommand was invoked")
+    return scn
+
+
 def run(scenario_file, out_dir: Optional[str] = None) -> int:
     """Execute one scenario file; returns the process exit status.
 
@@ -739,21 +824,8 @@ def run(scenario_file, out_dir: Optional[str] = None) -> int:
     errors (unreadable file, malformed JSON, schema violations, parameter
     or regime errors raised while running).
     """
-    path = str(scenario_file)
     try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"{path}: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        print(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}",
-              file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        scn = validate_scenario(doc, raw, path)
-        return _execute(scn, out_dir)
+        return _execute(_load(str(scenario_file)), out_dir)
     except SingflowError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR
@@ -764,23 +836,14 @@ def run(scenario_file, out_dir: Optional[str] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, experiment: str) -> None:
-    parser.add_argument("--scenario", metavar="FILE",
-                        help="JSON scenario document")
-    parser.add_argument("--out", metavar="DIR",
-                        help="output directory (overrides the scenario)")
-    parser.add_argument("--name", help="label for reports (inline mode)")
-    parser.add_argument("--seed", type=int, help="sampling seed")
-    if experiment != "verify":
-        parser.add_argument("--preset", choices=PRESETS)
-        parser.add_argument("--param", action="append", default=[],
-                            metavar="KEY=VALUE",
-                            help="preset parameter, repeatable")
-        parser.add_argument("--b", type=float, help="domain half-width")
-        parser.add_argument("--u0", metavar="JSON",
-                            help="initial datum document, e.g. "
-                                 '\'{"class": "B1", "spec": {"kind": '
-                                 '"constant", "value": 0}}\'')
+_SUBCOMMAND_HELP = {
+    "classify": "regime classification",
+    "wave": "traveling-wave profile by quadrature",
+    "barrier": "explicit barrier families",
+    "solve": "monotone explicit finite differences",
+    "capstudy": "existence probe along a cap ladder",
+    "verify": "run the invariant suite",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -791,135 +854,36 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="increase log verbosity (repeatable)")
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    p = sub.add_parser("classify", help="regime classification")
-    _add_common(p, "classify")
-
-    p = sub.add_parser("wave", help="traveling-wave profile by quadrature")
-    _add_common(p, "wave")
-    p.add_argument("--n-grid", type=int, dest="n_grid")
-    p.add_argument("--w0", type=float)
-
-    p = sub.add_parser("barrier", help="explicit barrier families")
-    _add_common(p, "barrier")
-    p.add_argument("--family", choices=FAMILIES)
-    for flag in ("--k", "--L", "--L0", "--nu", "--gamma-plus",
-                 "--gamma-minus", "--d-plus", "--d-minus", "--b0"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--side", help="sub | super | sub_strict(d) | "
-                                  "super_strict(d)")
-    p.add_argument("--no-verify", action="store_true",
-                   help="emit slice curves without the inequality check")
-
-    p = sub.add_parser("solve", help="monotone explicit finite differences")
-    _add_common(p, "solve")
-    p.add_argument("--n", type=int)
-    p.add_argument("--cap", type=float)
-    p.add_argument("--cap-minus", type=float, dest="cap_minus")
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--snapshots", metavar="T1,T2,...",
-                   help="comma separated snapshot times")
-
-    p = sub.add_parser("capstudy", help="existence probe along a cap ladder")
-    _add_common(p, "capstudy")
-    p.add_argument("--n", type=int)
-    p.add_argument("--caps", metavar="C1,C2,...",
-                   help="comma separated increasing caps")
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--probe", action="append", metavar="X,T",
-                   help="probe point, repeatable")
-
-    p = sub.add_parser("verify", help="run the invariant suite")
-    _add_common(p, "verify")
+    for experiment, rows in SCHEMA.items():
+        p = sub.add_parser(experiment, help=_SUBCOMMAND_HELP[experiment])
+        p.add_argument("--scenario", metavar="FILE",
+                       help="JSON scenario document (no field flags then)")
+        p.add_argument("--out", metavar="DIR",
+                       help="output directory (overrides the scenario)")
+        for key, kind, default, flag in rows:
+            if flag:
+                p.add_argument(flag, dest=key, **kind.arg,
+                               help=_flag_help(key, kind, default))
     return parser
 
 
-def _parse_kv(pairs: List[str]) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise ScenarioError(
-                f"<args>:1: --param needs KEY=VALUE, got '{pair}'")
-        try:
-            out[key.strip()] = float(value)
-        except ValueError:
-            raise ScenarioError(
-                f"<args>:1: --param {key}: '{value}' is not a number")
-    return out
-
-
-def _parse_floats(text: str, flag: str) -> List[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ScenarioError(f"<args>:1: {flag}: '{text}' is not a "
-                            "comma separated number list")
+def _flag_help(key: str, kind: _Kind, default) -> str:
+    if default is BY_FAMILY:
+        family = next(f for f, keys in FAMILY_KEYS.items() if key in keys)
+        return f"'{key}': {kind.what} (family {family})"
+    if default is None or default is REQUIRED or default is AUXILIARY:
+        return f"'{key}': {kind.what}"
+    return f"'{key}': {kind.what} (default {default})"
 
 
 def _inline_scenario(args) -> Dict:
-    experiment = args.experiment
-    doc: Dict = {
-        "name": args.name or experiment,
-        "experiment": experiment,
-        "output_dir": args.out or "singflow_out",
-    }
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if experiment != "verify":
-        if args.preset is None:
-            raise ScenarioError("<args>:1: inline mode needs --preset "
-                                "(or use --scenario)")
-        doc["preset"] = args.preset
-        doc["params"] = _parse_kv(args.param)
-        if args.b is not None:
-            doc["b"] = args.b
-        if args.u0 is not None:
-            try:
-                doc["u0"] = json.loads(args.u0)
-            except json.JSONDecodeError as exc:
-                raise ScenarioError(f"<args>:1: --u0: malformed JSON: "
-                                    f"{exc.msg}")
-    if experiment == "wave":
-        if args.n_grid is not None:
-            doc["n_grid"] = args.n_grid
-        if args.w0 is not None:
-            doc["w0"] = args.w0
-    elif experiment == "barrier":
-        if args.family is None:
-            raise ScenarioError("<args>:1: inline barrier mode needs "
-                                "--family")
-        doc["family"] = args.family
-        for key in ("k", "L", "L0", "nu", "gamma_plus", "gamma_minus",
-                    "d_plus", "d_minus", "b0"):
-            value = getattr(args, key)
-            if value is not None:
-                doc[key] = value
-        if args.samples is not None:
-            doc["samples"] = args.samples
-        if args.side is not None:
-            doc["side"] = args.side
-        if args.no_verify:
-            doc["verify"] = False
-    elif experiment == "solve":
-        for key in ("n", "cap", "cap_minus", "t_end"):
-            value = getattr(args, key)
-            if value is not None:
-                doc[key] = value
-        if args.snapshots:
-            doc["snapshot_times"] = _parse_floats(args.snapshots,
-                                                  "--snapshots")
-    elif experiment == "capstudy":
-        if args.n is not None:
-            doc["n"] = args.n
-        if args.caps:
-            doc["caps"] = _parse_floats(args.caps, "--caps")
-        if args.t_end is not None:
-            doc["t_end"] = args.t_end
-        if args.probe:
-            doc["probes"] = [_parse_floats(pair, "--probe")
-                             for pair in args.probe]
+    """The scenario document spelled out by the field flags in ``args``."""
+    doc = {"name": args.experiment, "experiment": args.experiment,
+           "output_dir": args.out or "singflow_out"}
+    for key, kind, _, flag in SCHEMA[args.experiment]:
+        value = getattr(args, key) if flag else None
+        if value is not None:
+            doc[key] = kind.from_flag(flag, value) if kind.from_flag else value
     return doc
 
 
@@ -929,33 +893,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         level=max(logging.DEBUG,
                   logging.WARNING - 10 * args.verbose),
         format="%(levelname)s %(name)s: %(message)s")
-
-    if args.scenario is not None:
-        path = args.scenario
-        try:
-            raw = Path(path).read_text(encoding="utf-8")
-            doc = json.loads(raw)
-        except OSError as exc:
-            print(f"{path}: cannot read scenario: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        except json.JSONDecodeError as exc:
-            print(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        try:
-            scn = validate_scenario(doc, raw, path)
-            if scn["experiment"] != args.experiment:
-                raise _schema_error(
-                    path, raw, "experiment",
-                    f"scenario runs '{scn['experiment']}' but the "
-                    f"'{args.experiment}' subcommand was invoked")
-            return _execute(scn, args.out)
-        except SingflowError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_ERROR
-
     try:
-        scn = validate_scenario(_inline_scenario(args))
+        if args.scenario is None:
+            scn = validate_scenario(_inline_scenario(args))
+        else:
+            flags = [flag for key, _, _, flag in SCHEMA[args.experiment]
+                     if flag and getattr(args, key) is not None]
+            if flags:
+                raise ScenarioError(f"<args>:1: --scenario takes no field "
+                                    f"flags; got {', '.join(flags)}")
+            scn = _load(args.scenario, args.experiment)
         return _execute(scn, args.out)
     except SingflowError as exc:
         print(str(exc), file=sys.stderr)

@@ -73,10 +73,6 @@ class HorizonError(SingflowError):
 class ScenarioError(SingflowError):
     """A scenario file violates the scenario schema.
 
-    Carries the offending key path so the CLI can print a line-anchored
-    diagnostic before exiting with status 1.
+    The message starts with a ``file:line:`` anchor, which the CLI prints
+    before exiting with status 1.
     """
-
-    def __init__(self, message: str, key: str | None = None):
-        super().__init__(message)
-        self.key = key

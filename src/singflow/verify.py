@@ -15,20 +15,12 @@ and keeping the best relative fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .model import DiffusionWeight, Nonlinearity, ProblemSpec, psi
-
-
-@dataclass(frozen=True)
-class Residual:
-    value: float
-    point: Tuple[float, float]
-    factor: float
+from .model import DiffusionWeight, Nonlinearity, psi
 
 
 def residual_values(f: Nonlinearity, g: DiffusionWeight, dt, dx, dxx,
@@ -37,15 +29,6 @@ def residual_values(f: Nonlinearity, g: DiffusionWeight, dt, dx, dxx,
     arg = factor * np.asarray(g.eval(np.asarray(dx, dtype=float)),
                               dtype=float) * np.asarray(dxx, dtype=float)
     return np.asarray(dt, dtype=float) - np.asarray(f.eval(arg), dtype=float)
-
-
-def residual(spec: ProblemSpec, dt: float, dx: float, dxx: float,
-             factor: float = 1.0,
-             point: Tuple[float, float] = (0.0, 0.0)) -> Residual:
-    """Residual of one derivative triple under the flow of ``spec``."""
-    val = float(residual_values(spec.f, spec.g, dt, dx, dxx, factor))
-    return Residual(value=val, point=(float(point[0]), float(point[1])),
-                    factor=float(factor))
 
 
 def _check_lambda(lam: float) -> float:

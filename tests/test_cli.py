@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from singflow import ScenarioError
+from singflow import ScenarioError, cli
 from singflow.cli import main, run, validate_scenario
 
 
@@ -246,3 +247,233 @@ def test_import_leaves_scipy_solvers_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the schema table: inline flags, file keys and artifacts agree
+# ---------------------------------------------------------------------------
+
+_CURV = {"preset": "curvature", "params": {"beta2": 1.0}}
+_HEAT = {"preset": "p_heat", "params": {"p": 2.0, "beta1": 1.0, "eps": 0.1}}
+_POLY = {"class": "B1", "spec": {"kind": "poly", "coeffs": [0.5, 0.0, -0.5]}}
+_PSI_B3 = {"class": "B3", "spec": {"kind": "psi", "gamma_plus": 0.5,
+                                   "gamma_minus": 0.5, "d_plus": 1.0,
+                                   "d_minus": 1.0}}
+
+# sha256 over the names and bytes of report.json and the CSVs (manifest.json
+# records library versions), recorded before the CLI was driven by one
+# schema table.
+PINNED_ARTIFACTS = {
+    "classify_b3": (
+        dict(_CURV, experiment="classify", u0=_PSI_B3),
+        "bb299d8bd0f5dc422c4614dbd01fc101bd6eb6ab22881ec22d8d18418911cd66"),
+    "wave_arctan": (
+        dict(_CURV, experiment="wave", b=1.5707963267948966, n_grid=256,
+             w0=0.5),
+        "dbc1c8b6ffe9cb3b174bece4ab9160bbf70d0c47fa262c85ba320e8983615047"),
+    "barrier_uk": (
+        dict(_CURV, experiment="barrier", family="uk", k=100.0, samples=2000,
+             seed=7),
+        "6401284113fce8c9263baf59336d7bb4d850ac63f71bc854e124b6f4b56439d3"),
+    "barrier_vL": (
+        dict(_HEAT, experiment="barrier", family="vL", L=100.0, samples=2000,
+             seed=5),
+        "aa18915078048b07f001357e775c69976e18e8178c0836471523c74710f035c8"),
+    "barrier_super": (
+        dict(_HEAT, experiment="barrier", family="super",
+             params={"p": 2.0, "beta1": 0.5, "eps": 0.1}, L0=3.0, nu=1e4,
+             samples=2000, seed=3),
+        "de0ad3acf1904ce4167f2f0634bfe91f5348e2696b1e03b2a1f927c738356369"),
+    "barrier_h": (
+        dict(_CURV, experiment="barrier", family="h", gamma_plus=1.0,
+             gamma_minus=0.5, d_plus=2.0, d_minus=1.0, b0=0.6, verify=False),
+        "28a0eff5e871aadd47176cac04404aca819cc2fa0f866dc79efab5dd104c66d5"),
+    "solve": (
+        dict(_CURV, experiment="solve", u0=_POLY, n=60, cap=4.0,
+             cap_minus=-2.0, t_end=0.01, snapshot_times=[0.0, 0.01]),
+        "39e6843a51671dce246a3b9f58ff60d99e448a9f187b230e248e95ee57de7748"),
+    "capstudy_pairs": (
+        dict(_CURV, experiment="capstudy", n=100, caps=[2.0, 4.0, 8.0],
+             probes=[[0.0, 0.05], [0.5, 0.02]]),
+        "ad33dca094e4040bb314de2cbb7e89223175193eff1ba8d1eb64c861ee2ab8ee"),
+    "capstudy_bare": (
+        dict(_CURV, experiment="capstudy", n=100, caps=[2.0, 4.0, 8.0],
+             t_end=0.05, probes=[0.0, 0.5]),
+        "66e9215ab6c979bafcbe147a7149f4a17f4f82af845d2c357fbf1960e7260d35"),
+}
+
+
+def _artifact_digest(tmp_path, name, doc):
+    out = tmp_path / name
+    path = _scenario(tmp_path, dict(doc, name=name, output_dir=str(out)))
+    assert main([doc["experiment"], "--scenario", str(path)]) == 0
+    h = hashlib.sha256()
+    for item in sorted(out.iterdir()):
+        if item.name != "manifest.json":
+            h.update(item.name.encode() + b"\0" + item.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+def test_artifacts_match_pinned_digests(tmp_path, name):
+    doc, digest = PINNED_ARTIFACTS[name]
+    assert _artifact_digest(tmp_path, name, doc) == digest
+
+
+_PROBLEM_ARGV = ["--name", "n", "--seed", "3", "--preset", "curvature",
+                 "--param", "beta2=1", "--b", "1.5", "--u0",
+                 json.dumps(_POLY)]
+_PROBLEM_DOC = dict(_CURV, name="n", seed=3, b=1.5, u0=_POLY)
+
+# (argv, equivalent document fields); together the cases of an experiment
+# use every flag its schema rows define.
+PARITY = [
+    (["classify", *_PROBLEM_ARGV], _PROBLEM_DOC),
+    (["wave", *_PROBLEM_ARGV, "--n-grid", "64", "--w0", "0.5"],
+     dict(_PROBLEM_DOC, n_grid=64, w0=0.5)),
+    (["barrier", *_PROBLEM_ARGV, "--family", "uk", "--k", "100",
+      "--samples", "2000", "--side", "sub", "--no-verify"],
+     dict(_PROBLEM_DOC, family="uk", k=100.0, samples=2000, side="sub",
+          verify=False)),
+    (["barrier", *_PROBLEM_ARGV, "--family", "vL", "--L", "50"],
+     dict(_PROBLEM_DOC, family="vL", L=50.0)),
+    (["barrier", *_PROBLEM_ARGV, "--family", "super", "--L0", "3",
+      "--nu", "1e4"], dict(_PROBLEM_DOC, family="super", L0=3.0, nu=1e4)),
+    (["barrier", *_PROBLEM_ARGV, "--family", "h", "--gamma-plus", "1",
+      "--gamma-minus", "0.5", "--d-plus", "2", "--d-minus", "1",
+      "--b0", "0.6"],
+     dict(_PROBLEM_DOC, family="h", gamma_plus=1.0, gamma_minus=0.5,
+          d_plus=2.0, d_minus=1.0, b0=0.6)),
+    (["solve", *_PROBLEM_ARGV, "--n", "60", "--cap", "4", "--cap-minus",
+      "-2", "--t-end", "0.01", "--snapshots", "0,0.005,0.01"],
+     dict(_PROBLEM_DOC, n=60, cap=4.0, cap_minus=-2.0, t_end=0.01,
+          snapshot_times=[0.0, 0.005, 0.01])),
+    (["capstudy", *_PROBLEM_ARGV, "--n", "100", "--caps", "2,4,8",
+      "--t-end", "0.05", "--probe", "0,0.02", "--probe", "0.5"],
+     dict(_PROBLEM_DOC, n=100, caps=[2.0, 4.0, 8.0], t_end=0.05,
+          probes=[[0.0, 0.02], 0.5])),
+    (["verify", "--name", "n", "--seed", "3"], {"name": "n", "seed": 3}),
+]
+
+
+def _inline(argv):
+    return validate_scenario(
+        cli._inline_scenario(cli._build_parser().parse_args(argv)))
+
+
+@pytest.mark.parametrize("argv,fields", PARITY,
+                         ids=[" ".join(a[:1] + a[-2:]) for a, _ in PARITY])
+def test_flags_validate_like_the_document(argv, fields):
+    doc = dict(fields, experiment=argv[0], output_dir="o")
+    assert _inline([*argv, "--out", "o"]) == validate_scenario(doc)
+
+
+def test_parity_cases_use_every_flag():
+    for experiment, rows in cli.SCHEMA.items():
+        used = {a for argv, _ in PARITY if argv[0] == experiment
+                for a in argv}
+        assert {flag for *_, flag in rows if flag} <= used, experiment
+
+
+@pytest.mark.parametrize("sub", cli.EXPERIMENTS)
+def test_subcommand_help_exits_0(sub, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    assert "--scenario" in capsys.readouterr().out
+
+
+def test_inline_bare_probe_takes_t_end():
+    scn = _inline(["capstudy", "--preset", "curvature", "--param", "beta2=1",
+                   "--n", "100", "--caps", "2,4", "--probe", "0",
+                   "--t-end", "0.1", "--probe", "0.5,0.2"])
+    assert scn["probes"] == [(0.0, 0.1), (0.5, 0.2)]
+
+
+@pytest.mark.parametrize("missing", ["cap", "t_end"])
+def test_missing_required_number_exits_1(tmp_path, capsys, missing):
+    doc = dict(_CURV, name="s", experiment="solve", n=50, cap=4.0,
+               t_end=0.01, output_dir=str(tmp_path / "f"))
+    del doc[missing]
+    path = _scenario(tmp_path, doc)
+    assert main(["solve", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:1: missing required field '{missing}'" in err
+
+    flags = {"cap": ["--cap", "4"], "t_end": ["--t-end", "0.01"]}
+    del flags[missing]
+    argv = ["solve", "--preset", "curvature", "--param", "beta2=1", "--n",
+            "50", *sum(flags.values(), []), "--out", str(tmp_path / "i")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"<inline>:1: missing required field '{missing}'" in err
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("the solver ran on an invalid scenario")
+
+
+@pytest.mark.parametrize("field,value,flags", [
+    ("params", {"beta2": float("nan")}, ["--param", "beta2=nan"]),
+    ("b", float("inf"), ["--b", "inf"]),
+    ("t_end", float("nan"), ["--t-end", "nan"]),
+    ("t_end", float("inf"), ["--t-end", "inf"]),
+    ("cap", float("-inf"), ["--cap=-inf"]),
+    ("caps", [2.0, float("nan")], ["--caps", "2,nan"]),
+])
+def test_non_finite_numbers_exit_1_before_running(tmp_path, capsys,
+                                                  monkeypatch, field, value,
+                                                  flags):
+    monkeypatch.setattr(cli, "solve", _no_run)
+    monkeypatch.setattr(cli, "cap_study", _no_run)
+    experiment = "capstudy" if field == "caps" else "solve"
+    base = {"solve": {"cap": 4.0, "t_end": 0.01},
+            "capstudy": {"caps": [2.0, 4.0], "probe": [0.0, 0.01]}}
+    doc = dict(_CURV, name="nf", experiment=experiment, n=50,
+               output_dir=str(tmp_path / "f"), **base[experiment])
+    doc[field] = value
+    path = _scenario(tmp_path, doc)  # json writes NaN and Infinity
+    anchor = "beta2" if field == "params" else field
+    line = 1 + next(i for i, text in enumerate(path.read_text().splitlines())
+                    if f'"{anchor}":' in text)
+    assert main([experiment, "--scenario", str(path)]) == 1
+    assert f"{path}:{line}: " in capsys.readouterr().err
+
+    # Later flags override earlier ones, so the bad value wins.
+    base_argv = {"solve": ["--cap", "4", "--t-end", "0.01"],
+                 "capstudy": ["--caps", "2,4", "--probe", "0,0.01"]}
+    argv = [experiment, "--preset", "curvature", "--param", "beta2=1",
+            "--n", "50", *base_argv[experiment], *flags,
+            "--out", str(tmp_path / "i")]
+    assert main(argv) == 1
+    assert "<inline>:1: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("preset", "curvature"),
+                                         ("params", "junk"), ("b", 2.0),
+                                         ("u0", {"class": "B1"})])
+def test_verify_scenario_refuses_problem_fields(tmp_path, capsys, field,
+                                                value):
+    doc = {"name": "v", "experiment": "verify", field: value,
+           "output_dir": str(tmp_path / "o")}
+    assert main(["verify", "--scenario", str(_scenario(tmp_path, doc))]) == 1
+    assert (f"unknown field '{field}' for experiment 'verify'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_refuses_field_flags(tmp_path, capsys):
+    path = _scenario(tmp_path, _classify_doc(tmp_path / "out"))
+    assert main(["classify", "--scenario", str(path), "--b", "2"]) == 1
+    assert "--b" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["-v", "classify", "--scenario", str(path),
+                 "--out", str(tmp_path / "other")]) == 0
+    assert (tmp_path / "other" / "report.json").exists()
+
+
+def test_barrier_refuses_keys_of_other_families():
+    doc = dict(_CURV, name="x", experiment="barrier", output_dir="o",
+               family="uk", k=100.0, L=50.0)
+    with pytest.raises(ScenarioError, match="family 'uk' does not take 'L'"):
+        validate_scenario(doc)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from singflow import (InsufficientDataError, ParameterError,
                       default_gamma_grid, fit_boundary_rate, initial_b1,
-                      make_problem, preset_curvature, residual,
-                      residual_values, scale_sub, scale_super)
+                      make_problem, preset_curvature, residual_values,
+                      scale_sub, scale_super)
 
 
 def _curvature_spec():
@@ -28,11 +28,11 @@ def _curvature_spec():
 
 def test_residual_sign_convention():
     spec = _curvature_spec()
+    f, g = spec.f, spec.g
     # dt = 0, positive curvature: the flow pushes up, residual negative.
-    assert residual(spec, 0.0, 0.0, 1.0).value == pytest.approx(-1.0)
-    assert residual(spec, 2.0, 0.0, 1.0).value == pytest.approx(1.0)
-    r = residual(spec, 0.0, 0.0, 0.0, factor=0.5, point=(0.25, 0.125))
-    assert r.value == 0.0 and r.point == (0.25, 0.125) and r.factor == 0.5
+    assert residual_values(f, g, 0.0, 0.0, 1.0) == pytest.approx(-1.0)
+    assert residual_values(f, g, 2.0, 0.0, 1.0) == pytest.approx(1.0)
+    assert residual_values(f, g, 0.0, 0.0, 0.0, factor=0.5) == 0.0
 
 
 def test_residual_values_vectorized():
@@ -40,7 +40,7 @@ def test_residual_values_vectorized():
     dx = np.array([0.0, 1.0, -2.0])
     dxx = np.array([1.0, -1.0, 2.0])
     out = residual_values(spec.f, spec.g, 0.0, dx, dxx)
-    expected = [residual(spec, 0.0, float(p), float(z)).value
+    expected = [float(residual_values(spec.f, spec.g, 0.0, float(p), float(z)))
                 for p, z in zip(dx, dxx)]
     np.testing.assert_allclose(out, expected)
 
@@ -54,8 +54,8 @@ def test_residual_monotone_in_factor(dt, dx, dxx, fa, fb):
     it wherever dxx <= 0 (monotonicity of the outer nonlinearity)."""
     spec = _curvature_spec()
     lo_f, hi_f = min(fa, fb), max(fa, fb)
-    lo = residual(spec, dt, dx, dxx, factor=lo_f).value
-    hi = residual(spec, dt, dx, dxx, factor=hi_f).value
+    lo = residual_values(spec.f, spec.g, dt, dx, dxx, factor=lo_f)
+    hi = residual_values(spec.f, spec.g, dt, dx, dxx, factor=hi_f)
     if dxx >= 0.0:
         assert hi <= lo + 1e-12
     else:
