@@ -36,10 +36,12 @@ object and echoed in verification reports.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,6 +70,10 @@ KINK_SLOPE_TOL = 1.0e-12
 T_STRATA = 32
 EDGE_MARGIN = 1.0e-12
 DEFAULT_T_CAP = 1.0
+# The verifier evaluates the jet on blocks of whole strata of at most this
+# many points; per-time state is cached for this many recent times.
+BLOCK_POINTS = 2048
+STATE_CACHE = 2 * T_STRATA
 
 # Super-family construction.
 C4_SAFETY = 2.0
@@ -86,33 +92,36 @@ _SIDE_PATTERN = re.compile(r"^(sub|super)_strict\(\s*([^()\s]+)\s*\)$")
 class BarrierFunction:
     """A candidate sub- or super-solution with analytic partials.
 
-    ``eval``, ``dx``, ``dxx``, ``dt`` accept a scalar or array x and a
-    scalar time.  ``kinks`` lists (location(t), kind) pairs where kind is
-    "convex" (admissible for sub-solutions) or "concave" (super-solutions);
-    a location callable may return nan once the kink has left the domain.
-    ``valid_until`` is the time horizon (math.inf when unlimited), and
-    ``domain`` the open x-interval on which the closures are defined.
-    ``jet``, when set, maps an array x and a scalar t to the triple
-    (dx, dxx, dt) in one call, sharing work the three closures would each
-    repeat; its values must equal theirs bit for bit.  `verify_inequality`
-    prefers it.
+    ``eval``, ``dx``, ``dxx``, ``dt`` take x and t as floats or as arrays
+    that broadcast against each other (the verifier passes an (m, 1) column
+    of times against (m, n) points); scalar x and t give a float.  Values at
+    an array of times equal the scalar-time calls bit for bit.  ``kinks``
+    lists (location(t), kind) pairs where kind is "convex" (admissible for
+    sub-solutions) or "concave" (super-solutions); a location takes a float
+    or an array of times, returns a value broadcastable to it, and may be
+    nan once the kink has left the domain.  ``valid_until`` is the time
+    horizon (math.inf when unlimited), and ``domain`` the open x-interval on
+    which the closures are defined.  ``jet``, when set, maps array x and t
+    to the triple (dx, dxx, dt) in one call, sharing work the three
+    closures would each repeat; its values must equal theirs bit for bit.
+    Every time-dependent family sets it, and `verify_inequality` prefers it.
     """
 
     eval: Callable[..., Any]
     dx: Callable[..., Any]
     dxx: Callable[..., Any]
     dt: Callable[..., Any]
-    kinks: Tuple[Tuple[Callable[[float], float], str], ...]
+    kinks: Tuple[Tuple[Callable[..., Any], str], ...]
     valid_until: float
     family: str
     domain: Tuple[float, float] = (-math.inf, math.inf)
     params: Any = None
     # Closed-form one-sided slopes (left(t), right(t)) per kink, for kinks
     # whose slope field turns inside a layer narrower than any probe step.
-    kink_slopes: Optional[Tuple[Tuple[Callable[[float], float],
-                                      Callable[[float], float]], ...]] = None
-    jet: Optional[Callable[[np.ndarray, float],
-                           Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
+    kink_slopes: Optional[Tuple[Tuple[Callable[..., Any],
+                                      Callable[..., Any]], ...]] = None
+    jet: Optional[Callable[..., Tuple[np.ndarray, np.ndarray,
+                                      np.ndarray]]] = None
 
 
 @dataclass(frozen=True)
@@ -133,15 +142,70 @@ class SuperFamilyParams:
     C4: float
 
 
-def _xt(core: Callable[[np.ndarray, float], np.ndarray]):
-    """Wrap an (array, scalar-t) closure so scalar x comes back scalar."""
+def _points(x, t) -> Tuple[np.ndarray, np.ndarray]:
+    """x as a float array (read only) of the shape x and t broadcast to,
+    and t as a float array."""
+    xs = np.asarray(x, dtype=float)
+    ts = np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(xs.shape, ts.shape)
+    return (xs if xs.shape == shape else np.broadcast_to(xs, shape)), ts
+
+
+def _xt(core: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    """Wrap an (x array, t array) closure so that x and t broadcast and
+    scalar x and t come back as a float."""
 
     def call(x, t):
-        arr = np.asarray(x, dtype=float)
-        out = core(np.atleast_1d(arr).astype(float), float(t))
-        return float(out[0]) if arr.ndim == 0 else out
+        xs, ts = _points(x, t)
+        if xs.ndim == 0:
+            return float(core(xs.reshape(1), ts)[0])
+        return core(xs, ts)
 
     return call
+
+
+def _per_time(state: Callable[[float], Tuple[float, ...]], t,
+              ndim: int = 0) -> np.ndarray:
+    """Map a scalar per-time state over t, a float or an array of times.
+
+    Each time goes through ``state`` as a Python float, so quantities that
+    are Python scalar expressions keep their bits (numpy's array math
+    differs from Python's ``**`` and ``math`` in the last bit).  Component
+    i of the state comes back as entry i: an array shaped like t, with
+    leading unit axes up to ``ndim`` axes so that it broadcasts against
+    points with that many.
+    """
+    ts = np.asarray(t, dtype=float)
+    vals = np.array([state(float(s)) for s in ts.flat], dtype=float)
+    pad = (1,) * (ndim - ts.ndim)
+    return vals.T.reshape((-1,) + pad + ts.shape)
+
+
+def _at_points(state, xs: np.ndarray, t) -> np.ndarray:
+    """`_per_time` components broadcast to the shape of xs, so that masks
+    over the points select from them."""
+    vals = _per_time(state, t, xs.ndim)
+    return np.broadcast_to(vals, vals.shape[:1] + xs.shape)
+
+
+def _family(prep, val, d1, d2, d_t) -> Dict[str, Callable]:
+    """The five closures of a time-dependent family.
+
+    ``prep(xs, t)`` computes what the orders share (per-point state, masks,
+    powers); each order is a function of (xs, prepared) and ``jet`` runs
+    prep once for all three derivatives.
+    """
+
+    def order(core):
+        return _xt(lambda xs, t: core(xs, prep(xs, t)))
+
+    def jet(x, t):
+        xs, ts = _points(x, t)
+        shared = prep(xs, ts)
+        return d1(xs, shared), d2(xs, shared), d_t(xs, shared)
+
+    return {"eval": order(val), "dx": order(d1), "dxx": order(d2),
+            "dt": order(d_t), "jet": jet}
 
 
 def _tail_floor(fn: Callable[[np.ndarray], np.ndarray], power: float,
@@ -295,6 +359,7 @@ def sub_uk(spec: ProblemSpec, k: float) -> BarrierFunction:
     log.info("sub_uk: k = %g, y_k = %.6g, M = %.6g, wall speed = %.6g",
              k, y_k, m_floor, speed)
 
+    @functools.lru_cache(maxsize=STATE_CACHE)
     def state(t: float):
         """Scalar time-dependent quantities, overflow-guarded."""
         grow = speed * t
@@ -304,72 +369,52 @@ def sub_uk(spec: ProblemSpec, k: float) -> BarrierFunction:
         e_term = big_e * e_neg if big_e < 700.0 else 0.0
         x_k = e_neg + b - y_k
         dx_k = -speed * e_term
-        return big_e, e_neg, x_k, dx_k
+        arc = math.sqrt(r_k ** 2 - x_k ** 2)
+        return big_e, e_neg, x_k, dx_k, arc, x_k * dx_k / arc
 
-    def split(xs: np.ndarray, x_k: float):
-        a = np.abs(xs)
-        outer = a > x_k
-        return a, outer, ~outer
-
-    def layer_logxi(a: np.ndarray, big_e: float, e_neg: float):
-        gap = np.maximum(b - a, 0.0)
-        xi = e_neg + gap
+    def prep(xs: np.ndarray, t):
+        """Region masks, and the layer variables and per-time state on the
+        outer part."""
+        big_e, e_neg, x_k, dx_k, arc, arc_rate = _at_points(state, xs, t)
+        outer = np.abs(xs) > x_k
+        gap = np.maximum(b - np.abs(xs[outer]), 0.0)
         with np.errstate(divide="ignore"):
-            log_xi = np.logaddexp(-big_e, np.log(gap))
-        return xi, log_xi
+            log_xi = np.logaddexp(-big_e[outer], np.log(gap))
+        return SimpleNamespace(outer=outer, mid=~outer,
+                               xi=e_neg[outer] + gap, log_xi=log_xi,
+                               arc=arc[outer], dx_k=dx_k[outer],
+                               arc_rate=arc_rate[outer])
 
-    def val(xs: np.ndarray, t: float) -> np.ndarray:
-        big_e, e_neg, x_k, _ = state(t)
-        a, outer, mid = split(xs, x_k)
-        out = np.empty_like(a)
-        if np.any(mid):
-            out[mid] = -np.sqrt(r_k ** 2 - xs[mid] ** 2)
-        if np.any(outer):
-            xi, log_xi = layer_logxi(a[outer], big_e, e_neg)
-            arc = math.sqrt(r_k ** 2 - x_k ** 2)
-            out[outer] = np.log(log_xi / log_yk) - arc
+    def val(xs: np.ndarray, p) -> np.ndarray:
+        out = np.empty_like(xs)
+        out[p.mid] = -np.sqrt(r_k ** 2 - xs[p.mid] ** 2)
+        out[p.outer] = np.log(p.log_xi / log_yk) - p.arc
         return out
 
-    def d1(xs: np.ndarray, t: float) -> np.ndarray:
-        big_e, e_neg, x_k, _ = state(t)
-        a, outer, mid = split(xs, x_k)
-        out = np.empty_like(a)
-        if np.any(mid):
-            out[mid] = xs[mid] / np.sqrt(r_k ** 2 - xs[mid] ** 2)
-        if np.any(outer):
-            xi, log_xi = layer_logxi(a[outer], big_e, e_neg)
-            out[outer] = np.sign(xs[outer]) * (-1.0) / (xi * log_xi)
+    def d1(xs: np.ndarray, p) -> np.ndarray:
+        out = np.empty_like(xs)
+        out[p.mid] = xs[p.mid] / np.sqrt(r_k ** 2 - xs[p.mid] ** 2)
+        out[p.outer] = np.sign(xs[p.outer]) * (-1.0) / (p.xi * p.log_xi)
         return out
 
-    def d2(xs: np.ndarray, t: float) -> np.ndarray:
-        big_e, e_neg, x_k, _ = state(t)
-        a, outer, mid = split(xs, x_k)
-        out = np.empty_like(a)
-        if np.any(mid):
-            out[mid] = r_k ** 2 / (r_k ** 2 - xs[mid] ** 2) ** 1.5
-        if np.any(outer):
-            xi, log_xi = layer_logxi(a[outer], big_e, e_neg)
-            out[outer] = -(log_xi + 1.0) / (xi * log_xi) ** 2
+    def d2(xs: np.ndarray, p) -> np.ndarray:
+        out = np.empty_like(xs)
+        out[p.mid] = r_k ** 2 / (r_k ** 2 - xs[p.mid] ** 2) ** 1.5
+        out[p.outer] = -(p.log_xi + 1.0) / (p.xi * p.log_xi) ** 2
         return out
 
-    def d_t(xs: np.ndarray, t: float) -> np.ndarray:
-        big_e, e_neg, x_k, dx_k = state(t)
-        a, outer, mid = split(xs, x_k)
-        out = np.zeros_like(a)
-        if np.any(outer):
-            xi, log_xi = layer_logxi(a[outer], big_e, e_neg)
-            arc_rate = x_k * dx_k / math.sqrt(r_k ** 2 - x_k ** 2)
-            out[outer] = dx_k / (xi * log_xi) + arc_rate
+    def d_t(xs: np.ndarray, p) -> np.ndarray:
+        out = np.zeros_like(xs)
+        out[p.outer] = p.dx_k / (p.xi * p.log_xi) + p.arc_rate
         return out
 
     def kink_loc(sign: float):
-        return lambda t: sign * state(float(t))[2]
+        return lambda t: sign * _per_time(state, t)[2]
 
     params = {"k": k, "y_k": y_k, "r_k": r_k, "M": m_floor, "s0": TAIL_LO,
               "wall_speed": speed,
               "note": "tail bound certified on the sampled range only"}
-    return BarrierFunction(eval=_xt(val), dx=_xt(d1), dxx=_xt(d2),
-                           dt=_xt(d_t),
+    return BarrierFunction(**_family(prep, val, d1, d2, d_t),
                            kinks=((kink_loc(1.0), "convex"),
                                   (kink_loc(-1.0), "convex")),
                            valid_until=math.inf, family="subsolution_uk",
@@ -433,55 +478,59 @@ def sub_vL(spec: ProblemSpec, L: float) -> BarrierFunction:
     log.info("sub_vL: L = %g, M_g = %.6g, M_f = %.6g, c_L = %.6g",
              L, m_g, m_f, c_l)
 
-    def yhat(xs: np.ndarray, t: float) -> np.ndarray:
-        return (3.0 * b - xs) / (2.0 * b) - c_l * min(t, t_cross)
+    def moved(t: float):
+        return c_l * min(t, t_cross), float(t < t_cross)
 
-    # Powers y^(-L-2) overflow to inf close to the wall for large L; inf is
-    # the honest value there, so the overflow warning is silenced.
-    def val(xs: np.ndarray, t: float) -> np.ndarray:
-        y = yhat(xs, t)
-        out = np.ones_like(y)
+    def prep(xs: np.ndarray, t):
+        """yhat, the wave mask, yhat and yhat^(-L-1) on the wave, and where
+        the front still moves."""
+        shift, moving = _per_time(moved, t, xs.ndim)
+        y = (3.0 * b - xs) / (2.0 * b) - shift
         wave = y < 1.0
+        y_wave = y[wave]
+        # Powers y^(-L-2) overflow to inf close to the wall for large L;
+        # inf is the honest value there, so the warning is silenced.
         with np.errstate(over="ignore"):
-            out[wave] = y[wave] ** (-L)
-        return out
+            slope_power = y_wave ** (-L - 1.0)
+        return SimpleNamespace(y=y, wave=wave, y_wave=y_wave,
+                               slope_power=slope_power,
+                               sweep=wave & (moving > 0.0))
 
-    def d1(xs: np.ndarray, t: float) -> np.ndarray:
-        y = yhat(xs, t)
-        out = np.zeros_like(y)
-        wave = y < 1.0
+    def val(xs: np.ndarray, p) -> np.ndarray:
+        out = np.ones_like(p.y)
         with np.errstate(over="ignore"):
-            out[wave] = (L / (2.0 * b)) * y[wave] ** (-L - 1.0)
+            out[p.wave] = p.y_wave ** (-L)
         return out
 
-    def d2(xs: np.ndarray, t: float) -> np.ndarray:
-        y = yhat(xs, t)
-        out = np.zeros_like(y)
-        wave = y < 1.0
+    def d1(xs: np.ndarray, p) -> np.ndarray:
+        out = np.zeros_like(p.y)
         with np.errstate(over="ignore"):
-            out[wave] = (L * (L + 1.0) / (4.0 * b ** 2)) * y[wave] ** (-L - 2.0)
+            out[p.wave] = (L / (2.0 * b)) * p.slope_power
         return out
 
-    def d_t(xs: np.ndarray, t: float) -> np.ndarray:
-        y = yhat(xs, t)
-        out = np.zeros_like(y)
-        if t < t_cross:
-            wave = y < 1.0
-            with np.errstate(over="ignore"):
-                out[wave] = L * c_l * y[wave] ** (-L - 1.0)
+    def d2(xs: np.ndarray, p) -> np.ndarray:
+        out = np.zeros_like(p.y)
+        with np.errstate(over="ignore"):
+            out[p.wave] = ((L * (L + 1.0) / (4.0 * b ** 2))
+                           * p.y_wave ** (-L - 2.0))
         return out
 
-    def front(t: float) -> float:
-        t = float(t)
-        if t <= 0.0 or t >= t_cross:
-            return math.nan
-        return b - 2.0 * b * c_l * t
+    def d_t(xs: np.ndarray, p) -> np.ndarray:
+        out = np.zeros_like(p.y)
+        with np.errstate(over="ignore"):
+            out[p.sweep] = L * c_l * p.slope_power[p.sweep[p.wave]]
+        return out
+
+    def front(t):
+        ts = np.asarray(t, dtype=float)
+        inside = (ts > 0.0) & (ts < t_cross)
+        return np.where(inside, b - 2.0 * b * c_l * ts, math.nan)
 
     params = {"L": L, "L0": l_min, "c_L": c_l, "M_g": m_g, "M_f": m_f,
               "L_g": l_g, "L_f": l_f,
               "note": "tail bounds certified on the sampled range only"}
-    return BarrierFunction(eval=_xt(val), dx=_xt(d1), dxx=_xt(d2),
-                           dt=_xt(d_t), kinks=((front, "convex"),),
+    return BarrierFunction(**_family(prep, val, d1, d2, d_t),
+                           kinks=((front, "convex"),),
                            valid_until=math.inf, family="blowup_vL",
                            domain=(-b, b), params=params)
 
@@ -536,8 +585,10 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
             "callables")
 
     def v0_at(i: int, xs: np.ndarray) -> np.ndarray:
-        res = np.asarray(v0_fns[i](xs), dtype=float)
-        return np.zeros_like(xs) + res
+        # v0 sees 1-d points whatever the shape of a verifier block.
+        flat = xs.ravel()
+        res = np.asarray(v0_fns[i](flat), dtype=float)
+        return (np.zeros_like(flat) + res).reshape(xs.shape)
 
     den = 1.0 - beta * (1.0 - alpha)
     l0_bound = max((1.0 - beta * (1.0 - alpha)) / (beta * (2.0 - alpha)),
@@ -656,75 +707,76 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
              "c = %.6g, T = %.6g, L(T) = %.6g", mu, L0, nu, c4, drift,
              horizon, l_max)
 
+    @functools.lru_cache(maxsize=STATE_CACHE)
+    def exponent(t: float) -> float:
+        return float(dense(t)[0])
+
     def exponent_at(t: float) -> float:
         t = float(t)
         if t < 0.0 or t > horizon:
             raise HorizonError(
                 f"t = {t:.6g} outside the validity window [0, "
                 f"{horizon:.6g}]")
-        return float(dense(t)[0])
+        return exponent(t)
 
     offset = L0 ** mu * 1.5 ** L0
 
-    def common_tail(t: float) -> float:
-        return drift * t + 1.0 / (horizon - t) - 1.0 / horizon - offset
-
-    def regions(xs: np.ndarray):
-        a = np.abs(xs)
-        outer = a >= 2.0 * b / 3.0
-        return a, outer, ~outer
-
-    def val(xs: np.ndarray, t: float) -> np.ndarray:
+    def state(t: float):
+        """Per-time scalars, each the Python expression the formulas in
+        val, d1, d2 and d_t below once evaluated at a scalar time."""
         length = exponent_at(t)
-        a, outer, mid = regions(xs)
-        out = v0_at(0, xs) + common_tail(t)
-        if np.any(outer):
-            d = 2.0 - 2.0 * a[outer] / b
-            out[outer] += length ** mu * d ** (-length)
-        if np.any(mid):
-            out[mid] += (-np.sqrt(arc_gap_sq(xs[mid])) / root_nu
-                         + 2.0 * b / (3.0 * nu * root_nu)
-                         + length ** mu * 1.5 ** length)
-        return out
-
-    def d1(xs: np.ndarray, t: float) -> np.ndarray:
-        length = exponent_at(t)
-        a, outer, mid = regions(xs)
-        out = v0_at(1, xs)
-        if np.any(outer):
-            d = 2.0 - 2.0 * a[outer] / b
-            out[outer] += (np.sign(xs[outer]) * (2.0 / b)
-                           * length ** (mu + 1.0) * d ** (-length - 1.0))
-        if np.any(mid):
-            out[mid] += xs[mid] / (root_nu * np.sqrt(arc_gap_sq(xs[mid])))
-        return out
-
-    def d2(xs: np.ndarray, t: float) -> np.ndarray:
-        length = exponent_at(t)
-        a, outer, mid = regions(xs)
-        out = v0_at(2, xs)
-        if np.any(outer):
-            d = 2.0 - 2.0 * a[outer] / b
-            out[outer] += ((4.0 / b ** 2) * length ** (mu + 1.0)
-                           * (length + 1.0) * d ** (-length - 2.0))
-        if np.any(mid):
-            out[mid] += r_arc_sq / (root_nu * arc_gap_sq(xs[mid]) ** 1.5)
-        return out
-
-    def d_t(xs: np.ndarray, t: float) -> np.ndarray:
-        length = exponent_at(t)
+        l_mu = length ** mu
+        l_mu1 = length ** (mu + 1.0)
         rate = c4 * length ** a_exp * (length + 1.0) ** beta
         mu_term = mu * length ** (mu - 1.0) if mu > 0.0 else 0.0
-        base = drift + 1.0 / (horizon - t) ** 2
-        a, outer, mid = regions(xs)
-        out = np.full_like(a, base)
-        if np.any(outer):
-            d = 2.0 - 2.0 * a[outer] / b
-            out[outer] += (rate * d ** (-length)
-                           * (mu_term + length ** mu * np.log(1.0 / d)))
-        if np.any(mid):
-            out[mid] += (rate * 1.5 ** length
-                         * (mu_term + length ** mu * math.log(1.5)))
+        return (length, l_mu, l_mu1, (4.0 / b ** 2) * l_mu1 * (length + 1.0),
+                rate, mu_term,
+                drift * t + 1.0 / (horizon - t) - 1.0 / horizon - offset,
+                drift + 1.0 / (horizon - t) ** 2,
+                l_mu * 1.5 ** length,
+                rate * 1.5 ** length * (mu_term + l_mu * math.log(1.5)))
+
+    def prep(xs: np.ndarray, t):
+        """Region masks, d = 2 - 2|x|/b outside, and the per-time state at
+        the points of the region it serves."""
+        (length, l_mu, l_mu1, coef, rate, mu_term, tail, base, junction,
+         mid_rate) = _at_points(state, xs, t)
+        outer = np.abs(xs) >= 2.0 * b / 3.0
+        mid = ~outer
+        return SimpleNamespace(
+            outer=outer, mid=mid, d=2.0 - 2.0 * np.abs(xs[outer]) / b,
+            length=length[outer], l_mu=l_mu[outer], l_mu1=l_mu1[outer],
+            coef=coef[outer], rate=rate[outer], mu_term=mu_term[outer],
+            tail=tail, base=base, junction=junction[mid],
+            mid_rate=mid_rate[mid])
+
+    # Outside |x| < 2b/3 the layer L^mu d^(-L); inside the arc plus the
+    # layer's value at the junction; `tail` is the common time drift.
+    def val(xs: np.ndarray, p) -> np.ndarray:
+        out = v0_at(0, xs) + p.tail
+        out[p.outer] += p.l_mu * p.d ** (-p.length)
+        out[p.mid] += (-np.sqrt(arc_gap_sq(xs[p.mid])) / root_nu
+                       + 2.0 * b / (3.0 * nu * root_nu) + p.junction)
+        return out
+
+    def d1(xs: np.ndarray, p) -> np.ndarray:
+        out = v0_at(1, xs)
+        out[p.outer] += (np.sign(xs[p.outer]) * (2.0 / b) * p.l_mu1
+                         * p.d ** (-p.length - 1.0))
+        out[p.mid] += xs[p.mid] / (root_nu * np.sqrt(arc_gap_sq(xs[p.mid])))
+        return out
+
+    def d2(xs: np.ndarray, p) -> np.ndarray:
+        out = v0_at(2, xs)
+        out[p.outer] += p.coef * p.d ** (-p.length - 2.0)
+        out[p.mid] += r_arc_sq / (root_nu * arc_gap_sq(xs[p.mid]) ** 1.5)
+        return out
+
+    def d_t(xs: np.ndarray, p) -> np.ndarray:
+        out = np.array(p.base)
+        out[p.outer] += (p.rate * p.d ** (-p.length)
+                         * (p.mu_term + p.l_mu * np.log(1.0 / p.d)))
+        out[p.mid] += p.mid_rate
         return out
 
     params = SuperFamilyParams(mu=mu, L0=L0, nu=nu, c=drift, T=horizon,
@@ -735,9 +787,12 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
     # Closed-form one-sided slopes at the junctions.  The arc slope climbs
     # to sqrt(nu) inside a layer of width about b/nu^2, far below any probe
     # step, so a finite-difference check there would understate the margin.
-    def outer_slope(t: float) -> float:
+    def outer_slope_at(t: float):
         ell = exponent_at(t)
-        return (2.0 / b) * ell ** (mu + 1.0) * 1.5 ** (ell + 1.0)
+        return ((2.0 / b) * ell ** (mu + 1.0) * 1.5 ** (ell + 1.0),)
+
+    def outer_slope(t):
+        return _per_time(outer_slope_at, t)[0]
 
     v0x_plus = float(v0_at(1, np.array([two_thirds]))[0])
     v0x_minus = float(v0_at(1, np.array([-two_thirds]))[0])
@@ -747,9 +802,9 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
         (lambda t: -outer_slope(t) + v0x_minus,
          lambda t: -root_nu + v0x_minus),
     )
-    return BarrierFunction(eval=_xt(val), dx=_xt(d1), dxx=_xt(d2),
-                           dt=_xt(d_t), kinks=kinks, valid_until=horizon,
-                           family="super_L", domain=(-b, b), params=params,
+    return BarrierFunction(**_family(prep, val, d1, d2, d_t), kinks=kinks,
+                           valid_until=horizon, family="super_L",
+                           domain=(-b, b), params=params,
                            kink_slopes=kink_slopes)
 
 
@@ -882,37 +937,57 @@ def _parse_side(side) -> Tuple[str, float, int, bool]:
         "super_strict(d)")
 
 
-def _kink_checks(bf: BarrierFunction, times: Sequence[float],
-                 x_lo: float, x_hi: float, probe: float) -> List[Dict]:
+def _kink_checks(bf: BarrierFunction, times: np.ndarray,
+                 locs: Sequence[np.ndarray], x_lo: float, x_hi: float,
+                 probe: float) -> List[Dict]:
+    """One-sided slope check of each kink at every stratum time it sits
+    inside the domain, reporting the worst time: the first nan margin if
+    there is one, else the first smallest margin."""
     checks: List[Dict] = []
-    for idx, (loc, kind) in enumerate(bf.kinks):
-        slopes = None
-        if bf.kink_slopes is not None and idx < len(bf.kink_slopes):
-            slopes = bf.kink_slopes[idx]
-        worst = None
-        for t in times:
-            xk = float(loc(t))
-            if not math.isfinite(xk):
-                continue
-            if not (x_lo + 2.0 * probe < xk < x_hi - 2.0 * probe):
-                continue
-            if slopes is not None:
-                left = float(slopes[0](t))
-                right = float(slopes[1](t))
-            else:
-                left = float(bf.dx(xk - probe, t))
-                right = float(bf.dx(xk + probe, t))
-            margin = (right - left) if kind == "convex" else (left - right)
-            if worst is None or margin < worst["margin"]:
-                worst = {"kink": idx, "kind": kind, "t": t, "x": xk,
-                         "left_slope": left, "right_slope": right,
-                         "margin": margin, "analytic": slopes is not None}
-        if worst is not None:
-            scale = max(1.0, abs(worst["left_slope"]),
-                        abs(worst["right_slope"]))
-            worst["pass"] = bool(worst["margin"] >= -KINK_SLOPE_TOL * scale)
-            checks.append(worst)
+    for idx, ((_, kind), xk) in enumerate(zip(bf.kinks, locs)):
+        inside = np.isfinite(xk) & (x_lo + 2.0 * probe < xk) \
+            & (xk < x_hi - 2.0 * probe)
+        if not inside.any():
+            continue
+        ts, xk = times[inside], xk[inside]
+        analytic = bf.kink_slopes is not None and idx < len(bf.kink_slopes)
+        if analytic:
+            left, right = (np.broadcast_to(np.asarray(fn(ts), dtype=float),
+                                           ts.shape)
+                           for fn in bf.kink_slopes[idx])
+        else:
+            sides = np.stack([xk - probe, xk + probe], axis=1)
+            both = np.asarray(bf.dx(sides, ts[:, None]), dtype=float)
+            left, right = both[:, 0], both[:, 1]
+        margins = (right - left) if kind == "convex" else (left - right)
+        i = int(np.argmin(margins))
+        entry = {"kink": idx, "kind": kind, "t": float(ts[i]),
+                 "x": float(xk[i]), "left_slope": float(left[i]),
+                 "right_slope": float(right[i]),
+                 "margin": float(margins[i]), "analytic": analytic}
+        scale = max(1.0, abs(entry["left_slope"]), abs(entry["right_slope"]))
+        entry["pass"] = bool(entry["margin"] >= -KINK_SLOPE_TOL * scale)
+        checks.append(entry)
     return checks
+
+
+def _redraw_near_kinks(xs: np.ndarray, locs: Sequence[float], rng,
+                       x_lo: float, x_hi: float, t: float) -> None:
+    """Redraw, within their own bins, the points of one stratum that lie
+    within KINK_EXCLUSION of a kink; warn if some are left after the last
+    round."""
+    n_x = xs.size
+    for _ in range(KINK_REDRAW_ROUNDS):
+        near = _near_kinks(xs, locs)
+        if not near.any():
+            return
+        redraw = (np.flatnonzero(near) + rng.random(int(near.sum()))) / n_x
+        xs[near] = x_lo + (x_hi - x_lo) * redraw
+    n_near = int(_near_kinks(xs, locs).sum())
+    if n_near:
+        log.warning("kink redraws exhausted at t = %.9g: %d of %d points "
+                    "stay within %g of a kink", t, n_near, n_x,
+                    KINK_EXCLUSION)
 
 
 def _near_kinks(xs: np.ndarray, locs: Sequence[float]) -> np.ndarray:
@@ -941,11 +1016,16 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
     and >= 0 for super sides, within an absolute slack of 1e-9; the factor
     is 1/(1+delta) for sub_strict(delta) and (1+delta) for
     super_strict(delta), which also requires dt >= -slack (the
-    nonnegative-speed form).  Sampling is stratified over time slices and
-    space bins with a fixed seed, keeps an exclusion radius of 1e-8 around
-    kinks (redrawing at most 60 times, then logging a warning for points
-    still inside it), and adds one-sided slope checks at every kink inside
-    the domain.
+    nonnegative-speed form).  Sampling is stratified over 32 time slices
+    and space bins; each slice draws its time, its bins and its kink
+    redraws from its own seeded stream, keeps an exclusion radius of 1e-8
+    around kinks (redrawing at most 60 times, then logging a warning for
+    points still inside it).  The closures then run on blocks of whole
+    slices of at most BLOCK_POINTS points, (m, n) points against an (m, 1)
+    column of times; the worst residual is taken per slice and then over
+    the slices in order.  Every kink inside the domain gets a one-sided
+    slope check at all slice times in one call; it reports the first nan
+    margin if any (which fails the check), else the first smallest one.
     Time slices run over ``t_window`` (default: up to min(horizon, 1));
     windows beyond the validity horizon raise a horizon error.
     """
@@ -973,48 +1053,48 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
         raise ParameterError("barrier domain does not overlap the problem "
                              "domain")
 
+    # Each stratum draws its time, its bins and its kink redraws from its
+    # own stream, in that order.
     n_t = T_STRATA
     n_x = -(-samples // n_t)
-    streams = np.random.SeedSequence(seed).spawn(n_t)
+    rngs = [np.random.default_rng(stream)
+            for stream in np.random.SeedSequence(seed).spawn(n_t)]
+    times = np.array([t_lo + (t_hi - t_lo) * (j + rng.random()) / n_t
+                      for j, rng in enumerate(rngs)])
+    locs = [np.broadcast_to(np.asarray(loc(times), dtype=float), times.shape)
+            for loc, _ in bf.kinks]
 
-    def run_stratum(j: int):
-        rng = np.random.default_rng(streams[j])
-        t = t_lo + (t_hi - t_lo) * (j + rng.random()) / n_t
-        bins = (np.arange(n_x) + rng.random(n_x)) / n_x
-        xs = x_lo + (x_hi - x_lo) * bins
-        locs = [float(loc(t)) for loc, _ in bf.kinks]
-        locs = [xk for xk in locs if math.isfinite(xk)]
-        if locs:
-            for _ in range(KINK_REDRAW_ROUNDS):
-                near = _near_kinks(xs, locs)
-                if not near.any():
-                    break
-                redraw = (np.flatnonzero(near) + rng.random(int(near.sum()))
-                          ) / n_x
-                xs[near] = x_lo + (x_hi - x_lo) * redraw
-            else:
-                n_near = int(_near_kinks(xs, locs).sum())
-                if n_near:
-                    log.warning(
-                        "kink redraws exhausted at t = %.9g: %d of %d "
-                        "points stay within %g of a kink", t, n_near,
-                        xs.size, KINK_EXCLUSION)
+    # Blocks of whole strata: their points, then the residual and its
+    # extremes per stratum; Python max/min over the strata in order below.
+    results = []
+    per_block = max(1, BLOCK_POINTS // n_x)
+    for start in range(0, n_t, per_block):
+        stop = min(start + per_block, n_t)
+        draws = np.stack([rng.random(n_x) for rng in rngs[start:stop]])
+        block = x_lo + (x_hi - x_lo) * ((np.arange(n_x) + draws) / n_x)
+        block_locs = [xk[start:stop, None] for xk in locs]
+        for r in np.flatnonzero(_near_kinks(block, block_locs).any(axis=1)):
+            _redraw_near_kinks(block[r], [xk[r, 0] for xk in block_locs],
+                               rngs[start + r], x_lo, x_hi,
+                               float(times[start + r]))
+        t_col = times[start:stop, None]
         if bf.jet is not None:
-            dxv, dxxv, dtv = bf.jet(xs, t)
+            dxv, dxxv, dtv = bf.jet(block, t_col)
         else:
-            dxv, dxxv, dtv = bf.dx(xs, t), bf.dxx(xs, t), bf.dt(xs, t)
+            dxv, dxxv, dtv = (bf.dx(block, t_col), bf.dxx(block, t_col),
+                              bf.dt(block, t_col))
         dtv = np.asarray(dtv, dtype=float)
         # Barriers may legitimately reach inf near a wall or front; an
-        # inf - inf there yields nan, which argmax/argmin treat as extreme,
-        # so a nan residual fails the check loudly rather than hiding.
+        # inf - inf there yields nan, which argmax/argmin treat as extreme
+        # within a stratum.
         with np.errstate(over="ignore", invalid="ignore"):
             res = residual_values(spec.f, spec.g, dtv, dxv, dxxv, factor)
-        i_hi = int(np.argmax(res))
-        i_lo = int(np.argmin(res))
-        return (t, res[i_hi], xs[i_hi], res[i_lo], xs[i_lo],
-                float(np.min(dtv)), xs.size)
-
-    results = [run_stratum(j) for j in range(n_t)]
+        dt_low = np.min(dtv, axis=1)
+        for r, (hi, lo) in enumerate(zip(np.argmax(res, axis=1),
+                                         np.argmin(res, axis=1))):
+            results.append((float(times[start + r]), res[r, hi],
+                            block[r, hi], res[r, lo], block[r, lo],
+                            float(dt_low[r]), n_x))
 
     worst_hi = max(results, key=lambda r: r[1])
     worst_lo = min(results, key=lambda r: r[3])
@@ -1028,9 +1108,8 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
         worst_res, worst_point = worst_lo[3], (worst_lo[4], worst_lo[0])
         residual_ok = worst_res >= -RESIDUAL_SLACK
 
-    times = [r[0] for r in results]
     probe = KINK_PROBE * max(1.0, spec.b)
-    kink_checks = _kink_checks(bf, times, x_lo, x_hi, probe)
+    kink_checks = _kink_checks(bf, times, locs, x_lo, x_hi, probe)
     kinks_ok = all(entry["pass"] for entry in kink_checks)
     dt_ok = (dt_min >= -RESIDUAL_SLACK) if check_dt else True
 

@@ -212,6 +212,11 @@ def _validate_probes(doc, key, path, raw) -> List[Tuple[float, float]]:
         else:
             raise _schema_error(path, raw, "probes",
                                 "each probe must be [x, t] or a number")
+    if doc.get("t_end") is not None and all(isinstance(entry, list)
+                                            for entry in entries):
+        raise _schema_error(path, raw, "t_end",
+                            "'t_end' is read only by bare probe positions; "
+                            "paired probes [x, t] carry their own times")
     return probes
 
 
@@ -846,8 +851,16 @@ _SUBCOMMAND_HELP = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other error: 2 means a check failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="singflow",
         description="Numerical laboratory for a singular quasilinear "
                     "diffusion problem with infinite boundary data.")
@@ -887,8 +900,25 @@ def _inline_scenario(args) -> Dict:
     return doc
 
 
+def _glue_dash_values(argv: Sequence[str]) -> List[str]:
+    """Write ``--flag VALUE`` as ``--flag=VALUE`` when VALUE starts with a
+    minus sign, which argparse would read as an option unless it is a plain
+    number (``--probe -0.5,0.01``, ``--cap -inf``); the schema judges it."""
+    takes_value = {flag for rows in SCHEMA.values()
+                   for _, kind, _, flag in rows
+                   if flag and kind.arg.get("action") != "store_const"}
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in takes_value and arg.startswith("-"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(
+        _glue_dash_values(sys.argv[1:] if argv is None else argv))
     logging.basicConfig(
         level=max(logging.DEBUG,
                   logging.WARNING - 10 * args.verbose),

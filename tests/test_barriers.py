@@ -268,7 +268,8 @@ def test_translated_wave_inverts_the_slope_once_per_stratum():
 
     bf = translate_wave(dataclasses.replace(profile, wx=counting_wx), spec)
     verify_inequality(bf, spec, "sub", samples=2000, seed=1)
-    assert len(calls) == 32
+    # 32 strata of 63 points fit one block.
+    assert calls == [2016]
 
 
 def test_verifier_warns_when_kink_redraws_run_out(caplog):
@@ -314,3 +315,196 @@ def test_verifier_catches_wrong_kink_orientation():
     report = verify_inequality(bf, spec, "sub", samples=2000)
     assert not report["pass"]
     assert not report["kink_checks"][0]["pass"]
+
+
+# ---------------------------------------------------------------------------
+# pinned reports of the time-dependent families
+# ---------------------------------------------------------------------------
+
+
+def _super_builder(spec, l0, nu):
+    return lambda: super_family(spec, None, l0, nu)
+
+
+def _pinned_family_cases():
+    """(build, spec, side, samples, t_window, seed) per case; a window of
+    "half" means (0.1 T, 0.5 T) of the barrier's horizon T."""
+    vl = _p_heat_spec(2.0, 1.0, 0.1)
+    curv = {b2: _curvature_spec(b2) for b2 in (0.5, 0.75, 1.0)}
+    heat = _p_heat_spec(2.0, 0.5, 0.1)
+    lin = _spec(signed_power(1.0), preset_curvature(0.5)[1])
+    return {
+        "vL-sub-1e4": (lambda: sub_vL(vl, 50.0), vl, "sub", 10_000, None, 5),
+        "vL-strict-1e5": (lambda: sub_vL(vl, 120.0), vl, "sub_strict(0.05)",
+                          100_000, None, 6),
+        "vL-window-1e4": (lambda: sub_vL(vl, 80.0), vl, "sub", 10_000,
+                          (0.002, 0.02), 7),
+        # Stratum 6 of this certify task holds a nan residual (inf - inf
+        # where y^(-L-1) overflows near the wall); the per-stratum selection
+        # followed by max over strata in order drops it.
+        "vL-nan-stratum": (lambda: sub_vL(vl, 140.27351716378473), vl, "sub",
+                           10_000, None, 396528494),
+        "uk0.5-sub-1e4": (lambda: sub_uk(curv[0.5], 300.0), curv[0.5], "sub",
+                          10_000, None, 8),
+        "uk0.75-sub-1e5": (lambda: sub_uk(curv[0.75], 150.0), curv[0.75],
+                           "sub", 100_000, None, 9),
+        "uk1-strict-1e4": (lambda: sub_uk(curv[1.0], 700.0), curv[1.0],
+                           "sub_strict(0.1)", 10_000, None, 10),
+        "uk1-window-1e4": (lambda: sub_uk(curv[1.0], 100.0), curv[1.0], "sub",
+                           10_000, (0.25, 0.75), 11),
+        "super-heat-1e4": (_super_builder(heat, 3.0, 1e4), heat, "super",
+                           10_000, None, 12),
+        "super-heat-strict-1e5": (_super_builder(heat, 3.0, 1e6), heat,
+                                  "super_strict(0.1)", 100_000, None, 13),
+        "super-lin-1e4": (_super_builder(lin, 1.2, 1e5), lin, "super", 10_000,
+                          None, 14),
+        "super-lin-window-1e4": (_super_builder(lin, 1.2, 1e3), lin, "super",
+                                 10_000, "half", 15),
+    }
+
+
+# sha256 of repr(report) per case, recorded while verify_inequality ran its
+# 32 strata one at a time with scalar-time closures.
+PINNED_FAMILY_REPORTS = {
+    "vL-sub-1e4":
+        "742b32c89b60b9ad0a688416d6aec8cb4bee5b473e0808dec35031eef22a016c",
+    "vL-strict-1e5":
+        "e37bb99cc1f47716f9908ed11aede8221e27bb79282c2be0ff343308f22ca11a",
+    "vL-window-1e4":
+        "8f8722339100c3f76b90366290921e9c0a23b6863baa527ba94c0ad49e17dfe9",
+    "vL-nan-stratum":
+        "aa987ec27c77b3259d5d7880869cfc0bf674d8561c74527d50bee3b7b251f98a",
+    "uk0.5-sub-1e4":
+        "f3697580d6cf1865d4da1ded246d6be5da922f84649664aa55b5825664aed72a",
+    "uk0.75-sub-1e5":
+        "551533b816d6e5c458af6d061bb8af9ea367256fecc22e282eb5d7427f315732",
+    "uk1-strict-1e4":
+        "d50cac18fb224a30d0c8082a78847ebd8455de337c1b28813572831d4cc0b437",
+    "uk1-window-1e4":
+        "4b8046d8683e4c80aacc8d32d89de611b0318fa5d034d1289eab485153e537d3",
+    "super-heat-1e4":
+        "0966d1ec16919b9dfc896b94c1895b398c651ff117d39ec1b0df36a9121d27f3",
+    "super-heat-strict-1e5":
+        "861a2f68bce62b374b4ab94c17ad814e978d0346c59fdca3bfe2a72faef3fe8a",
+    "super-lin-1e4":
+        "4822d1d9cf2350815989ed16e80e73ad4d6397ae3fc9196fc2d9b15ba1a84304",
+    "super-lin-window-1e4":
+        "f4bab6a6e255d2c5297eb9a7661ce3e4b0d7d122860465cd6fb8503c9cc0e2b2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FAMILY_REPORTS))
+def test_family_reports_match_pinned_digests(name):
+    build, spec, side, samples, window, seed = _pinned_family_cases()[name]
+    bf = build()
+    if window == "half":
+        window = (0.1 * bf.valid_until, 0.5 * bf.valid_until)
+    report = verify_inequality(bf, spec, side, samples=samples,
+                               t_window=window, seed=seed)
+    assert report["kink_checks"]
+    digest = hashlib.sha256(repr(report).encode()).hexdigest()
+    assert digest == PINNED_FAMILY_REPORTS[name]
+
+
+# ---------------------------------------------------------------------------
+# closures over arrays of times
+# ---------------------------------------------------------------------------
+
+
+def _time_families():
+    heat = _p_heat_spec(2.0, 0.5, 0.1)
+    lin = _spec(signed_power(1.0), preset_curvature(0.5)[1])
+    uk = sub_uk(_curvature_spec(0.75), 300.0)
+    vl = sub_vL(_p_heat_spec(2.0, 1.0, 0.1), 100.0)
+    sup = super_family(heat, None, 3.0, 1e5)
+    sup_lin = super_family(lin, None, 1.2, 1e4)
+    t_cross = 1.0 / vl.params["c_L"]
+    return {
+        "sub_uk": (uk, [0.0, 0.013, 0.4, 0.97, 3.0]),
+        # Times on both sides of the moment the front leaves the domain.
+        "sub_vL": (vl, [0.0, 0.2 * t_cross, 0.9 * t_cross, t_cross,
+                        1.5 * t_cross]),
+        "super_family": (sup, [0.0, 0.3 * sup.valid_until,
+                               0.99 * sup.valid_until]),
+        "super_family_lin": (sup_lin, [0.1 * sup_lin.valid_until,
+                                       0.7 * sup_lin.valid_until]),
+    }
+
+
+@pytest.mark.parametrize("name", ["sub_uk", "sub_vL", "super_family",
+                                  "super_family_lin"])
+def test_time_column_calls_equal_scalar_time_calls(name):
+    bf, times = _time_families()[name]
+    b = bf.domain[1]
+    # Wall-hugging points, both regions of every family, and the junctions.
+    xs = np.concatenate([np.linspace(-b, b, 201)[1:-1],
+                         b - b * 2.0 ** -np.arange(4.0, 40.0, 3.0),
+                         [2.0 * b / 3.0, -2.0 * b / 3.0]])
+    grid = np.tile(xs, (len(times), 1))
+    column = np.array(times)[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        batched = {fn: getattr(bf, fn)(grid, column)
+                   for fn in ("eval", "dx", "dxx", "dt")}
+        jet = bf.jet(grid, column)
+        for row, t in enumerate(times):
+            for fn, values in batched.items():
+                scalar = getattr(bf, fn)(xs, t)
+                assert values[row].tobytes() == scalar.tobytes(), (fn, t)
+            for part, scalar in zip(jet, bf.jet(xs, t)):
+                assert part[row].tobytes() == scalar.tobytes(), t
+    # Kink locations and closed-form slopes at all times in one call.
+    ts = np.array(times)
+    for fn in [loc for loc, _ in bf.kinks] + [
+            fn for pair in (bf.kink_slopes or ()) for fn in pair]:
+        batched = np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape)
+        scalar = np.array([float(fn(t)) for t in times])
+        assert batched.tobytes() == scalar.tobytes()
+
+
+def test_super_family_evaluates_its_ode_once_per_stratum(monkeypatch):
+    import scipy.integrate
+    real = scipy.integrate.solve_ivp
+    calls = []
+
+    def counting_solve_ivp(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        dense = sol.sol
+
+        def counted(t):
+            calls.append(t)
+            return dense(t)
+
+        sol.sol = counted
+        return sol
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
+    spec = _p_heat_spec(2.0, 0.5, 0.1)
+    bf = super_family(spec, None, 3.0, 1e4)
+    for samples, seed in ((10_000, 1), (100_000, 2)):
+        calls.clear()
+        report = verify_inequality(bf, spec, "super", samples=samples,
+                                   seed=seed)
+        assert len(report["kink_checks"]) == 2
+        assert len(calls) == 32
+
+
+def test_verifier_fails_a_kink_whose_slope_turns_nan_late():
+    """A nan one-sided slope fails the kink check at whatever time it
+    appears, not only at the first probed time."""
+    zero = lambda xs, t: np.zeros_like(np.asarray(xs, dtype=float))
+
+    def dx(xs, t):
+        xs = np.asarray(xs, dtype=float)
+        return np.where(np.asarray(t) > 0.5, np.nan, np.sign(xs))
+
+    bf = BarrierFunction(
+        eval=lambda xs, t: np.abs(np.asarray(xs, dtype=float)),
+        dx=dx, dxx=zero, dt=zero,
+        kinks=((lambda t: 0.0, "convex"),),
+        valid_until=math.inf, family="corner")
+    spec = _curvature_spec(1.0)
+    report = verify_inequality(bf, spec, "sub", samples=2000)
+    check = report["kink_checks"][0]
+    assert math.isnan(check["margin"]) and check["t"] > 0.5
+    assert not check["pass"]
+    assert not report["pass"]

@@ -477,3 +477,86 @@ def test_barrier_refuses_keys_of_other_families():
                family="uk", k=100.0, L=50.0)
     with pytest.raises(ScenarioError, match="family 'uk' does not take 'L'"):
         validate_scenario(doc)
+
+
+# ---------------------------------------------------------------------------
+# usage errors, dash-leading values, capstudy t_end
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--preset", "curvature", "--param", "beta2=1", "--n", "abc"],
+    ["classify", "--preset", "bogus"],
+    ["barrier", "--family", "x"],
+    ["classify", "--no-such-flag"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == cli.EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+def test_console_usage_error_exits_1():
+    proc = subprocess.run([sys.executable, "-m", "singflow.cli", "solve",
+                           "--n", "abc"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "invalid int value: 'abc'" in proc.stderr
+
+
+def _validated_inline(monkeypatch, argv):
+    """The scenario main() would run for argv, or its exit status."""
+    seen = []
+    monkeypatch.setattr(cli, "_execute",
+                        lambda scn, out=None: seen.append(scn) or 0)
+    code = main(argv)
+    return seen[0] if seen else code
+
+
+_CAPSTUDY_ARGV = ["capstudy", "--preset", "curvature", "--param", "beta2=1",
+                  "--n", "50"]
+
+
+@pytest.mark.parametrize("flags,key,value", [
+    (["--caps", "2,4", "--probe", "-0.5,0.01"], "probes", [(-0.5, 0.01)]),
+    (["--caps", "-4,-2", "--probe", "0,0.01"], "caps", [-4.0, -2.0]),
+    (["--caps", "2,4", "--probe", "-0.5", "--t-end", "0.01"], "probes",
+     [(-0.5, 0.01)]),
+])
+def test_dash_leading_values_are_values(monkeypatch, flags, key, value):
+    scn = _validated_inline(monkeypatch, [*_CAPSTUDY_ARGV, *flags])
+    assert scn[key] == value
+
+
+def test_dash_leading_solve_values(monkeypatch, capsys):
+    base = ["solve", "--preset", "curvature", "--param", "beta2=1", "--n",
+            "50", "--t-end", "0.01"]
+    scn = _validated_inline(monkeypatch, [*base, "--cap", "-3",
+                                          "--cap-minus", "-5e-1",
+                                          "--snapshots", "-0.5,0.01"])
+    assert (scn["cap"], scn["cap_minus"]) == (-3.0, -0.5)
+    assert scn["snapshot_times"] == [-0.5, 0.01]
+    # A non-finite value now reaches the schema, which refuses it.
+    assert _validated_inline(monkeypatch, [*base, "--cap", "-inf"]) == 1
+    assert "<inline>:1: 'cap' must be a finite number" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_end", [0.1, "abc"])
+def test_capstudy_t_end_with_paired_probes_is_refused(tmp_path, capsys,
+                                                       t_end):
+    doc = dict(_CURV, name="c", experiment="capstudy", n=50,
+               caps=[2.0, 4.0], probes=[[0.0, 0.01]], t_end=t_end,
+               output_dir=str(tmp_path / "o"))
+    path = _scenario(tmp_path, doc)
+    line = 1 + next(i for i, text in enumerate(path.read_text().splitlines())
+                    if '"t_end":' in text)
+    assert main(["capstudy", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:{line}: 't_end' is read only by bare probe" in err
+    assert not (tmp_path / "o").exists()
+
+    argv = [*_CAPSTUDY_ARGV, "--caps", "2,4", "--probe", "0,0.01",
+            "--t-end", "0.1", "--out", str(tmp_path / "i")]
+    assert main(argv) == 1
+    assert "<inline>:1: 't_end' is read only" in capsys.readouterr().err
