@@ -46,6 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._scalar import bisect, brentq, rk45
 from .errors import HorizonError, ParameterError, RegimeError
 from .model import ProblemSpec
 from .verify import residual_values
@@ -345,7 +346,6 @@ def sub_uk(spec: ProblemSpec, k: float) -> BarrierFunction:
         raise ParameterError(
             f"k = {k} is too small for the boundary-layer root (need the "
             "layer thickness equation solvable, k >= e)")
-    from scipy.optimize import bisect   # on use: it dominates import time
     y_k = float(bisect(y_equation, 1e-300, y_top, xtol=1e-14,
                        rtol=4.0 * np.finfo(float).eps))
     if y_k >= b:
@@ -613,7 +613,6 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
     hi = max(2.0 * L0, 4.0)
     while steepness_needed(hi) < nu:
         hi *= 2.0
-    from scipy.optimize import brentq   # on use: it dominates import time
     l_max = brentq(lambda ln: steepness_needed(ln) - nu, L0, hi,
                    xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
 
@@ -684,25 +683,19 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
 
     def hit_top(t: float, y):
         return y[0] - l_max
-    hit_top.terminal = True
-    hit_top.direction = 1.0
 
-    from scipy.integrate import solve_ivp   # on use: it dominates import time
     horizon = None
     t_hi = max(2.5 * t_guess, 1e-9)
     for _ in range(8):
-        sol = solve_ivp(ode_rhs, (0.0, t_hi), [L0], rtol=ODE_RTOL,
-                        atol=ODE_ATOL, dense_output=True, events=hit_top,
-                        method="RK45")
-        if sol.t_events[0].size:
-            horizon = float(sol.t_events[0][0])
+        horizon, dense = rk45(ode_rhs, 0.0, [L0], t_hi, ODE_RTOL, ODE_ATOL,
+                              hit_top)
+        if horizon is not None:
             break
         t_hi *= 4.0
     if horizon is None:
         raise ParameterError(
             "exponent ODE never reached its terminal value; parameters "
             "are outside the family's workable range")
-    dense = sol.sol
     log.info("super_family: mu = %g, L0 = %g, nu = %g, C4 = %.6g, "
              "c = %.6g, T = %.6g, L(T) = %.6g", mu, L0, nu, c4, drift,
              horizon, l_max)

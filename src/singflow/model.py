@@ -27,6 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._scalar import brentq
 from .errors import DomainError, ParameterError
 
 # Tail declarations are checked at these magnitudes; the ratio must approach
@@ -199,6 +200,8 @@ def _bracketed_inverse(fn) -> Callable[[float], float]:
     expansion plus Brent root finding.  Scalar in, scalar out."""
 
     def inv(y: float) -> float:
+        if not math.isfinite(y):
+            raise DomainError(f"cannot invert the non-finite value {y:g}")
         if y == 0.0:
             return 0.0
         lo, hi = (0.0, 1.0) if y > 0.0 else (-1.0, 0.0)
@@ -209,9 +212,6 @@ def _bracketed_inverse(fn) -> Callable[[float], float]:
             if abs(probe) > 1e300:
                 raise DomainError(f"value {y:g} is never attained")
         lo, hi = (lo, probe) if y > 0.0 else (probe, hi)
-        # Imported here, not at module level: scipy.optimize is most of the
-        # cost of `import singflow`, and only custom inverses need it.
-        from scipy.optimize import brentq
         return float(brentq(lambda s: float(fn(np.asarray(s))) - y, lo, hi,
                             xtol=1e-300, rtol=4 * np.finfo(float).eps,
                             maxiter=200))

@@ -462,22 +462,15 @@ def test_time_column_calls_equal_scalar_time_calls(name):
 
 
 def test_super_family_evaluates_its_ode_once_per_stratum(monkeypatch):
-    import scipy.integrate
-    real = scipy.integrate.solve_ivp
+    from singflow import _scalar
+    real = _scalar.OdeSolution.__call__
     calls = []
 
-    def counting_solve_ivp(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        dense = sol.sol
+    def counted(self, t):
+        calls.append(t)
+        return real(self, t)
 
-        def counted(t):
-            calls.append(t)
-            return dense(t)
-
-        sol.sol = counted
-        return sol
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(_scalar.OdeSolution, "__call__", counted)
     spec = _p_heat_spec(2.0, 0.5, 0.1)
     bf = super_family(spec, None, 3.0, 1e4)
     for samples, seed in ((10_000, 1), (100_000, 2)):

@@ -81,6 +81,21 @@ def test_custom_nonlinearity_bracketed_inverse():
         assert math.isclose(float(f.eval(s)), y, rel_tol=1e-9, abs_tol=1e-9)
 
 
+def test_custom_inverse_failures_are_typed():
+    """A nan value inside the expanded bracket and a non-finite target both
+    raise DomainError, the first naming the bracket."""
+    def fn(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(np.abs(s) >= 1e7, np.nan, s)
+
+    f = custom_nonlinearity(fn)
+    with pytest.raises(DomainError, match=r"\[0\.0, 16777216\.0\]"):
+        f.inverse(1e8)
+    for y in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            f.inverse(y)
+
+
 def test_custom_nonlinearity_rejects_bad_declarations():
     with pytest.raises(ParameterError):
         custom_nonlinearity(lambda s: -np.asarray(s))
