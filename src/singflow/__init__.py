@@ -37,8 +37,8 @@ from .wave import (WaveProfile, check_points, compute_wave, divergence_rate,
 from .barriers import (BarrierFunction, SuperFamilyParams, convex_envelope,
                        h_tail, sub_uk, sub_vL, super_family, super_mu,
                        translate_wave, verify_inequality)
-from .solver import (CapStudy, GridField, SolveReport, cap_study, cfl_limit,
-                     make_field, solve, step)
+from .solver import (CapStudy, GridField, SolveReport, cap_studies, cap_study,
+                     cfl_limit, make_field, solve, step)
 from .verify import (default_gamma_grid, fit_boundary_rate, residual_values,
                      scale_sub, scale_super)
 from .suite import run_suite
@@ -66,7 +66,7 @@ __all__ = [
     "verify_inequality",
     # solver
     "GridField", "SolveReport", "CapStudy", "make_field", "cfl_limit",
-    "step", "solve", "cap_study",
+    "step", "solve", "cap_study", "cap_studies",
     # verify
     "residual_values", "scale_super", "scale_sub",
     "fit_boundary_rate", "default_gamma_grid",

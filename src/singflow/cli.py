@@ -24,6 +24,7 @@ import argparse
 import copy
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -45,7 +46,7 @@ from .model import (ProblemSpec, initial_b1, initial_b2, initial_b3,
                     make_problem, preset_curvature, preset_p_heat, psi,
                     signed_power)
 from .regime import classify
-from .solver import cap_study, solve
+from .solver import cap_studies, solve
 from .suite import run_suite
 from .wave import (check_points, compute_wave, divergence_rate,
                    profile_residuals)
@@ -544,6 +545,16 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
             writer.writerow([_csv_cell(v) for v in row])
 
 
+def _write_columns(path: Path, header: Sequence[str], *columns) -> None:
+    """A CSV of numeric columns; ``tolist`` gives Python floats, which csv
+    writes as their repr, the text `_csv_cell` gives."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(col, dtype=float).tolist()
+                               for col in columns)))
+
+
 def _param_scalars(params) -> Dict:
     if params is None:
         return {}
@@ -592,8 +603,8 @@ def _run_wave(scn, out: Path):
     profile = compute_wave(spec, n_grid=scn["n_grid"], w0=scn["w0"])
     xs = check_points(profile)
     residuals = profile_residuals(profile, spec, xs)
-    _write_csv(out / "wave_profile.csv", ["x", "W", "Wx", "residual"],
-               zip(xs, profile.w(xs), profile.wx(xs), residuals))
+    _write_columns(out / "wave_profile.csv", ["x", "W", "Wx", "residual"],
+                   xs, profile.w(xs), profile.wx(xs), residuals)
 
     alpha = spec.g.alpha
     d_plus = d_minus = gamma = None
@@ -649,14 +660,13 @@ def _run_barrier(scn, out: Path):
     x_lo = max(-spec.b, bf.domain[0]) + PROFILE_MARGIN * spec.b
     x_hi = min(spec.b, bf.domain[1]) - PROFILE_MARGIN * spec.b
     grid = np.linspace(x_lo, x_hi, PROFILE_POINTS)
-    rows = []
     with np.errstate(over="ignore"):
-        for t in times:
-            vals = np.asarray(bf.eval(grid, t), dtype=float)
-            slopes = np.asarray(bf.dx(grid, t), dtype=float)
-            rows.extend(zip([t] * grid.size, grid, vals, slopes))
-    _write_csv(out / "barrier_profile.csv", ["t", "x", "value", "slope"],
-               rows)
+        vals = [bf.eval(grid, t) for t in times]
+        slopes = [bf.dx(grid, t) for t in times]
+    _write_columns(out / "barrier_profile.csv", ["t", "x", "value", "slope"],
+                   np.repeat(times, grid.size), np.tile(grid, len(times)),
+                   np.concatenate(vals, axis=None),
+                   np.concatenate(slopes, axis=None))
 
     report = {
         "experiment": "barrier",
@@ -686,11 +696,11 @@ def _run_solve(scn, out: Path):
     snapshots = []
     for index, (t, values) in enumerate(result.snapshots):
         fname = f"snapshot_{index:02d}.csv"
-        _write_csv(out / fname, ["x", "u"], zip(nodes, values))
+        _write_columns(out / fname, ["x", "u"], nodes, values)
         files.append(fname)
         snapshots.append({"t": t, "file": fname})
-    _write_csv(out / "final_state.csv", ["x", "u"],
-               zip(nodes, result.final.values))
+    _write_columns(out / "final_state.csv", ["x", "u"], nodes,
+                   result.final.values)
     files.append("final_state.csv")
 
     report = {
@@ -718,8 +728,8 @@ def _run_capstudy(scn, out: Path):
     spec = _build_problem(scn)
     studies = []
     rows = []
-    for x, t in scn["probes"]:
-        study = cap_study(spec, scn["n"], scn["caps"], (x, t))
+    for study in cap_studies(spec, scn["n"], scn["caps"], scn["probes"]):
+        x, t = study.probe
         studies.append({"probe": [x, t], "verdict": study.verdict,
                         "rows": [dict(r) for r in study.rows]})
         for row in study.rows:
@@ -859,7 +869,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built from `SCHEMA` once per process."""
     parser = _Parser(
         prog="singflow",
         description="Numerical laboratory for a singular quasilinear "

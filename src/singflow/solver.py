@@ -19,9 +19,19 @@ apart (1e-3 and below) swap order by up to about 1e-5 within 50 steps.  An
 implicit monotone step is the pending fix.  The tests check the maximum
 principle and that ordered pairs at least 0.05 apart stay ordered.
 
-One kernel evaluates the scheme on a batch of ghost-padded rows; `solve`,
-`step` and `cfl_limit` run it on one row, and `cap_study` on a whole cap
-ladder at once.
+One kernel evaluates the scheme on a batch of ghost-padded rows on one grid;
+`cfl_limit` runs it on one row, `step` on one field or on a sequence of
+fields (one call updates them all, each row checked against its own CFL
+bound), and `solve` and `cap_study` march through `_march`.
+
+`_march` keeps two ghost-padded state buffers and writes each step's
+update into the idle one, then swaps them.  A step on which every row stays
+quiet -- its CFL step neither collapses nor reaches the row's next stop
+(snapshot or end time), and its update stays finite and below the row's
+bound -- takes dt = limit outright: when time + limit lies below the stop's
+mark, min(limit, stop - time) is limit, so the shortcut changes no bit.
+Any other step takes the slow path, which retires, snapshots and advances
+rows one by one.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -126,8 +136,10 @@ def make_field(b: float, n: int, values, cap: float,
 
 def _padded(fields: Sequence[GridField]) -> np.ndarray:
     """Rows of ghost-padded states: [ghost_left, values..., cap]."""
-    return np.array([np.concatenate(([fld.ghost_left], fld.values,
-                                     [fld.cap])) for fld in fields])
+    u = np.empty((len(fields), fields[0].n + 2))
+    for row, fld in zip(u, fields):
+        row[0], row[1:-1], row[-1] = fld.ghost_left, fld.values, fld.cap
+    return u
 
 
 def _kernel(u: np.ndarray, dx: float, spec: ProblemSpec,
@@ -137,24 +149,36 @@ def _kernel(u: np.ndarray, dx: float, spec: ProblemSpec,
     Slope, curvature and g(slope) are evaluated once, and f once on the
     stacked arguments [s, s + r, s - r] of the update and of the secants
     (see cfl_limit); f and g see flat 1-D arrays.  Without ``with_rate`` f
-    sees only the secant arguments and the rate is None.
+    sees only the secant arguments and the rate is None.  The secant width
+    2r = max(|s|, 2) is formed directly: halving and doubling are exact, so
+    it equals twice the half-width r = max(|s|/2, 1) bit for bit.
     """
-    slope = (u[:, 2:] - u[:, :-2]) / (2.0 * dx)
-    curv = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (dx * dx)
+    left, mid, right = u[:, :-2], u[:, 1:-1], u[:, 2:]
+    slope = np.subtract(right, left)
+    slope /= 2.0 * dx
+    curv = np.multiply(mid, 2.0)
+    np.subtract(right, curv, out=curv)
+    curv += left
+    curv /= dx * dx
     weight = np.asarray(spec.g.eval(slope.ravel()),
                         dtype=float).reshape(curv.shape)
     args = np.empty((3,) + curv.shape)
     arg = np.multiply(weight, curv, out=args[0])
-    half = np.maximum(0.5 * np.abs(arg), SECANT_ARG_FLOOR)
+    width = np.abs(arg)
+    np.maximum(width, 2.0 * SECANT_ARG_FLOOR, out=width)
+    half = np.multiply(width, 0.5, out=curv)
     np.add(arg, half, out=args[1])
     np.subtract(arg, half, out=args[2])
     stacked = args if with_rate else args[1:]
     vals = np.asarray(spec.f.eval(stacked.ravel()),
                       dtype=float).reshape(stacked.shape)
-    up, down = vals[-2], vals[-1]
-    lam = (weight * (up - down) / (2.0 * half)).max(axis=1)
-    lam = np.maximum(lam, LAMBDA_FLOOR)
-    return CFL_SAFETY * dx ** 2 / (2.0 * lam), vals[0] if with_rate else None
+    spread = np.subtract(vals[-2], vals[-1], out=half)
+    spread *= weight
+    spread /= width
+    lam = np.maximum.reduce(spread, axis=1)
+    np.maximum(lam, LAMBDA_FLOOR, out=lam)
+    lam *= 2.0
+    return CFL_SAFETY * dx ** 2 / lam, vals[0] if with_rate else None
 
 
 def cfl_limit(field: GridField, spec: ProblemSpec) -> float:
@@ -174,23 +198,44 @@ def cfl_limit(field: GridField, spec: ProblemSpec) -> float:
                          with_rate=False)[0][0])
 
 
-def step(field: GridField, spec: ProblemSpec, dt: float) -> GridField:
-    """One explicit update; rejects steps beyond the CFL bound."""
+def step(fields: Union[GridField, Sequence[GridField]], spec: ProblemSpec,
+         dt: float) -> Union[GridField, List[GridField]]:
+    """One explicit update of a field, or of a sequence of fields on one
+    grid; rejects steps beyond the CFL bound.
+
+    A sequence is updated by one kernel call and comes back as a list, each
+    field bit for bit what its own one-field step gives; dt is checked
+    against every field's bound, and an error then names the field's index.
+    """
+    one = isinstance(fields, GridField)
+    batch = [fields] if one else list(fields)
     if dt <= 0.0:
         raise ParameterError(f"dt must be positive, got {dt}")
-    limit, rate = _kernel(_padded([field]), field.dx, spec)
-    limit = float(limit[0])
-    if dt > limit * (1.0 + 1e-9):
-        raise StepSizeError(
-            f"dt = {dt:.3g} exceeds the stability limit {limit:.3g}")
-    new_vals = field.values + dt * rate[0]
-    if not np.all(np.isfinite(new_vals)):
-        node = int(np.flatnonzero(~np.isfinite(new_vals))[0])
+    if not batch:
+        return []
+    first = batch[0]
+    if not one and any((fld.b, fld.n) != (first.b, first.n)
+                       for fld in batch):
+        raise ParameterError("fields of one step must share one grid")
+    u = _padded(batch)
+    limit, rate = _kernel(u, first.dx, spec)
+    for k, lim in enumerate(limit.tolist()):
+        if dt > lim * (1.0 + 1e-9):
+            raise StepSizeError(
+                f"dt = {dt:.3g} exceeds the stability limit {lim:.3g}"
+                + ("" if one else f" in field {k}"))
+    new = u[:, 1:-1] + dt * rate
+    if not np.isfinite(new).all():
+        k, node = (int(i) for i in np.argwhere(~np.isfinite(new))[0])
+        fld = batch[k]
         raise SolverOverflowError(
-            f"non-finite value at node {node} (x = {field.nodes[node]:.6g}) "
-            f"at t = {field.time + dt:.6g}", node=node, time=field.time + dt)
-    return GridField(b=field.b, n=field.n, values=new_vals, cap=field.cap,
-                     time=field.time + dt, cap_minus=field.cap_minus)
+            f"non-finite value at node {node} (x = {fld.nodes[node]:.6g}) "
+            f"at t = {fld.time + dt:.6g}" + ("" if one else f" in field {k}"),
+            node=node, time=fld.time + dt)
+    out = [GridField(b=fld.b, n=fld.n, values=vals, cap=fld.cap,
+                     time=fld.time + dt, cap_minus=fld.cap_minus)
+           for fld, vals in zip(batch, new)]
+    return out[0] if one else out
 
 
 def _fit_rates(field: GridField, spec: ProblemSpec):
@@ -220,15 +265,19 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
     Every row keeps its own CFL step, time, step count, dt range, violation
     count and snapshots, exactly as if it were marched alone.  A row that
     finishes or diverges is copied out and the batch is compacted then.
+    Each distinct snapshot time is one stop, and a time requested k times
+    gives k snapshots.
     """
     if not fields:
         return []
     b, n, dx = fields[0].b, fields[0].n, fields[0].dx
-    wanted = [] if snapshot_times is None else [float(t) for t in
-                                                snapshot_times]
-    pending = sorted(t for t in wanted if 0.0 < t <= t_end)
+    wanted = sorted(t for t in map(float, snapshot_times or ())
+                    if 0.0 <= t <= t_end)
+    pending = sorted(set(wanted) - {0.0})
+    repeats = [wanted.count(t) for t in pending]
     stops = np.array(pending + [t_end])
-    snaps = [[(0.0, fld.values.copy())] if 0.0 in wanted else []
+    marks = stops * (1.0 - 1e-12)
+    snaps = [[(0.0, fld.values.copy()) for _ in range(wanted.count(0.0))]
              for fld in fields]
     reports: List[Optional[SolveReport]] = [None] * len(fields)
 
@@ -254,7 +303,10 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
             snapshots=tuple(snaps[row[k]]))
 
     row = np.arange(len(fields))
+    # The state and the next state; ghost columns are set in both once, and
+    # each step writes only the interior of the idle buffer.
     u = _padded(fields)
+    spare = u.copy()
     time = np.array([fld.time for fld in fields])
     bounds = [max(fld.cap, fld.ghost_left, float(np.max(fld.values)))
               for fld in fields]
@@ -263,55 +315,55 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
     # its bound or reaches its next stop; only other steps take the slow
     # path below, so the common step costs a handful of array operations.
     quiet_top = np.minimum(tol, BLOWUP_VALUE)
-    marks = stops * (1.0 - 1e-12)
     dt_min = np.full(len(fields), math.inf)
     dt_max = np.zeros(len(fields))
     violations = np.zeros(len(fields), dtype=np.int64)
     nxt = np.zeros(len(fields), dtype=np.intp)
+    stop, mark = stops[nxt], marks[nxt]
     n_steps = 0   # rows start together, so one count serves them all
 
     while row.size:
         limit, rate = _kernel(u, dx, spec)
-        dt = np.minimum(limit, stops[nxt] - time)
-        new = u[:, 1:-1] + dt[:, None] * rate
-        top = new.max(axis=1)
-        later = time + dt
-        quiet = ((limit >= DT_FLOOR) & (top <= quiet_top)
-                 & (later < marks[nxt]))
+        later = time + limit
+        quiet = bool((later < mark).all() and limit.min() >= DT_FLOOR)
+        dt = limit if quiet else np.minimum(limit, stop - time)
+        new = np.multiply(dt[:, None], rate, out=spare[:, 1:-1])
+        np.add(u[:, 1:-1], new, out=new)
+        # max <= bound rules out +inf and nan, min > -inf rules out -inf
+        quiet = (quiet and (np.maximum.reduce(new, axis=1) <= quiet_top).all()
+                 and new.min() > -math.inf)
         n_steps += 1
-        if np.count_nonzero(quiet) == row.size and np.isfinite(new).all():
-            u[:, 1:-1] = new
-            time = later
-            np.minimum(dt_min, dt, out=dt_min)
-            np.maximum(dt_max, dt, out=dt_max)
-            continue
-        # Rows whose CFL step collapsed or is nan (f returned non-finite
-        # values on the secants), or whose update left the float range, end
-        # on their current state without taking the step.
-        stalled = ~(limit >= DT_FLOOR)
-        gone = stalled | ~np.isfinite(new).all(axis=1)
-        for k in np.flatnonzero(gone):
-            if np.isnan(limit[k]):
-                log.warning("f returned non-finite values at t = %.6g",
-                            time[k])
-            elif stalled[k]:
-                log.warning("CFL step collapsed to %.3g at t = %.6g",
-                            limit[k], time[k])
-            retire(k, u[k, 1:-1], time[k], n_steps - 1,
-                   time[k] if stalled[k] else later[k])
-        u[:, 1:-1] = new
+        if not quiet:
+            later = time + dt
+            # Rows whose CFL step collapsed or is nan (f returned non-finite
+            # values on the secants), or whose update left the float range,
+            # end on their current state without taking the step.
+            stalled = ~(limit >= DT_FLOOR)
+            gone = stalled | ~np.isfinite(new).all(axis=1)
+            for k in np.flatnonzero(gone):
+                if np.isnan(limit[k]):
+                    log.warning("f returned non-finite values at t = %.6g",
+                                time[k])
+                elif stalled[k]:
+                    log.warning("CFL step collapsed to %.3g at t = %.6g",
+                                limit[k], time[k])
+                retire(k, u[k, 1:-1], time[k], n_steps - 1,
+                       time[k] if stalled[k] else later[k])
+        u, spare = spare, u
         time = later
         np.minimum(dt_min, dt, out=dt_min)
         np.maximum(dt_max, dt, out=dt_max)
+        if quiet:
+            continue
         violations += np.count_nonzero(new > tol[:, None], axis=1)
-        blown = ~gone & (top > BLOWUP_VALUE)
+        blown = ~gone & (new.max(axis=1) > BLOWUP_VALUE)
         for k in np.flatnonzero(blown):
             retire(k, new[k], time[k], n_steps, time[k])
         gone |= blown
-        hit = ~gone & (nxt < len(pending))
-        hit[hit] = time[hit] >= marks[nxt[hit]]
+        hit = ~gone & (nxt < len(pending)) & (time >= mark)
         for k in np.flatnonzero(hit):
-            snaps[row[k]].append((pending[nxt[k]], new[k].copy()))
+            snaps[row[k]].extend((pending[nxt[k]], new[k].copy())
+                                 for _ in range(repeats[nxt[k]]))
         nxt += hit
         done = ~gone & (time >= marks[-1])
         for k in np.flatnonzero(done):
@@ -322,6 +374,8 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
             row, u, time, tol, quiet_top, dt_min, dt_max, violations, nxt = (
                 arr[keep] for arr in (row, u, time, tol, quiet_top, dt_min,
                                       dt_max, violations, nxt))
+            spare = u.copy()
+        stop, mark = stops[nxt], marks[nxt]
     return reports
 
 
@@ -391,29 +445,45 @@ def cap_study(spec: ProblemSpec, n: int, caps: Sequence[float],
     difference still exceeding 1 reads ``diverging``; anything else,
     including fewer than four caps, is ``inconclusive``.
     """
+    return cap_studies(spec, n, caps, [probe])[0]
+
+
+def cap_studies(spec: ProblemSpec, n: int, caps: Sequence[float],
+                probes: Sequence[Tuple[float, float]]) -> List[CapStudy]:
+    """`cap_study` at each probe; probes that share a time share one march.
+
+    Probes at different times keep their own march: a stop at one probe's
+    time would shorten a step of the other's and change every later bit.
+    """
     caps = [float(cv) for cv in caps]
     if any(c2 <= c1 for c1, c2 in zip(caps, caps[1:])):
         raise ParameterError("caps must be strictly increasing")
-    x, t = float(probe[0]), float(probe[1])
-    if not (-spec.b < x < spec.b) or t <= 0.0:
+    probes = [(float(x), float(t)) for x, t in probes]
+    if any(not (-spec.b < x < spec.b) or t <= 0.0 for x, t in probes):
         raise ParameterError("probe must be interior with positive time")
 
-    reports = _march(spec, [make_field(spec.b, n, spec.u0.values, cap)
-                            for cap in caps], t)
-
-    rows: List[Dict[str, float]] = []
-    values: List[float] = []
-    prev: Optional[float] = None
-    for cap, report in zip(caps, reports):
-        val = _probe_value(report, x)
-        rows.append({
-            "cap": cap,
-            "value": val,
-            "diff": math.nan if prev is None else val - prev,
-            "monotone": 1.0 if (prev is None or val >= prev) else 0.0,
-            "diverged": 1.0 if report.diverged else 0.0,
-        })
-        values.append(val)
-        prev = val
-    verdict = _cap_verdict(values, any(r.diverged for r in reports))
-    return CapStudy(rows=tuple(rows), verdict=verdict, probe=(x, t))
+    fields = [make_field(spec.b, n, spec.u0.values, cap) for cap in caps]
+    marched: Dict[float, List[SolveReport]] = {}
+    studies: List[CapStudy] = []
+    for x, t in probes:
+        if t not in marched:
+            marched[t] = _march(spec, fields, t)
+        reports = marched[t]
+        rows: List[Dict[str, float]] = []
+        values: List[float] = []
+        prev: Optional[float] = None
+        for cap, report in zip(caps, reports):
+            val = _probe_value(report, x)
+            rows.append({
+                "cap": cap,
+                "value": val,
+                "diff": math.nan if prev is None else val - prev,
+                "monotone": 1.0 if (prev is None or val >= prev) else 0.0,
+                "diverged": 1.0 if report.diverged else 0.0,
+            })
+            values.append(val)
+            prev = val
+        verdict = _cap_verdict(values, any(r.diverged for r in reports))
+        studies.append(CapStudy(rows=tuple(rows), verdict=verdict,
+                                probe=(x, t)))
+    return studies

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from singflow import ScenarioError, cli
+from singflow import ScenarioError, cli, solver
 from singflow.cli import main, run, validate_scenario
 
 
@@ -284,7 +284,8 @@ _PSI_B3 = {"class": "B3", "spec": {"kind": "psi", "gamma_plus": 0.5,
 
 # sha256 over the names and bytes of report.json and the CSVs (manifest.json
 # records library versions), recorded before the CLI was driven by one
-# schema table.
+# schema table; the verify digest was recorded before the suite's ordered
+# pairs were stepped as one batch.
 PINNED_ARTIFACTS = {
     "classify_b3": (
         dict(_CURV, experiment="classify", u0=_PSI_B3),
@@ -322,6 +323,9 @@ PINNED_ARTIFACTS = {
         dict(_CURV, experiment="capstudy", n=100, caps=[2.0, 4.0, 8.0],
              t_end=0.05, probes=[0.0, 0.5]),
         "66e9215ab6c979bafcbe147a7149f4a17f4f82af845d2c357fbf1960e7260d35"),
+    "verify": (
+        {"experiment": "verify"},
+        "ad895ec141a73b5463c0ddac89c2f185a28bd42289e7a930aaebc826d3c3b5b4"),
 }
 
 
@@ -447,7 +451,7 @@ def test_non_finite_numbers_exit_1_before_running(tmp_path, capsys,
                                                   monkeypatch, field, value,
                                                   flags):
     monkeypatch.setattr(cli, "solve", _no_run)
-    monkeypatch.setattr(cli, "cap_study", _no_run)
+    monkeypatch.setattr(cli, "cap_studies", _no_run)
     experiment = "capstudy" if field == "caps" else "solve"
     base = {"solve": {"cap": 4.0, "t_end": 0.01},
             "capstudy": {"caps": [2.0, 4.0], "probe": [0.0, 0.01]}}
@@ -582,3 +586,25 @@ def test_capstudy_t_end_with_paired_probes_is_refused(tmp_path, capsys,
             "--t-end", "0.1", "--out", str(tmp_path / "i")]
     assert main(argv) == 1
     assert "<inline>:1: 't_end' is read only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probes,marches", [
+    ([0.0, 0.5, -0.3], [0.05]),
+    ([[0.0, 0.02], 0.5, [0.5, 0.02], -0.3], [0.02, 0.05]),
+])
+def test_capstudy_marches_once_per_probe_time(tmp_path, monkeypatch, probes,
+                                              marches):
+    march, times = solver._march, []
+
+    def counting(spec, fields, t_end, snapshot_times=None):
+        times.append(t_end)
+        return march(spec, fields, t_end, snapshot_times)
+
+    monkeypatch.setattr(solver, "_march", counting)
+    doc = dict(_CURV, experiment="capstudy", name="m", n=40,
+               caps=[2.0, 4.0, 8.0], t_end=0.05, probes=probes,
+               output_dir=str(tmp_path / "o"))
+    assert main(["capstudy", "--scenario", str(_scenario(tmp_path, doc))]) == 0
+    assert times == marches
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert len(report["studies"]) == len(probes)

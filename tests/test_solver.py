@@ -9,9 +9,11 @@ import logging
 import numpy as np
 import pytest
 
-from singflow import (ParameterError, cap_study, cfl_limit, initial_b1,
+from singflow import (ParameterError, SolverOverflowError, StepSizeError,
+                      cap_studies, cap_study, cfl_limit, initial_b1,
                       initial_b3, make_field, make_problem, preset_curvature,
                       preset_p_heat, psi, solve, step)
+from singflow import solver
 from singflow.solver import _kernel, _march, _padded, _probe_value
 
 
@@ -300,3 +302,144 @@ def test_march_with_asymmetric_caps_and_snapshots():
                       snapshot_times=times)
         assert [t for t, _ in alone.snapshots] == times
         _assert_same_report(rep, alone)
+
+
+def test_march_retires_a_row_whose_update_alone_turns_minus_inf():
+    """f is -inf on a band that the spike's update argument hits and no
+    secant argument does, so the CFL step stays finite and only the update
+    leaves the float range: that row ends on its first step, the others go
+    on as if marched alone."""
+    n = 30
+    dx = 2.0 / (n + 1)
+    smooth = initial_b1(lambda x: 0.2 * np.cos(0.5 * np.pi * np.asarray(x)))
+    base = make_problem(1.0, *preset_p_heat(2.0, 1.0, 0.1), smooth)
+
+    def f_eval(s):   # the spike's update argument is -2.2 / dx^2
+        s = np.asarray(s, dtype=float)
+        return np.where((s > -2.5 / dx ** 2) & (s < -2.0 / dx ** 2),
+                        -np.inf, s)
+
+    spec = dataclasses.replace(base, f=dataclasses.replace(base.f,
+                                                            eval=f_eval))
+    spike = np.zeros(n)
+    spike[n // 2] = 1.0
+    fields = [make_field(1.0, n, smooth.values, 2.0),
+              make_field(1.0, n, spike, 2.0),
+              make_field(1.0, n, smooth.values, 4.0)]
+    reports = _march(spec, fields, 0.01)
+    gone = reports[1]
+    assert gone.diverged
+    assert gone.blowup_time == cfl_limit(fields[1], spec)
+    assert gone.dt_history == {"n_steps": 0.0, "dt_min": 0.0, "dt_max": 0.0,
+                               "dt_mean": 0.0}
+    assert gone.final.time == 0.0
+    assert gone.final.values.tobytes() == spike.tobytes()
+    for report, cap in zip(reports[::2], (2.0, 4.0)):
+        _assert_same_report(report, solve(spec, n, cap, 0.01))
+        assert report.dt_history["n_steps"] == 11.0
+
+
+def test_repeated_snapshot_time_is_one_stop():
+    spec = _curvature_spec()
+    once = solve(spec, 50, 2.0, 0.01, snapshot_times=[0.005])
+    twice = solve(spec, 50, 2.0, 0.01, snapshot_times=[0.005, 0.005])
+    assert twice.dt_history == once.dt_history
+    assert once.dt_history["n_steps"] == 28.0
+    assert twice.final.values.tobytes() == once.final.values.tobytes()
+    assert [t for t, _ in twice.snapshots] == [0.005, 0.005]
+    for _, values in twice.snapshots:
+        assert values.tobytes() == once.snapshots[0][1].tobytes()
+    assert twice.snapshots[0][1] is not twice.snapshots[1][1]
+    zeros = solve(spec, 50, 2.0, 0.01, snapshot_times=[0.0, 0.0])
+    assert [t for t, _ in zeros.snapshots] == [0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# batched step
+# ---------------------------------------------------------------------------
+
+
+def _batch_fields(n=40):
+    rng = np.random.default_rng(3)
+    return [make_field(1.0, n, cap * rng.random(n) ** 2, cap,
+                       cap_minus=cap_minus, time=time)
+            for cap, cap_minus, time in ((1.0, None, 0.0), (4.0, -2.0, 0.5),
+                                         (20.0, 3.0, 0.0), (2.0, None, 1.0))]
+
+
+@pytest.mark.parametrize("fg", [preset_curvature(0.6), preset_curvature(1.0),
+                                preset_p_heat(2.0, 2.0, 0.1)],
+                         ids=["curvature(0.6)", "curvature(1)",
+                              "p_heat(2,2,0.1)"])
+def test_batch_step_equals_per_field_steps(fg):
+    spec = make_problem(1.0, *fg, _flat())
+    fields = _batch_fields()
+    batch = list(fields)
+    for _ in range(5):
+        dt = 0.5 * min(cfl_limit(fld, spec) for fld in fields)
+        batch = step(batch, spec, dt)
+        fields = [step(fld, spec, dt) for fld in fields]
+        assert isinstance(batch, list) and len(batch) == len(fields)
+        for got, want in zip(batch, fields):
+            assert got.values.tobytes() == want.values.tobytes()
+            assert (got.time, got.cap, got.cap_minus, got.b, got.n) == (
+                want.time, want.cap, want.cap_minus, want.b, want.n)
+    assert isinstance(step(fields[0], spec, dt), solver.GridField)
+    assert step([], spec, dt) == []
+
+
+def test_batch_step_names_the_field_that_fails():
+    spec = make_problem(1.0, *preset_p_heat(2.0, 2.0, 0.1), _flat())
+    calm = make_field(1.0, 30, np.zeros(30), 1.0)
+    steep = make_field(1.0, 30, np.zeros(30), 100.0)
+    dt = (cfl_limit(calm, spec) * cfl_limit(steep, spec)) ** 0.5
+    with pytest.raises(StepSizeError) as alone:
+        step(steep, spec, dt)
+    with pytest.raises(StepSizeError) as batch:
+        step([calm, steep, calm], spec, dt)
+    assert str(batch.value) == str(alone.value) + " in field 1"
+
+    spiked = np.zeros(30)
+    spiked[12] = 1e307          # the curvature there overflows to -inf
+    bad = make_field(1.0, 30, spiked, 1e307)
+    dt = 0.5 * cfl_limit(calm, spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverOverflowError) as alone:
+            step(bad, spec, dt)
+        with pytest.raises(SolverOverflowError) as batch:
+            step([calm, calm, bad], spec, dt)
+    assert str(batch.value) == str(alone.value) + " in field 2"
+    assert (batch.value.node, batch.value.time) == (alone.value.node,
+                                                    alone.value.time)
+
+
+def test_batch_step_needs_one_grid():
+    spec = _curvature_spec()
+    with pytest.raises(ParameterError):
+        step([make_field(1.0, 20, np.zeros(20), 1.0),
+              make_field(1.0, 30, np.zeros(30), 1.0)], spec, 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# cap studies at several probes
+# ---------------------------------------------------------------------------
+
+
+def test_probes_that_share_a_time_share_one_march(monkeypatch):
+    spec = _curvature_spec()
+    caps = [2.0, 4.0, 8.0]
+    probes = [(0.0, 0.02), (0.5, 0.02), (0.2, 0.01), (-0.3, 0.02)]
+    alone = [cap_study(spec, 60, caps, probe) for probe in probes]
+    times = []
+
+    def counting(spec, fields, t_end, snapshot_times=None):
+        times.append(t_end)
+        return march(spec, fields, t_end, snapshot_times)
+
+    march = solver._march
+    monkeypatch.setattr(solver, "_march", counting)
+    studies = cap_studies(spec, 60, caps, probes)
+    assert times == [0.02, 0.01]
+    assert studies == alone
+    with pytest.raises(ParameterError):
+        cap_studies(spec, 60, caps, [(0.0, 0.02), (1.0, 0.02)])
