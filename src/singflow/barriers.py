@@ -1,11 +1,12 @@
 """Explicit sub- and super-solution families for u_t = f(g(u_x) u_xx).
 
 Each constructor returns a `BarrierFunction`: a closed-form function of
-(x, t) together with analytic first and second space derivatives and a time
-derivative, the location and orientation of its kinks, and a validity
-horizon.  `verify_inequality` then checks the defining differential
-inequality pointwise on a stratified sample, which is the numerical stand-in
-for the comparison arguments these families exist to feed.
+(x, t), a jet that gives its analytic first and second space derivatives and
+its time derivative in one call, the location and orientation of its kinks,
+and a validity horizon.  `verify_inequality` then checks the defining
+differential inequality pointwise on a stratified sample, which is the
+numerical stand-in for the comparison arguments these families exist to
+feed.
 
 Families
 --------
@@ -40,7 +41,7 @@ import functools
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -93,25 +94,21 @@ _SIDE_PATTERN = re.compile(r"^(sub|super)_strict\(\s*([^()\s]+)\s*\)$")
 class BarrierFunction:
     """A candidate sub- or super-solution with analytic partials.
 
-    ``eval``, ``dx``, ``dxx``, ``dt`` take x and t as floats or as arrays
-    that broadcast against each other (the verifier passes an (m, 1) column
-    of times against (m, n) points); scalar x and t give a float.  Values at
-    an array of times equal the scalar-time calls bit for bit.  ``kinks``
-    lists (location(t), kind) pairs where kind is "convex" (admissible for
-    sub-solutions) or "concave" (super-solutions); a location takes a float
-    or an array of times, returns a value broadcastable to it, and may be
-    nan once the kink has left the domain.  ``valid_until`` is the time
-    horizon (math.inf when unlimited), and ``domain`` the open x-interval on
-    which the closures are defined.  ``jet``, when set, maps array x and t
-    to the triple (dx, dxx, dt) in one call, sharing work the three
-    closures would each repeat; its values must equal theirs bit for bit.
-    Every time-dependent family sets it, and `verify_inequality` prefers it.
+    ``eval(x, t)`` gives the value and ``jet(x, t)`` the triple (dx, dxx,
+    dt); both take x and t as floats or as arrays that broadcast against
+    each other (the verifier passes an (m, 1) column of times against (m, n)
+    points).  Scalar x and t give a float from ``eval`` and three floats
+    from ``jet``; values at an array of times equal the scalar-time calls
+    bit for bit.  ``kinks`` lists (location(t), kind) pairs where kind is
+    "convex" (admissible for sub-solutions) or "concave" (super-solutions);
+    a location takes a float or an array of times, returns a value
+    broadcastable to it, and may be nan once the kink has left the domain.
+    ``valid_until`` is the time horizon (math.inf when unlimited), and
+    ``domain`` the open x-interval on which eval and jet are defined.
     """
 
     eval: Callable[..., Any]
-    dx: Callable[..., Any]
-    dxx: Callable[..., Any]
-    dt: Callable[..., Any]
+    jet: Callable[..., Tuple[Any, Any, Any]]
     kinks: Tuple[Tuple[Callable[..., Any], str], ...]
     valid_until: float
     family: str
@@ -121,8 +118,6 @@ class BarrierFunction:
     # whose slope field turns inside a layer narrower than any probe step.
     kink_slopes: Optional[Tuple[Tuple[Callable[..., Any],
                                       Callable[..., Any]], ...]] = None
-    jet: Optional[Callable[..., Tuple[np.ndarray, np.ndarray,
-                                      np.ndarray]]] = None
 
 
 @dataclass(frozen=True)
@@ -152,15 +147,20 @@ def _points(x, t) -> Tuple[np.ndarray, np.ndarray]:
     return (xs if xs.shape == shape else np.broadcast_to(xs, shape)), ts
 
 
-def _xt(core: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-    """Wrap an (x array, t array) closure so that x and t broadcast and
-    scalar x and t come back as a float."""
+def _xt(core: Callable[[np.ndarray, np.ndarray], Any]):
+    """Wrap an (x array, t array) closure returning an array or a tuple of
+    arrays so that x and t broadcast and scalar x and t come back as floats.
+    Scalar x goes in as a 1-point array, since a 0-d result takes no item
+    assignment."""
 
     def call(x, t):
         xs, ts = _points(x, t)
-        if xs.ndim == 0:
-            return float(core(xs.reshape(1), ts)[0])
-        return core(xs, ts)
+        if xs.ndim:
+            return core(xs, ts)
+        out = core(xs.reshape(1), ts)
+        if isinstance(out, tuple):
+            return tuple(float(part[0]) for part in out)
+        return float(out[0])
 
     return call
 
@@ -190,23 +190,18 @@ def _at_points(state, xs: np.ndarray, t) -> np.ndarray:
 
 
 def _family(prep, val, d1, d2, d_t) -> Dict[str, Callable]:
-    """The five closures of a time-dependent family.
+    """``eval`` and ``jet`` of a time-dependent family.
 
     ``prep(xs, t)`` computes what the orders share (per-point state, masks,
-    powers); each order is a function of (xs, prepared) and ``jet`` runs
+    powers); each order is a function of (xs, prepared), and ``jet`` runs
     prep once for all three derivatives.
     """
 
-    def order(core):
-        return _xt(lambda xs, t: core(xs, prep(xs, t)))
-
-    def jet(x, t):
-        xs, ts = _points(x, t)
-        shared = prep(xs, ts)
+    def jet(xs, t):
+        shared = prep(xs, t)
         return d1(xs, shared), d2(xs, shared), d_t(xs, shared)
 
-    return {"eval": order(val), "dx": order(d1), "dxx": order(d2),
-            "dt": order(d_t), "jet": jet}
+    return {"eval": _xt(lambda xs, t: val(xs, prep(xs, t))), "jet": _xt(jet)}
 
 
 def _tail_floor(fn: Callable[[np.ndarray], np.ndarray], power: float,
@@ -225,12 +220,17 @@ def _tail_floor(fn: Callable[[np.ndarray], np.ndarray], power: float,
     return SAFETY * lowest
 
 
-def _stationary(core_val, core_dx, core_dxx, kinks, family, domain, params):
-    zero = _xt(lambda xs, t: np.zeros_like(xs))
-    return BarrierFunction(eval=_xt(core_val), dx=_xt(core_dx),
-                           dxx=_xt(core_dxx), dt=zero, kinks=tuple(kinks),
-                           valid_until=math.inf, family=family,
-                           domain=domain, params=params)
+def _stationary(core_val, core_slopes, kinks, family, domain, params):
+    """A time-independent barrier; ``core_slopes`` gives (dx, dxx) and the
+    jet adds the zero dt."""
+
+    def jet(xs, t):
+        dx, dxx = core_slopes(xs, t)
+        return dx, dxx, np.zeros_like(xs)
+
+    return BarrierFunction(eval=_xt(core_val), jet=_xt(jet),
+                           kinks=tuple(kinks), valid_until=math.inf,
+                           family=family, domain=domain, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -283,33 +283,24 @@ def h_tail(b: float, gamma_plus: float, gamma_minus: float, d_plus: float,
     dpoly = poly.deriv()
     ddpoly = poly.deriv(2)
 
-    def pieces(xs: np.ndarray, order: int) -> np.ndarray:
-        out = np.empty_like(xs)
+    def pieces(xs: np.ndarray) -> np.ndarray:
+        """Value, slope and curvature stacked on a leading axis."""
+        out = np.empty((3,) + xs.shape)
         mid = np.abs(xs) <= b0
         hi = xs > b0
         lo = xs < -b0
-        if np.any(mid):
-            xi = xs[mid] / b0
-            if order == 0:
-                out[mid] = poly(xi)
-            elif order == 1:
-                out[mid] = dpoly(xi) / b0
-            else:
-                out[mid] = ddpoly(xi) / b0 ** 2
-        if np.any(hi):
-            v, d1, d2 = _tail_value(gamma_plus, d_plus, b - xs[hi])
-            out[hi] = v if order == 0 else (-d1 if order == 1 else d2)
-        if np.any(lo):
-            v, d1, d2 = _tail_value(gamma_minus, d_minus, b + xs[lo])
-            out[lo] = v if order == 0 else (d1 if order == 1 else d2)
+        xi = xs[mid] / b0
+        out[:, mid] = poly(xi), dpoly(xi) / b0, ddpoly(xi) / b0 ** 2
+        v, d1, d2 = _tail_value(gamma_plus, d_plus, b - xs[hi])
+        out[:, hi] = v, -d1, d2
+        out[:, lo] = _tail_value(gamma_minus, d_minus, b + xs[lo])
         return out
 
     params = {"b": b, "b0": b0, "gamma_plus": gamma_plus,
               "gamma_minus": gamma_minus, "d_plus": d_plus,
               "d_minus": d_minus}
-    return _stationary(lambda xs, t: pieces(xs, 0),
-                       lambda xs, t: pieces(xs, 1),
-                       lambda xs, t: pieces(xs, 2),
+    return _stationary(lambda xs, t: pieces(xs)[0],
+                       lambda xs, t: pieces(xs)[1:],
                        (), "h_tail", (-b, b), params)
 
 
@@ -838,10 +829,10 @@ def convex_envelope(x, values) -> BarrierFunction:
     def val(q: np.ndarray, t: float) -> np.ndarray:
         return np.interp(q, hx, hy)
 
-    def d1(q: np.ndarray, t: float) -> np.ndarray:
+    def slopes_at(q: np.ndarray, t: float):
         idx = np.clip(np.searchsorted(hx, q, side="right") - 1, 0,
                       slopes.size - 1)
-        return slopes[idx]
+        return slopes[idx], np.zeros_like(q)
 
     def make_loc(xv: float):
         return lambda t: xv
@@ -849,16 +840,15 @@ def convex_envelope(x, values) -> BarrierFunction:
     kinks = tuple((make_loc(float(hx[j])), "convex")
                   for j in range(1, hx.size - 1))
     params = {"n_input": int(xs.size), "n_vertices": int(hx.size)}
-    return _stationary(val, d1, lambda q, t: np.zeros_like(q), kinks,
-                       "convex_envelope", (float(hx[0]), float(hx[-1])),
-                       params)
+    return _stationary(val, slopes_at, kinks, "convex_envelope",
+                       (float(hx[0]), float(hx[-1])), params)
 
 
 def translate_wave(profile: WaveProfile, spec: ProblemSpec,
                    shift: float = 0.0) -> BarrierFunction:
     """The exact traveling solution W(x) + c t + shift as a barrier.
 
-    Its residual vanishes identically (the curvature closure is derived
+    Its residual vanishes identically (the curvature in its jet is derived
     from the quadrature identity g(W_x) W_xx = f^{-1}(c), so no numerical
     differentiation enters), which makes it the calibration case for
     verify_inequality: it must pass as both a sub- and a super-solution.
@@ -872,29 +862,16 @@ def translate_wave(profile: WaveProfile, spec: ProblemSpec,
     def val(xs: np.ndarray, t: float) -> np.ndarray:
         return np.asarray(profile.w(xs), dtype=float) + profile.c * t + shift
 
-    def d1(xs: np.ndarray, t: float) -> np.ndarray:
-        return np.asarray(profile.wx(xs), dtype=float)
-
-    def curvature(slope: np.ndarray) -> np.ndarray:
-        return q / np.asarray(spec.g.eval(slope), dtype=float)
-
-    def d2(xs: np.ndarray, t: float) -> np.ndarray:
-        return curvature(d1(xs, t))
-
-    def d_t(xs: np.ndarray, t: float) -> np.ndarray:
-        return np.full_like(xs, profile.c)
-
     def jet(xs: np.ndarray, t: float):
         # One slope inversion serves both space derivatives.
-        slope = d1(xs, t)
-        return slope, curvature(slope), d_t(xs, t)
+        slope = np.asarray(profile.wx(xs), dtype=float)
+        return (slope, q / np.asarray(spec.g.eval(slope), dtype=float),
+                np.full_like(xs, profile.c))
 
     params = {"c": profile.c, "shift": shift}
-    return BarrierFunction(eval=_xt(val), dx=_xt(d1), dxx=_xt(d2),
-                           dt=_xt(d_t), kinks=(), valid_until=math.inf,
-                           family="translate_wave",
-                           domain=(-profile.b, profile.b), params=params,
-                           jet=jet)
+    return BarrierFunction(eval=_xt(val), jet=_xt(jet), kinks=(),
+                           valid_until=math.inf, family="translate_wave",
+                           domain=(-profile.b, profile.b), params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +927,7 @@ def _kink_checks(bf: BarrierFunction, times: np.ndarray,
                            for fn in bf.kink_slopes[idx])
         else:
             sides = np.stack([xk - probe, xk + probe], axis=1)
-            both = np.asarray(bf.dx(sides, ts[:, None]), dtype=float)
+            both = np.asarray(bf.jet(sides, ts[:, None])[0], dtype=float)
             left, right = both[:, 0], both[:, 1]
         margins = (right - left) if kind == "convex" else (left - right)
         i = int(np.argmin(margins))
@@ -990,14 +967,18 @@ def _near_kinks(xs: np.ndarray, locs: Sequence[float]) -> np.ndarray:
     return near
 
 
-def _constant_estimates(params) -> Dict[str, float]:
-    if isinstance(params, SuperFamilyParams):
-        return {"mu": params.mu, "L0": params.L0, "nu": params.nu,
-                "c": params.c, "T": params.T, "C4": params.C4}
-    if isinstance(params, dict):
-        return {key: val for key, val in params.items()
-                if isinstance(val, (int, float))}
-    return {}
+def scalar_params(params) -> Dict[str, Any]:
+    """The number and string entries of a barrier's ``params`` (a dict or a
+    dataclass such as `SuperFamilyParams`), in their declared order."""
+    if is_dataclass(params):
+        items = [(field.name, getattr(params, field.name))
+                 for field in fields(params)]
+    elif isinstance(params, dict):
+        items = list(params.items())
+    else:
+        return {}
+    return {key: val for key, val in items
+            if isinstance(val, (int, float, str))}
 
 
 def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
@@ -1013,7 +994,7 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
     and space bins; each slice draws its time, its bins and its kink
     redraws from its own seeded stream, keeps an exclusion radius of 1e-8
     around kinks (redrawing at most 60 times, then logging a warning for
-    points still inside it).  The closures then run on blocks of whole
+    points still inside it).  The jet then runs on blocks of whole
     slices of at most BLOCK_POINTS points, (m, n) points against an (m, 1)
     column of times; the worst residual is taken per slice and then over
     the slices in order.  Every kink inside the domain gets a one-sided
@@ -1070,12 +1051,7 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
             _redraw_near_kinks(block[r], [xk[r, 0] for xk in block_locs],
                                rngs[start + r], x_lo, x_hi,
                                float(times[start + r]))
-        t_col = times[start:stop, None]
-        if bf.jet is not None:
-            dxv, dxxv, dtv = bf.jet(block, t_col)
-        else:
-            dxv, dxxv, dtv = (bf.dx(block, t_col), bf.dxx(block, t_col),
-                              bf.dt(block, t_col))
+        dxv, dxxv, dtv = bf.jet(block, times[start:stop, None])
         dtv = np.asarray(dtv, dtype=float)
         # Barriers may legitimately reach inf near a wall or front; an
         # inf - inf there yields nan, which argmax/argmin treat as extreme
@@ -1113,7 +1089,9 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
         "worst_residual": float(worst_res),
         "worst_point": (float(worst_point[0]), float(worst_point[1])),
         "kink_checks": kink_checks,
-        "constant_estimates": _constant_estimates(bf.params),
+        "constant_estimates": {
+            key: val for key, val in scalar_params(bf.params).items()
+            if not isinstance(val, str)},
         "pass": bool(residual_ok and kinks_ok and dt_ok),
     }
     if check_dt:

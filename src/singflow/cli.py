@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import dataclasses
 import functools
 import json
 import logging
@@ -39,8 +38,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .barriers import (BarrierFunction, h_tail, sub_uk, sub_vL, super_family,
-                       verify_inequality)
+from .barriers import (BarrierFunction, h_tail, scalar_params, sub_uk, sub_vL,
+                       super_family, verify_inequality)
 from .errors import ScenarioError, SingflowError
 from .model import (ProblemSpec, initial_b1, initial_b2, initial_b3,
                     make_problem, preset_curvature, preset_p_heat, psi,
@@ -555,20 +554,6 @@ def _write_columns(path: Path, header: Sequence[str], *columns) -> None:
                                for col in columns)))
 
 
-def _param_scalars(params) -> Dict:
-    if params is None:
-        return {}
-    if dataclasses.is_dataclass(params):
-        items = [(field.name, getattr(params, field.name))
-                 for field in dataclasses.fields(params)]
-    elif isinstance(params, dict):
-        items = list(params.items())
-    else:
-        return {}
-    return {k: v for k, v in items
-            if isinstance(v, (int, float, str)) and not callable(v)}
-
-
 # ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------
@@ -662,7 +647,7 @@ def _run_barrier(scn, out: Path):
     grid = np.linspace(x_lo, x_hi, PROFILE_POINTS)
     with np.errstate(over="ignore"):
         vals = [bf.eval(grid, t) for t in times]
-        slopes = [bf.dx(grid, t) for t in times]
+        slopes = [bf.jet(grid, t)[0] for t in times]
     _write_columns(out / "barrier_profile.csv", ["t", "x", "value", "slope"],
                    np.repeat(times, grid.size), np.tile(grid, len(times)),
                    np.concatenate(vals, axis=None),
@@ -672,7 +657,7 @@ def _run_barrier(scn, out: Path):
         "experiment": "barrier",
         "name": scn["name"],
         "family": bf.family,
-        "params": _param_scalars(bf.params),
+        "params": scalar_params(bf.params),
         "valid_until": bf.valid_until,
         "side": side,
     }

@@ -56,6 +56,8 @@ LAMBDA_FLOOR = 1.0e-8
 SECANT_ARG_FLOOR = 1.0
 BLOWUP_VALUE = 1.0e12
 DT_FLOOR = 1.0e-14
+# A row has reached a stop t once its time is at least t * (1 - STOP_RTOL).
+STOP_RTOL = 1.0e-12
 
 # Boundary-rate fits use unclamped nodes with wall distance in
 # [RATE_DIST_INNER * dx, RATE_DIST_OUTER * b].
@@ -265,18 +267,24 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
     Every row keeps its own CFL step, time, step count, dt range, violation
     count and snapshots, exactly as if it were marched alone.  A row that
     finishes or diverges is copied out and the batch is compacted then.
-    Each distinct snapshot time is one stop, and a time requested k times
-    gives k snapshots.
+    Snapshot times within the stop tolerance of an earlier requested time
+    (their mark at or below it) share its stop; every requested time gets
+    its own snapshot.
     """
     if not fields:
         return []
     b, n, dx = fields[0].b, fields[0].n, fields[0].dx
     wanted = sorted(t for t in map(float, snapshot_times or ())
                     if 0.0 <= t <= t_end)
-    pending = sorted(set(wanted) - {0.0})
-    repeats = [wanted.count(t) for t in pending]
-    stops = np.array(pending + [t_end])
-    marks = stops * (1.0 - 1e-12)
+    # Requested times per stop; times 0.0 are snapshotted at the start.
+    groups: List[List[float]] = []
+    for t in wanted:
+        if groups and t * (1.0 - STOP_RTOL) <= groups[-1][0]:
+            groups[-1].append(t)
+        elif t > 0.0:
+            groups.append([t])
+    stops = np.array([group[0] for group in groups] + [t_end])
+    marks = stops * (1.0 - STOP_RTOL)
     snaps = [[(0.0, fld.values.copy()) for _ in range(wanted.count(0.0))]
              for fld in fields]
     reports: List[Optional[SolveReport]] = [None] * len(fields)
@@ -360,10 +368,9 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
         for k in np.flatnonzero(blown):
             retire(k, new[k], time[k], n_steps, time[k])
         gone |= blown
-        hit = ~gone & (nxt < len(pending)) & (time >= mark)
+        hit = ~gone & (nxt < len(groups)) & (time >= mark)
         for k in np.flatnonzero(hit):
-            snaps[row[k]].extend((pending[nxt[k]], new[k].copy())
-                                 for _ in range(repeats[nxt[k]]))
+            snaps[row[k]].extend((t, new[k].copy()) for t in groups[nxt[k]])
         nxt += hit
         done = ~gone & (time >= marks[-1])
         for k in np.flatnonzero(done):

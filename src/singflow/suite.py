@@ -362,9 +362,8 @@ def _fd_worst(bf: BarrierFunction, spec: ProblemSpec,
         fd_dxx = (vp - 2.0 * v0 + vm) / h ** 2
         fd_dt = (np.asarray(bf.eval(xs, t + ht), dtype=float)
                  - np.asarray(bf.eval(xs, t - ht), dtype=float)) / (2.0 * ht)
-        for fd, an in ((fd_dx, np.asarray(bf.dx(xs, t), dtype=float)),
-                       (fd_dxx, np.asarray(bf.dxx(xs, t), dtype=float)),
-                       (fd_dt, np.asarray(bf.dt(xs, t), dtype=float))):
+        for fd, an in zip((fd_dx, fd_dxx, fd_dt), bf.jet(xs, t)):
+            an = np.asarray(an, dtype=float)
             scale = np.maximum(1.0, np.maximum(np.abs(an), vscale))
             worst = max(worst, float(np.max(np.abs(fd - an) / scale)))
     return worst

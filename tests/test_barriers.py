@@ -53,10 +53,12 @@ def test_h_tail_exact_tails():
 def test_h_tail_junctions_are_twice_continuous():
     h = h_tail(1.0, 1.0, 0.5, 2.0, 1.0, 0.6)
     eps = 1e-7
+
+    def orders(x):
+        return (h.eval(x, 0.0),) + h.jet(x, 0.0)[:2]
+
     for x0 in (0.6, -0.6):
-        for fn in (h.eval, h.dx, h.dxx):
-            lo = float(fn(np.array([x0 - eps]), 0.0)[0])
-            hi = float(fn(np.array([x0 + eps]), 0.0)[0])
+        for lo, hi in zip(orders(x0 - eps), orders(x0 + eps)):
             assert abs(hi - lo) <= 1e-3 * max(1.0, abs(hi))
 
 
@@ -207,7 +209,7 @@ def test_envelope_below_and_convex(values):
     assert np.all(on_grid <= vals + 1e-12)
     assert on_grid[0] == vals[0] and on_grid[-1] == vals[-1]
     mid = 0.5 * (xs[:-1] + xs[1:])
-    slopes = np.asarray(env.dx(mid, 0.0))
+    slopes = np.asarray(env.jet(mid, 0.0)[0])
     assert np.all(np.diff(slopes) >= -1e-12)
 
 
@@ -244,19 +246,6 @@ def test_translated_wave_reports_match_pinned_digest():
     assert h.hexdigest() == PINNED_TRANSLATE_REPORTS
 
 
-@pytest.mark.parametrize("beta2", [2.0 / 3.0, 1.0, 2.0])
-def test_translated_wave_jet_equals_the_three_closures(beta2):
-    spec = _curvature_spec(beta2)
-    bf = translate_wave(compute_wave(spec), spec, shift=0.5)
-    xs = np.concatenate([np.linspace(-0.999, 0.999, 257),
-                         1.0 - 2.0 ** -np.arange(10.0, 40.0)])
-    for t in (0.0, 0.37):
-        dx, dxx, dt = bf.jet(xs, t)
-        assert dx.tobytes() == bf.dx(xs, t).tobytes()
-        assert dxx.tobytes() == bf.dxx(xs, t).tobytes()
-        assert dt.tobytes() == bf.dt(xs, t).tobytes()
-
-
 def test_translated_wave_inverts_the_slope_once_per_stratum():
     spec = _curvature_spec(1.0)
     profile = compute_wave(spec)
@@ -272,16 +261,23 @@ def test_translated_wave_inverts_the_slope_once_per_stratum():
     assert calls == [2016]
 
 
+def _corner(kind, slope=lambda xs, t: np.sign(xs), **kwargs):
+    """|x| with its kink at 0 declared ``kind``; ``slope`` gives dx."""
+
+    def jet(xs, t):
+        xs = np.asarray(xs, dtype=float)
+        return slope(xs, t), np.zeros_like(xs), np.zeros_like(xs)
+
+    return BarrierFunction(
+        eval=lambda xs, t: np.abs(np.asarray(xs, dtype=float)), jet=jet,
+        kinks=((lambda t: 0.0, kind),), valid_until=math.inf,
+        family="corner", **kwargs)
+
+
 def test_verifier_warns_when_kink_redraws_run_out(caplog):
     """On a domain narrower than the kink exclusion radius every draw stays
     near the kink; the verifier must say so and still report."""
-    zero = lambda xs, t: np.zeros_like(np.asarray(xs, dtype=float))
-    bf = BarrierFunction(
-        eval=lambda xs, t: np.abs(np.asarray(xs, dtype=float)),
-        dx=lambda xs, t: np.sign(np.asarray(xs, dtype=float)),
-        dxx=zero, dt=zero,
-        kinks=((lambda t: 0.0, "convex"),),
-        valid_until=math.inf, family="corner", domain=(-5e-9, 5e-9))
+    bf = _corner("convex", domain=(-5e-9, 5e-9))
     spec = _curvature_spec(1.0)
     with caplog.at_level(logging.WARNING, logger="singflow.barriers"):
         report = verify_inequality(bf, spec, "sub", samples=2000)
@@ -304,13 +300,7 @@ def test_verifier_rejects_small_samples_and_bad_sides():
 
 def test_verifier_catches_wrong_kink_orientation():
     """A convex corner declared concave must fail the slope check."""
-    zero = lambda xs, t: np.zeros_like(np.asarray(xs, dtype=float))
-    bf = BarrierFunction(
-        eval=lambda xs, t: np.abs(np.asarray(xs, dtype=float)),
-        dx=lambda xs, t: np.sign(np.asarray(xs, dtype=float)),
-        dxx=zero, dt=zero,
-        kinks=((lambda t: 0.0, "concave"),),
-        valid_until=math.inf, family="corner")
+    bf = _corner("concave")
     spec = _curvature_spec(1.0)
     report = verify_inequality(bf, spec, "sub", samples=2000)
     assert not report["pass"]
@@ -407,7 +397,7 @@ def test_family_reports_match_pinned_digests(name):
 
 
 # ---------------------------------------------------------------------------
-# closures over arrays of times
+# eval and jet over arrays of times and at scalar points
 # ---------------------------------------------------------------------------
 
 
@@ -431,26 +421,26 @@ def _time_families():
     }
 
 
+def _probe_points(b):
+    """Wall-hugging points, both regions of every family, and the
+    junctions of the time-dependent ones."""
+    return np.concatenate([np.linspace(-b, b, 201)[1:-1],
+                           b - b * 2.0 ** -np.arange(4.0, 40.0, 3.0),
+                           [2.0 * b / 3.0, -2.0 * b / 3.0]])
+
+
 @pytest.mark.parametrize("name", ["sub_uk", "sub_vL", "super_family",
                                   "super_family_lin"])
 def test_time_column_calls_equal_scalar_time_calls(name):
     bf, times = _time_families()[name]
-    b = bf.domain[1]
-    # Wall-hugging points, both regions of every family, and the junctions.
-    xs = np.concatenate([np.linspace(-b, b, 201)[1:-1],
-                         b - b * 2.0 ** -np.arange(4.0, 40.0, 3.0),
-                         [2.0 * b / 3.0, -2.0 * b / 3.0]])
+    xs = _probe_points(bf.domain[1])
     grid = np.tile(xs, (len(times), 1))
     column = np.array(times)[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        batched = {fn: getattr(bf, fn)(grid, column)
-                   for fn in ("eval", "dx", "dxx", "dt")}
-        jet = bf.jet(grid, column)
+        batched = (bf.eval(grid, column),) + bf.jet(grid, column)
         for row, t in enumerate(times):
-            for fn, values in batched.items():
-                scalar = getattr(bf, fn)(xs, t)
-                assert values[row].tobytes() == scalar.tobytes(), (fn, t)
-            for part, scalar in zip(jet, bf.jet(xs, t)):
+            for part, scalar in zip(batched, (bf.eval(xs, t),)
+                                    + bf.jet(xs, t)):
                 assert part[row].tobytes() == scalar.tobytes(), t
     # Kink locations and closed-form slopes at all times in one call.
     ts = np.array(times)
@@ -459,6 +449,69 @@ def test_time_column_calls_equal_scalar_time_calls(name):
         batched = np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape)
         scalar = np.array([float(fn(t)) for t in times])
         assert batched.tobytes() == scalar.tobytes()
+
+
+def _jet_families():
+    """All six families, each with four times inside its horizon."""
+    grid = np.linspace(-1.0, 1.0, 41)
+    wave_spec = _curvature_spec(1.0)
+    vl = sub_vL(_p_heat_spec(2.0, 1.0, 0.1), 100.0)
+    sup = super_family(_p_heat_spec(2.0, 0.5, 0.1), None, 3.0, 1e5)
+    t_cross = 1.0 / vl.params["c_L"]
+    fixed = [0.0, 0.25, 0.5, 1.0]
+    return {
+        "h_tail": (h_tail(1.0, 1.0, 0.5, 2.0, 1.0, 0.6), fixed),
+        "sub_uk": (sub_uk(_curvature_spec(0.75), 300.0),
+                   [0.0, 0.013, 0.4, 0.97]),
+        "sub_vL": (vl, [0.0, 0.2 * t_cross, 0.9 * t_cross, 1.5 * t_cross]),
+        "super_family": (sup, [0.0, 0.3 * sup.valid_until,
+                               0.7 * sup.valid_until,
+                               0.99 * sup.valid_until]),
+        "convex_envelope": (convex_envelope(
+            grid, np.cos(3.0 * grid) + 0.5 * grid), fixed),
+        "translate_wave": (translate_wave(compute_wave(wave_spec), wave_spec,
+                                          shift=0.5), fixed),
+    }
+
+
+# sha256 over the shape and bytes of (dx, dxx, dt) of every family in
+# `_jet_families`, at each scalar time and then at the (4, 1) column of its
+# times; recorded from the separate dx, dxx and dt closures the families
+# had before the jet became their only derivative interface.
+PINNED_JETS = \
+    "b5db35bbe389e9dc41f34286fae63c05daff45c10fe1ed133047d2d91356dfe4"
+
+
+def test_jets_match_pinned_digest():
+    h = hashlib.sha256()
+    for bf, times in _jet_families().values():
+        xs = _probe_points(bf.domain[1])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            calls = [bf.jet(xs, t) for t in times]
+            calls.append(bf.jet(xs, np.array(times)[:, None]))
+        for parts in calls:
+            for part in parts:
+                arr = np.asarray(part, dtype=float)
+                h.update(repr(arr.shape).encode())
+                h.update(arr.tobytes())
+    assert h.hexdigest() == PINNED_JETS
+
+
+@pytest.mark.parametrize("name", ["h_tail", "sub_uk", "sub_vL",
+                                  "super_family", "convex_envelope",
+                                  "translate_wave"])
+def test_scalar_points_give_floats(name):
+    bf, times = _jet_families()[name]
+    for x in (-0.5, 0.1, 0.7, 0.95):
+        for t in times:
+            value = bf.eval(x, t)
+            jet = bf.jet(x, t)
+            assert type(value) is float
+            assert len(jet) == 3 and all(type(v) is float for v in jet)
+            at_array = [bf.eval(np.array([x]), t)] + list(
+                bf.jet(np.array([x]), t))
+            for scalar, array in zip((value,) + jet, at_array):
+                assert np.float64(scalar).tobytes() == array.tobytes()
 
 
 def test_super_family_evaluates_its_ode_once_per_stratum(monkeypatch):
@@ -484,17 +537,8 @@ def test_super_family_evaluates_its_ode_once_per_stratum(monkeypatch):
 def test_verifier_fails_a_kink_whose_slope_turns_nan_late():
     """A nan one-sided slope fails the kink check at whatever time it
     appears, not only at the first probed time."""
-    zero = lambda xs, t: np.zeros_like(np.asarray(xs, dtype=float))
-
-    def dx(xs, t):
-        xs = np.asarray(xs, dtype=float)
-        return np.where(np.asarray(t) > 0.5, np.nan, np.sign(xs))
-
-    bf = BarrierFunction(
-        eval=lambda xs, t: np.abs(np.asarray(xs, dtype=float)),
-        dx=dx, dxx=zero, dt=zero,
-        kinks=((lambda t: 0.0, "convex"),),
-        valid_until=math.inf, family="corner")
+    bf = _corner("convex", slope=lambda xs, t: np.where(
+        np.asarray(t) > 0.5, np.nan, np.sign(xs)))
     spec = _curvature_spec(1.0)
     report = verify_inequality(bf, spec, "sub", samples=2000)
     check = report["kink_checks"][0]

@@ -354,6 +354,19 @@ def test_repeated_snapshot_time_is_one_stop():
     assert [t for t, _ in zeros.snapshots] == [0.0, 0.0]
 
 
+def test_snapshot_times_within_the_stop_tolerance_share_a_stop():
+    spec = _curvature_spec()
+    near = 0.005 * (1.0 + 1e-13)
+    once = solve(spec, 50, 2.0, 0.01, snapshot_times=[0.005])
+    close = solve(spec, 50, 2.0, 0.01, snapshot_times=[near, 0.005])
+    assert close.dt_history == once.dt_history
+    assert close.dt_history["n_steps"] == 28.0
+    assert close.final.values.tobytes() == once.final.values.tobytes()
+    assert [t for t, _ in close.snapshots] == [0.005, near]
+    for _, values in close.snapshots:
+        assert values.tobytes() == once.snapshots[0][1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # batched step
 # ---------------------------------------------------------------------------
