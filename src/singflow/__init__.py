@@ -39,8 +39,7 @@ from .barriers import (BarrierFunction, SuperFamilyParams, convex_envelope,
                        translate_wave, verify_inequality)
 from .solver import (CapStudy, GridField, SolveReport, cap_studies, cap_study,
                      cfl_limit, make_field, solve, step)
-from .verify import (default_gamma_grid, fit_boundary_rate, residual_values,
-                     scale_sub, scale_super)
+from .verify import fit_boundary_rate, residual_values, scale_sub, scale_super
 from .suite import run_suite
 
 __all__ = [
@@ -69,7 +68,7 @@ __all__ = [
     "step", "solve", "cap_study", "cap_studies",
     # verify
     "residual_values", "scale_super", "scale_sub",
-    "fit_boundary_rate", "default_gamma_grid",
+    "fit_boundary_rate",
     # suite
     "run_suite",
 ]

@@ -73,8 +73,11 @@ T_STRATA = 32
 EDGE_MARGIN = 1.0e-12
 DEFAULT_T_CAP = 1.0
 # The verifier evaluates the jet on blocks of whole strata of at most this
-# many points; per-time state is cached for this many recent times.
-BLOCK_POINTS = 2048
+# many points: 10240 doubles are 80 KiB, under glibc's 128 KiB mmap
+# threshold, so a block's temporaries reuse heap blocks instead of fresh
+# mapped pages, and a 1e4-sample certificate (32 x 313 points) is one block.
+# Per-time state is cached for this many recent times.
+BLOCK_POINTS = 10240
 STATE_CACHE = 2 * T_STRATA
 
 # Super-family construction.
@@ -996,7 +999,10 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
     around kinks (redrawing at most 60 times, then logging a warning for
     points still inside it).  The jet then runs on blocks of whole
     slices of at most BLOCK_POINTS points, (m, n) points against an (m, 1)
-    column of times; the worst residual is taken per slice and then over
+    column of times: one block for 1e4 samples, 11 for 1e5, each small
+    enough that its temporaries stay off freshly mapped pages.  Every slice
+    is computed independently of its block, so the block size never
+    changes a report.  The worst residual is taken per slice and then over
     the slices in order.  Every kink inside the domain gets a one-sided
     slope check at all slice times in one call; it reports the first nan
     margin if any (which fails the check), else the first smallest one.

@@ -35,7 +35,6 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .barriers import (BarrierFunction, h_tail, scalar_params, sub_uk, sub_vL,
@@ -776,7 +775,6 @@ def _manifest(scn: Dict, report: Dict, files: List[str]) -> Dict:
         "dependencies": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "seed": scn.get("seed", 0),
         "constant_estimates": report.get("constant_estimates", {}),

@@ -67,7 +67,7 @@ def scale_sub(fn: Callable[[float, float], float],
     return scaled
 
 
-def default_gamma_grid(alpha: Optional[float] = None) -> list:
+def _default_gamma_grid(alpha: Optional[float] = None) -> list:
     """Quarter-step rates 0..5, plus the distinguished rate (2-a)/(a-1)
     when a tail exponent in (1, 2] is supplied."""
     grid = [0.25 * k for k in range(21)]
@@ -92,7 +92,8 @@ def fit_boundary_rate(x, u, b: float, side: int = 1,
     side : {+1, -1}
         Which wall the samples approach.
     gamma_grid : sequence of float, optional
-        Candidate rates; defaults to `default_gamma_grid(alpha)`.
+        Candidate rates; defaults to quarter steps 0..5, plus
+        (2 - alpha)/(alpha - 1) when alpha lies in (1, 2].
     alpha : float, optional
         Weight tail exponent, used only to extend the default grid.
 
@@ -124,7 +125,7 @@ def fit_boundary_rate(x, u, b: float, side: int = 1,
         raise InsufficientDataError(
             "rate fitting needs wall distances spanning >= 2 decades")
     if gamma_grid is None:
-        gamma_grid = default_gamma_grid(alpha)
+        gamma_grid = _default_gamma_grid(alpha)
 
     denom = float(np.linalg.norm(ua - np.mean(ua)))
     if denom == 0.0:

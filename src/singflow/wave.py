@@ -51,6 +51,10 @@ _TAIL_TOTAL_RTOL = 1.0e-11
 _PANEL_ABS_TOL = 1.0e-14
 _PANEL_MAX_DEPTH = 28
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# Rows per quadrature chunk: a (rows, 24) float temporary of 512 rows is
+# 96 KiB, under glibc's 128 KiB mmap threshold, so numpy reuses heap blocks
+# instead of mapping, faulting and unmapping fresh pages for every temporary.
+_GL_CHUNK_ROWS = 512
 
 # Inversion: Newton stops once |G(s) - w| <= _NEWTON_RTOL * w; the count is
 # only a cap for residuals that rounding keeps above that.
@@ -73,12 +77,23 @@ _RATE_SPREAD_MAX = 0.10
 def _gl_partial(fn, a, s):
     """Vectorized 24-node Gauss-Legendre integral of fn over [a_i, s_i].
 
-    The weighted sum is an elementwise product and a per-row reduction, not
-    a BLAS matrix product, whose rounding depends on the batch size: every
-    row gets the same bits whatever else is in the batch.
+    More than _GL_CHUNK_ROWS rows go through fn in chunks of that many,
+    each chunk's sums written into one output array.  The weighted sum is
+    an elementwise product and a per-row reduction, not a BLAS matrix
+    product, whose rounding depends on the batch size: every row gets the
+    same bits whatever else is in the batch or its chunk.
     """
     a = np.asarray(a, dtype=float)
     s = np.asarray(s, dtype=float)
+    if max(a.size, s.size) > _GL_CHUNK_ROWS:
+        a, s = np.broadcast_arrays(a, s)
+        out = np.empty(s.shape)
+        flat_a, flat_s, flat_out = a.reshape(-1), s.reshape(-1), \
+            out.reshape(-1)
+        for i in range(0, flat_out.size, _GL_CHUNK_ROWS):
+            rows = slice(i, i + _GL_CHUNK_ROWS)
+            flat_out[rows] = _gl_partial(fn, flat_a[rows], flat_s[rows])
+        return out
     half = 0.5 * (s - a)
     pts = a[..., None] + half[..., None] * (_GL_NODES + 1.0)
     vals = np.asarray(fn(pts), dtype=float)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singflow import barriers
 from singflow import (BarrierFunction, HorizonError, ParameterError,
                       RegimeError, compute_wave, convex_envelope, h_tail,
                       initial_b1, make_problem, preset_curvature,
@@ -256,9 +257,62 @@ def test_translated_wave_inverts_the_slope_once_per_stratum():
         return profile.wx(x)
 
     bf = translate_wave(dataclasses.replace(profile, wx=counting_wx), spec)
-    verify_inequality(bf, spec, "sub", samples=2000, seed=1)
-    # 32 strata of 63 points fit one block.
-    assert calls == [2016]
+    # 32 strata of 63 points, and of 313 points, fit one block.
+    for samples, sizes in ((2000, [2016]), (10_000, [10_016])):
+        calls.clear()
+        verify_inequality(bf, spec, "sub", samples=samples, seed=1)
+        assert calls == sizes
+
+
+def test_weight_calls_stay_within_one_quadrature_chunk():
+    """Quadrature passes go through the weight at most 512 rows of 24 nodes
+    at a time, also where a wave grid or a verifier block holds thousands
+    of points."""
+    base = _curvature_spec(1.0)
+    sizes = []
+
+    def recorded(s):
+        sizes.append(np.size(s))
+        return base.g.eval(s)
+
+    spec = _spec(base.f, dataclasses.replace(base.g, eval=recorded))
+    profile = compute_wave(spec, n_grid=2048)
+    report = verify_inequality(translate_wave(profile, spec), spec, "sub",
+                               samples=10_000, seed=1)
+    assert report["pass"]
+    assert max(sizes) <= 512 * 24
+
+
+def _block_cases():
+    """(build, spec, side) per family; at seed 396528494 and 1e4 samples the
+    sub_vL case holds a nan stratum."""
+    vl = _p_heat_spec(2.0, 1.0, 0.1)
+    curv = _curvature_spec(0.75)
+    heat = _p_heat_spec(2.0, 0.5, 0.1)
+    wave = _curvature_spec(1.0)
+    return {
+        "sub_uk": (lambda: sub_uk(curv, 150.0), curv, "sub"),
+        "sub_vL": (lambda: sub_vL(vl, 140.27351716378473), vl, "sub"),
+        "super_family": (lambda: super_family(heat, None, 3.0, 1e4), heat,
+                         "super"),
+        "translate_wave": (lambda: translate_wave(compute_wave(wave), wave),
+                           wave, "super"),
+    }
+
+
+@pytest.mark.parametrize("samples", [10_000, 100_000])
+@pytest.mark.parametrize("name", ["sub_uk", "sub_vL", "super_family",
+                                  "translate_wave"])
+def test_reports_do_not_depend_on_the_block_size(name, samples, monkeypatch):
+    """Every stratum is computed on its own, so one stratum per block gives
+    the report of the default blocks."""
+    build, spec, side = _block_cases()[name]
+    default = verify_inequality(build(), spec, side, samples=samples,
+                                seed=396528494)
+    monkeypatch.setattr(barriers, "BLOCK_POINTS", 1)
+    alone = verify_inequality(build(), spec, side, samples=samples,
+                              seed=396528494)
+    assert repr(alone) == repr(default)
 
 
 def _corner(kind, slope=lambda xs, t: np.sign(xs), **kwargs):

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singflow import (InsufficientDataError, ParameterError,
-                      default_gamma_grid, fit_boundary_rate, initial_b1,
-                      make_problem, preset_curvature, residual_values,
-                      scale_sub, scale_super)
+                      fit_boundary_rate, initial_b1, make_problem,
+                      preset_curvature, residual_values, scale_sub,
+                      scale_super)
+from singflow.verify import _default_gamma_grid
 
 
 def _curvature_spec():
@@ -102,11 +103,11 @@ def test_scaling_rejects_bad_lambda():
 
 
 def test_gamma_grid_contains_distinguished_rate():
-    grid = default_gamma_grid(1.5)
+    grid = _default_gamma_grid(1.5)
     assert 1.0 in grid and 0.0 in grid and 5.0 in grid
-    fine = default_gamma_grid(1.6)
+    fine = _default_gamma_grid(1.6)
     assert any(abs(gv - 2.0 / 3.0) < 1e-12 for gv in fine)
-    assert len(default_gamma_grid()) == 21
+    assert len(_default_gamma_grid()) == 21
 
 
 def test_fit_recovers_planted_power():

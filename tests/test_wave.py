@@ -171,6 +171,8 @@ def test_inverse_composes_and_matches_bisection(g):
 @settings(max_examples=30, deadline=None)
 @given(g=_weights())
 def test_inverse_is_batch_independent(g):
+    """G^{-1}, G and H give each point the same bits alone, in small
+    slices and in one batch of more than three 512-row quadrature chunks."""
     table = _TailCorrectedG(g)
     w = _table_points(table)
     full = table.inverse(w)
@@ -179,6 +181,20 @@ def test_inverse_is_batch_independent(g):
     assert sliced.tobytes() == full.tobytes()
     alone = np.array([table.inverse(x) for x in w[::9]])
     assert alone.tobytes() == full[::9].tobytes()
+
+    big = np.concatenate([w, np.linspace(table.cum[0], table.cum[-1],
+                                         1601)[1:-1]])
+    assert big.size > 3 * 512
+    s = np.concatenate([table.inverse(big),
+                        table.s0 * np.array([-10.0, -1.0, 1.0, 10.0])])
+    assert s[:w.size].tobytes() == full.tobytes()
+    for fn in (table.value, table.h_value):
+        whole = fn(s)
+        sliced = np.concatenate([fn(s[i:i + 97])
+                                 for i in range(0, s.size, 97)])
+        assert sliced.tobytes() == whole.tobytes()
+        alone = np.array([fn(x) for x in s[::41]])
+        assert alone.tobytes() == whole[::41].tobytes()
 
 
 def test_inverse_survives_a_sharp_bump():
