@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from types import SimpleNamespace
@@ -621,35 +622,35 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
         return ((two_thirds - xs) * (two_thirds + xs)
                 + two_thirds ** 2 / nu ** 2)
 
-    # C4 certification sweep over (wall distance, exponent).  The exponent
-    # grid top is held at a fixed floor so sweeps for nested nu ranges share
-    # the constant, keeping T strictly monotone in nu.
+    # C4 certification sweep over (exponent, wall distance) in one array
+    # pass, exponents down the rows.  The exponent grid top is held at a
+    # fixed floor so sweeps for nested nu ranges share the constant, keeping
+    # T strictly monotone in nu.
     d_grid = np.logspace(math.log10(C4_D_MIN), math.log10(2.0 / 3.0),
                          C4_D_POINTS)
     l_grid = np.logspace(math.log10(L0),
                          math.log10(max(2.0 * l_max, C4_L_GRID_MIN)),
                          C4_L_POINTS)
+    # Per-exponent factors are Python float powers, since numpy's array pow
+    # may differ from the scalar one in the last bit.
+    ells = l_grid.tolist()
+    l_mu1 = np.array([ln ** (mu + 1.0) for ln in ells])[:, None]
+    l_denom = np.array([ln ** (beta * (1.0 - alpha) * (1.0 + mu))
+                        * (ln + 1.0) ** beta for ln in ells])[:, None]
+    lengths = l_grid[:, None]
     x_of_d = b * (2.0 - d_grid) / 2.0
-    v0x = v0_at(1, x_of_d)
-    v0xx = v0_at(2, x_of_d)
-    ratio_max = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for length in l_grid:
-            vx = (2.0 / b) * length ** (mu + 1.0) \
-                * d_grid ** (-length - 1.0) + v0x
-            vxx = (4.0 / b ** 2) * length ** (mu + 1.0) * (length + 1.0) \
-                * d_grid ** (-length - 2.0) + v0xx
-            weight = np.asarray(spec.g.eval(vx), dtype=float)
-            rhs = np.asarray(spec.f.eval(2.0 * weight * vxx), dtype=float)
-            denom = (length ** (beta * (1.0 - alpha) * (1.0 + mu))
-                     * (length + 1.0) ** beta * np.log(1.0 / d_grid))
-            ratios = rhs * d_grid ** length / denom
-            # Entries past float range have a positive d-exponent (the
-            # closed admissibility condition), so their true value tends
-            # to zero; dropping the non-finite ones is conservative.
-            good = np.isfinite(ratios)
-            if good.any():
-                ratio_max = max(ratio_max, float(np.max(ratios[good])))
+        vx = (2.0 / b) * l_mu1 * d_grid ** (-lengths - 1.0) + v0_at(1, x_of_d)
+        vxx = ((4.0 / b ** 2) * l_mu1 * (lengths + 1.0)
+               * d_grid ** (-lengths - 2.0) + v0_at(2, x_of_d))
+        weight = np.asarray(spec.g.eval(vx.ravel()), dtype=float)
+        rhs = np.asarray(spec.f.eval(2.0 * weight * vxx.ravel()), dtype=float)
+        ratios = (rhs.reshape(vx.shape) * d_grid ** lengths
+                  / (l_denom * np.log(1.0 / d_grid)))
+    # Entries past float range have a positive d-exponent (the closed
+    # admissibility condition), so their true value tends to zero; dropping
+    # the non-finite ones is conservative.
+    ratio_max = float(np.max(ratios[np.isfinite(ratios)], initial=0.0))
     c4 = C4_SAFETY * ratio_max
 
     # Drift constant covering the middle region (time-independent there).
@@ -994,14 +995,16 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
     is 1/(1+delta) for sub_strict(delta) and (1+delta) for
     super_strict(delta), which also requires dt >= -slack (the
     nonnegative-speed form).  Sampling is stratified over 32 time slices
-    and space bins; each slice draws its time, its bins and its kink
-    redraws from its own seeded stream, keeps an exclusion radius of 1e-8
-    around kinks (redrawing at most 60 times, then logging a warning for
-    points still inside it).  The jet then runs on blocks of whole
-    slices of at most BLOCK_POINTS points, (m, n) points against an (m, 1)
-    column of times: one block for 1e4 samples, 11 for 1e5, each small
-    enough that its temporaries stay off freshly mapped pages.  Every slice
-    is computed independently of its block, so the block size never
+    and space bins, from two generators seeded by ``seed`` (a non-negative
+    integer): one draws the 32 slice times and then each block's bins in
+    slice order, the other the kink redraws in slice order.  Points keep
+    an exclusion radius of 1e-8 around kinks (redrawing at most 60 times,
+    then logging a warning for points still inside it).  The jet then runs
+    on blocks of whole slices of at most BLOCK_POINTS points, (m, n)
+    points against an (m, 1) column of times: one block for 1e4 samples,
+    11 for 1e5, each small enough that its temporaries stay off freshly
+    mapped pages.  Every slice is computed independently of its block and
+    a block's draws continue the same stream, so the block size never
     changes a report.  The worst residual is taken per slice and then over
     the slices in order.  Every kink inside the domain gets a one-sided
     slope check at all slice times in one call; it reports the first nan
@@ -1009,8 +1012,11 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
     Time slices run over ``t_window`` (default: up to min(horizon, 1));
     windows beyond the validity horizon raise a horizon error.
     """
-    if samples < 1000:
-        raise ParameterError(f"need at least 1000 samples, got {samples}")
+    for name, value, low in (("samples", samples, 1000), ("seed", seed, 0)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < low):
+            raise ParameterError(
+                f"{name} must be an integer >= {low}, got {value!r}")
     label, factor, orientation, check_dt = _parse_side(side)
 
     hi_default = bf.valid_until
@@ -1033,14 +1039,15 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
         raise ParameterError("barrier domain does not overlap the problem "
                              "domain")
 
-    # Each stratum draws its time, its bins and its kink redraws from its
-    # own stream, in that order.
+    # One stream draws the stratum times, then every stratum's bins in
+    # stratum order, one block at a time; a second serves the kink redraws,
+    # also in stratum order.  A block-sized draw from one stream gives the
+    # same numbers whatever the block split.
     n_t = T_STRATA
     n_x = -(-samples // n_t)
-    rngs = [np.random.default_rng(stream)
-            for stream in np.random.SeedSequence(seed).spawn(n_t)]
-    times = np.array([t_lo + (t_hi - t_lo) * (j + rng.random()) / n_t
-                      for j, rng in enumerate(rngs)])
+    draws, redraws = (np.random.default_rng(stream) for stream
+                      in np.random.SeedSequence(seed).spawn(2))
+    times = t_lo + (t_hi - t_lo) * (np.arange(n_t) + draws.random(n_t)) / n_t
     locs = [np.broadcast_to(np.asarray(loc(times), dtype=float), times.shape)
             for loc, _ in bf.kinks]
 
@@ -1050,13 +1057,12 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
     per_block = max(1, BLOCK_POINTS // n_x)
     for start in range(0, n_t, per_block):
         stop = min(start + per_block, n_t)
-        draws = np.stack([rng.random(n_x) for rng in rngs[start:stop]])
-        block = x_lo + (x_hi - x_lo) * ((np.arange(n_x) + draws) / n_x)
+        block = x_lo + (x_hi - x_lo) * (
+            (np.arange(n_x) + draws.random((stop - start, n_x))) / n_x)
         block_locs = [xk[start:stop, None] for xk in locs]
         for r in np.flatnonzero(_near_kinks(block, block_locs).any(axis=1)):
             _redraw_near_kinks(block[r], [xk[r, 0] for xk in block_locs],
-                               rngs[start + r], x_lo, x_hi,
-                               float(times[start + r]))
+                               redraws, x_lo, x_hi, float(times[start + r]))
         dxv, dxxv, dtv = bf.jet(block, times[start:stop, None])
         dtv = np.asarray(dtv, dtype=float)
         # Barriers may legitimately reach inf near a wall or front; an

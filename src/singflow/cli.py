@@ -274,12 +274,10 @@ def _simple(test, what, norm=None, arg=None, from_flag=None) -> _Kind:
     return _Kind(check, what, arg or {}, from_flag)
 
 
-def _integer(low: Optional[int] = None) -> _Kind:
+def _integer(low: int) -> _Kind:
     return _simple(
-        lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                   and (low is None or v >= low)),
-        "an integer" if low is None else f"an integer >= {low}",
-        arg={"type": int})
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low,
+        f"an integer >= {low}", arg={"type": int})
 
 
 def _choice(options: Tuple[str, ...]) -> _Kind:
@@ -313,7 +311,7 @@ _DEFAULT_U0 = {"class": "B1", "spec": {"kind": "constant", "value": 0.0}}
 _COMMON = (
     ("name", _TEXT, REQUIRED, "--name"),
     ("output_dir", _TEXT, REQUIRED, None),
-    ("seed", _integer(), 0, "--seed"),
+    ("seed", _integer(0), 0, "--seed"),
     ("expect", _simple(lambda v: isinstance(v, dict), "an object"), {}, None),
 )
 _PROBLEM = _COMMON + (

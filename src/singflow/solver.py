@@ -119,8 +119,10 @@ def make_field(b: float, n: int, values, cap: float,
         raise ParameterError(f"half-width must be positive, got {b}")
     if n < 3:
         raise ParameterError(f"need at least 3 interior nodes, got {n}")
-    if cap < 0.0:
-        raise ParameterError(f"cap must be nonnegative, got {cap}")
+    if not (math.isfinite(cap) and cap >= 0.0):
+        raise ParameterError(f"cap must be finite and nonnegative, got {cap}")
+    if cap_minus is not None and not math.isfinite(cap_minus):
+        raise ParameterError(f"cap_minus must be finite, got {cap_minus}")
     nodes = -b + (2.0 * b / (n + 1)) * np.arange(1, n + 1)
     vals = np.asarray(values(nodes) if callable(values) else values,
                       dtype=float).copy()
@@ -211,8 +213,8 @@ def step(fields: Union[GridField, Sequence[GridField]], spec: ProblemSpec,
     """
     one = isinstance(fields, GridField)
     batch = [fields] if one else list(fields)
-    if dt <= 0.0:
-        raise ParameterError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ParameterError(f"dt must be positive and finite, got {dt}")
     if not batch:
         return []
     first = batch[0]
@@ -401,8 +403,8 @@ def solve(spec: ProblemSpec, n: int, cap: float, t_end: float,
     non-finite values on the CFL secants; in the last two cases
     ``blowup_time`` is the time reached.
     """
-    if t_end <= 0.0:
-        raise ParameterError(f"t_end must be positive, got {t_end}")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ParameterError(f"t_end must be positive and finite, got {t_end}")
     field = make_field(spec.b, n, spec.u0.values, cap, cap_minus=cap_minus)
     return _march(spec, [field], t_end, snapshot_times)[0]
 
@@ -466,8 +468,10 @@ def cap_studies(spec: ProblemSpec, n: int, caps: Sequence[float],
     if any(c2 <= c1 for c1, c2 in zip(caps, caps[1:])):
         raise ParameterError("caps must be strictly increasing")
     probes = [(float(x), float(t)) for x, t in probes]
-    if any(not (-spec.b < x < spec.b) or t <= 0.0 for x, t in probes):
-        raise ParameterError("probe must be interior with positive time")
+    if any(not (-spec.b < x < spec.b and 0.0 < t < math.inf)
+           for x, t in probes):
+        raise ParameterError(
+            "probe must be interior with a positive finite time")
 
     fields = [make_field(spec.b, n, spec.u0.values, cap) for cap in caps]
     marched: Dict[float, List[SolveReport]] = {}

@@ -547,6 +547,11 @@ def profile_residuals(profile: WaveProfile, spec: ProblemSpec,
     h = np.maximum(1e-4 * dist, 4.0 * np.finfo(float).eps * np.abs(xs))
     xp = xs + h
     xm = xs - h
-    wxx = (profile.wx(xp) - profile.wx(xm)) / (xp - xm)
+    # One inversion for all three point sets; the inverse is
+    # batch-independent, so the bits equal three separate calls.
+    slope, sp, sm = (part.reshape(xs.shape) for part in np.split(
+        np.asarray(profile.wx(np.concatenate([xs, xp, xm], axis=None)),
+                   dtype=float), 3))
+    wxx = (sp - sm) / (xp - xm)
     q = profile.f_inv_c
-    return np.abs(q - np.asarray(spec.g.eval(profile.wx(xs))) * wxx) / abs(q)
+    return np.abs(q - np.asarray(spec.g.eval(slope)) * wxx) / abs(q)

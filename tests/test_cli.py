@@ -286,8 +286,9 @@ _PSI_B3 = {"class": "B3", "spec": {"kind": "psi", "gamma_plus": 0.5,
 
 # sha256 over the names and bytes of report.json and the CSVs (manifest.json
 # records library versions), recorded before the CLI was driven by one
-# schema table; the verify digest was recorded before the suite's ordered
-# pairs were stepped as one batch.
+# schema table; the barrier_uk, barrier_vL, barrier_super and verify digests
+# were re-recorded when the verifier moved from one seeded stream per
+# stratum to one stream for the times and bins and one for the kink redraws.
 PINNED_ARTIFACTS = {
     "classify_b3": (
         dict(_CURV, experiment="classify", u0=_PSI_B3),
@@ -299,16 +300,16 @@ PINNED_ARTIFACTS = {
     "barrier_uk": (
         dict(_CURV, experiment="barrier", family="uk", k=100.0, samples=2000,
              seed=7),
-        "6401284113fce8c9263baf59336d7bb4d850ac63f71bc854e124b6f4b56439d3"),
+        "38fc5530aeb4e0a7e1740548b6c97bfe0df2a4d8cc88eeb2bd74efac73cfa342"),
     "barrier_vL": (
         dict(_HEAT, experiment="barrier", family="vL", L=100.0, samples=2000,
              seed=5),
-        "aa18915078048b07f001357e775c69976e18e8178c0836471523c74710f035c8"),
+        "8ddc8a22c83755efa1f2d63f27fc9dfdbe69579129246f706bbed2e21183a3b4"),
     "barrier_super": (
         dict(_HEAT, experiment="barrier", family="super",
              params={"p": 2.0, "beta1": 0.5, "eps": 0.1}, L0=3.0, nu=1e4,
              samples=2000, seed=3),
-        "de0ad3acf1904ce4167f2f0634bfe91f5348e2696b1e03b2a1f927c738356369"),
+        "e7fe2dbac0aa14c67c4f30874a2d7c4732ee87e9154614f330e473f8a3def25d"),
     "barrier_h": (
         dict(_CURV, experiment="barrier", family="h", gamma_plus=1.0,
              gamma_minus=0.5, d_plus=2.0, d_minus=1.0, b0=0.6, verify=False),
@@ -327,7 +328,7 @@ PINNED_ARTIFACTS = {
         "66e9215ab6c979bafcbe147a7149f4a17f4f82af845d2c357fbf1960e7260d35"),
     "verify": (
         {"experiment": "verify"},
-        "ad895ec141a73b5463c0ddac89c2f185a28bd42289e7a930aaebc826d3c3b5b4"),
+        "108343db8fbcdb70a73d0d60617ec3c80b87eba4217f057e610a72c6eda4b20a"),
 }
 
 
@@ -475,6 +476,25 @@ def test_non_finite_numbers_exit_1_before_running(tmp_path, capsys,
             "--out", str(tmp_path / "i")]
     assert main(argv) == 1
     assert "<inline>:1: " in capsys.readouterr().err
+
+
+def test_negative_seed_exits_1_before_running(tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.setattr(cli, "verify_inequality", _no_run)
+    doc = dict(_CURV, name="s", experiment="barrier", family="uk", k=100.0,
+               samples=2000, seed=-1, output_dir=str(tmp_path / "s"))
+    path = _scenario(tmp_path, doc)
+    line = 1 + next(i for i, text in enumerate(path.read_text().splitlines())
+                    if '"seed":' in text)
+    assert main(["barrier", "--scenario", str(path)]) == 1
+    assert (f"{path}:{line}: 'seed' must be an integer >= 0"
+            in capsys.readouterr().err)
+    assert main(["barrier", "--preset", "curvature", "--param", "beta2=1",
+                 "--family", "uk", "--k", "100", "--seed=-1",
+                 "--out", str(tmp_path / "i")]) == 1
+    assert ("<inline>:1: 'seed' must be an integer >= 0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "s").exists() and not (tmp_path / "i").exists()
 
 
 @pytest.mark.parametrize("field,value", [("preset", "curvature"),

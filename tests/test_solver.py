@@ -144,6 +144,44 @@ def test_solve_validation():
         solve(spec, 60, 2.0, 0.0)
 
 
+_NAN, _INF = float("nan"), float("inf")
+_FLAT = np.zeros(9)
+
+
+def _field():
+    return make_field(1.0, 9, _FLAT, cap=2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: solve(spec, 10, 2.0, _INF),
+    lambda spec: solve(spec, 10, 2.0, _NAN),
+    lambda spec: solve(spec, 10, _INF, 0.01),
+    lambda spec: solve(spec, 10, _NAN, 0.01),
+    lambda spec: solve(spec, 10, 2.0, 0.01, cap_minus=_NAN),
+    lambda spec: solve(spec, 10, 2.0, 0.01, cap_minus=-_INF),
+    lambda spec: cap_study(spec, 10, [2.0, 4.0, 8.0, 16.0], (0.0, _NAN)),
+    lambda spec: cap_study(spec, 10, [2.0, 4.0, 8.0, 16.0], (0.0, _INF)),
+    lambda spec: cap_study(spec, 10, [2.0, 4.0, 8.0, _INF], (0.0, 0.01)),
+    lambda spec: step(_field(), spec, _NAN),
+    lambda spec: step(_field(), spec, _INF),
+    lambda spec: make_field(1.0, 9, _FLAT, cap=_INF),
+    lambda spec: make_field(1.0, 9, _FLAT, cap=2.0, cap_minus=_INF),
+], ids=["solve-t_end-inf", "solve-t_end-nan", "solve-cap-inf",
+        "solve-cap-nan", "solve-cap_minus-nan", "solve-cap_minus-inf",
+        "cap_study-probe-nan", "cap_study-probe-inf", "cap_study-cap-inf",
+        "step-dt-nan", "step-dt-inf", "make_field-cap-inf",
+        "make_field-cap_minus-inf"])
+def test_non_finite_inputs_raise_before_marching(call, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("marched on a non-finite input")
+
+    spec = _curvature_spec()
+    monkeypatch.setattr(solver, "_march", no_run)
+    monkeypatch.setattr(solver, "_kernel", no_run)
+    with pytest.raises(ParameterError):
+        call(spec)
+
+
 # ---------------------------------------------------------------------------
 # boundary-rate fitting on final states
 # ---------------------------------------------------------------------------

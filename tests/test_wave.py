@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -81,6 +82,35 @@ def test_residuals_small_and_refinement_monotone():
     res_fine = np.max(profile_residuals(fine, spec, check_points(fine)))
     assert res_coarse < 1e-6
     assert res_fine <= res_coarse
+
+
+def _three_call_residuals(profile, spec, xs):
+    """profile_residuals as it was written with one inversion per point
+    set, kept as the reference for the one-call version."""
+    dist = np.minimum(profile.b - xs, profile.b + xs)
+    h = np.maximum(1e-4 * dist, 4.0 * EPS * np.abs(xs))
+    xp, xm = xs + h, xs - h
+    wxx = (profile.wx(xp) - profile.wx(xm)) / (xp - xm)
+    q = profile.f_inv_c
+    return np.abs(q - np.asarray(spec.g.eval(profile.wx(xs))) * wxx) / abs(q)
+
+
+@pytest.mark.parametrize("beta2,b", [(1.0, HALF_PI), (0.8, 1.3)])
+def test_residuals_invert_the_slope_once(beta2, b):
+    spec = _spec(beta2, b=b)
+    profile = compute_wave(spec)
+    xs = check_points(profile)
+    calls = []
+
+    def counting_wx(x):
+        calls.append(np.size(x))
+        return profile.wx(x)
+
+    counted = dataclasses.replace(profile, wx=counting_wx)
+    res = profile_residuals(counted, spec, xs)
+    assert calls == [3 * xs.size]
+    assert res.tobytes() == _three_call_residuals(profile, spec,
+                                                  xs).tobytes()
 
 
 def test_divergence_rate_log_branch():
