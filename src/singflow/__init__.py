@@ -38,7 +38,7 @@ from .barriers import (BarrierFunction, SuperFamilyParams, convex_envelope,
                        h_tail, sub_uk, sub_vL, super_family, super_mu,
                        translate_wave, verify_inequality)
 from .solver import (CapStudy, GridField, SolveReport, cap_studies, cap_study,
-                     cfl_limit, make_field, solve, step)
+                     cfl_limit, make_field, march_ordered, solve, step)
 from .verify import fit_boundary_rate, residual_values, scale_sub, scale_super
 from .suite import run_suite
 
@@ -65,7 +65,7 @@ __all__ = [
     "verify_inequality",
     # solver
     "GridField", "SolveReport", "CapStudy", "make_field", "cfl_limit",
-    "step", "solve", "cap_study", "cap_studies",
+    "step", "march_ordered", "solve", "cap_study", "cap_studies",
     # verify
     "residual_values", "scale_super", "scale_sub",
     "fit_boundary_rate",

@@ -17,12 +17,12 @@ order-preserving for sublinear f (growth rate beta < 1): the unit secant
 floor understates f' near zero curvature, and ordered pairs a small gap
 apart (1e-3 and below) swap order by up to about 1e-5 within 50 steps.  An
 implicit monotone step is the pending fix.  The tests check the maximum
-principle and that ordered pairs at least 0.05 apart stay ordered.
+principle and, through `march_ordered`, that ordered pairs at least 0.05
+apart stay ordered.
 
 One kernel evaluates the scheme on a batch of ghost-padded rows on one grid;
-`cfl_limit` runs it on one row, `step` on one field or on a sequence of
-fields (one call updates them all, each row checked against its own CFL
-bound), and `solve` and `cap_study` march through `_march`.
+`cfl_limit` and `step` run it on one row, `solve` and `cap_study` march
+through `_march`, and `march_ordered` marches ordered pairs in lockstep.
 
 `_march` keeps two ghost-padded state buffers and writes each step's
 update into the idle one, then swaps them.  A step on which every row stays
@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +58,8 @@ BLOWUP_VALUE = 1.0e12
 DT_FLOOR = 1.0e-14
 # A row has reached a stop t once its time is at least t * (1 - STOP_RTOL).
 STOP_RTOL = 1.0e-12
+# A pair in `march_ordered` steps this share of its two rows' CFL limits.
+ORDERED_SAFETY = 0.9
 
 # Boundary-rate fits use unclamped nodes with wall distance in
 # [RATE_DIST_INNER * dx, RATE_DIST_OUTER * b].
@@ -202,44 +204,76 @@ def cfl_limit(field: GridField, spec: ProblemSpec) -> float:
                          with_rate=False)[0][0])
 
 
-def step(fields: Union[GridField, Sequence[GridField]], spec: ProblemSpec,
-         dt: float) -> Union[GridField, List[GridField]]:
-    """One explicit update of a field, or of a sequence of fields on one
-    grid; rejects steps beyond the CFL bound.
-
-    A sequence is updated by one kernel call and comes back as a list, each
-    field bit for bit what its own one-field step gives; dt is checked
-    against every field's bound, and an error then names the field's index.
-    """
-    one = isinstance(fields, GridField)
-    batch = [fields] if one else list(fields)
+def step(field: GridField, spec: ProblemSpec, dt: float) -> GridField:
+    """One explicit update of a field; rejects steps beyond the CFL bound."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ParameterError(f"dt must be positive and finite, got {dt}")
-    if not batch:
-        return []
-    first = batch[0]
-    if not one and any((fld.b, fld.n) != (first.b, first.n)
-                       for fld in batch):
-        raise ParameterError("fields of one step must share one grid")
-    u = _padded(batch)
-    limit, rate = _kernel(u, first.dx, spec)
-    for k, lim in enumerate(limit.tolist()):
-        if dt > lim * (1.0 + 1e-9):
-            raise StepSizeError(
-                f"dt = {dt:.3g} exceeds the stability limit {lim:.3g}"
-                + ("" if one else f" in field {k}"))
-    new = u[:, 1:-1] + dt * rate
+    u = _padded([field])
+    limit, rate = _kernel(u, field.dx, spec)
+    if dt > limit[0] * (1.0 + 1e-9):
+        raise StepSizeError(
+            f"dt = {dt:.3g} exceeds the stability limit {limit[0]:.3g}")
+    new = u[0, 1:-1] + dt * rate[0]
     if not np.isfinite(new).all():
-        k, node = (int(i) for i in np.argwhere(~np.isfinite(new))[0])
-        fld = batch[k]
+        node = int(np.flatnonzero(~np.isfinite(new))[0])
         raise SolverOverflowError(
-            f"non-finite value at node {node} (x = {fld.nodes[node]:.6g}) "
-            f"at t = {fld.time + dt:.6g}" + ("" if one else f" in field {k}"),
-            node=node, time=fld.time + dt)
-    out = [GridField(b=fld.b, n=fld.n, values=vals, cap=fld.cap,
-                     time=fld.time + dt, cap_minus=fld.cap_minus)
-           for fld, vals in zip(batch, new)]
-    return out[0] if one else out
+            f"non-finite value at node {node} (x = {field.nodes[node]:.6g}) "
+            f"at t = {field.time + dt:.6g}", node=node, time=field.time + dt)
+    return replace(field, values=new, time=field.time + dt)
+
+
+def march_ordered(spec: ProblemSpec, lows: Sequence[GridField],
+                  highs: Sequence[GridField], t_end: float
+                  ) -> Tuple[List[GridField], List[GridField], np.ndarray]:
+    """March ordered pairs (lows[k], highs[k]) on one grid in lockstep.
+
+    One kernel call a step serves every pair; pair k steps 0.9 times the
+    smaller CFL limit of its two rows, clipped at t_end, and leaves the
+    batch at t_end, bit for bit the loop of `cfl_limit` and `step` calls on
+    it alone.  Returns the final lows and highs and each pair's largest
+    excess max(low - high) after any step (-inf if it takes none).  A CFL
+    step below 1e-14 or nan raises StepSizeError, a non-finite update
+    SolverOverflowError; both name the pair.
+    """
+    fields, m = [*lows, *highs], len(lows)
+    if m != len(highs) or len({(fld.b, fld.n) for fld in fields}) > 1 or any(
+            lo.time != hi.time for lo, hi in zip(lows, highs)):
+        raise ParameterError("pairs need one grid and a start time per pair")
+    if not math.isfinite(t_end):
+        raise ParameterError(f"t_end must be finite, got {t_end}")
+    if not m:
+        return [], [], np.empty(0)
+    u = _padded(fields)
+    time = np.array([lo.time for lo in lows], dtype=float)
+    excess = np.full(m, -math.inf)
+    live = np.flatnonzero(time < t_end)
+    while live.size:
+        rows, now, h = np.concatenate([live, live + m]), time[live], live.size
+        limit, rate = _kernel(u[rows], fields[0].dx, spec)
+        stalled = np.flatnonzero(~(limit >= DT_FLOOR))
+        if stalled.size:
+            i = stalled[0]
+            raise StepSizeError(f"CFL step of pair {live[i % h]} collapsed to "
+                                f"{limit[i]:.3g} at t = {now[i % h]:.6g}")
+        dt = np.minimum(ORDERED_SAFETY * np.minimum(limit[:h], limit[h:]),
+                        t_end - now)
+        later = now + dt
+        new = u[rows, 1:-1] + np.concatenate([dt, dt])[:, None] * rate
+        bad = np.argwhere(~np.isfinite(new))
+        if bad.size:
+            (i, node), side = bad[0], ("low", "high")[bad[0][0] // h]
+            raise SolverOverflowError(
+                f"non-finite value at node {node} at t = {later[i % h]:.6g} "
+                f"in the {side} field of pair {live[i % h]}",
+                node=int(node), time=float(later[i % h]))
+        u[rows, 1:-1] = new
+        excess[live] = np.maximum(excess[live],
+                                  np.max(new[:h] - new[h:], axis=1))
+        time[live] = later
+        live = live[later < t_end]
+    out = [replace(fld, values=row[1:-1].copy(), time=float(time[i % m]))
+           for i, (fld, row) in enumerate(zip(fields, u))]
+    return out[:m], out[m:], excess
 
 
 def _fit_rates(field: GridField, spec: ProblemSpec):
@@ -271,13 +305,12 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
     finishes or diverges is copied out and the batch is compacted then.
     Snapshot times within the stop tolerance of an earlier requested time
     (their mark at or below it) share its stop; every requested time gets
-    its own snapshot.
+    its own snapshot.  Snapshot times must lie in [0, t_end].
     """
     if not fields:
         return []
     b, n, dx = fields[0].b, fields[0].n, fields[0].dx
-    wanted = sorted(t for t in map(float, snapshot_times or ())
-                    if 0.0 <= t <= t_end)
+    wanted = sorted(map(float, snapshot_times or ()))
     # Requested times per stop; times 0.0 are snapshotted at the start.
     groups: List[List[float]] = []
     for t in wanted:
@@ -401,10 +434,14 @@ def solve(spec: ProblemSpec, n: int, cap: float, t_end: float,
     A run is flagged ``diverged`` when a node passes 1e12, a value leaves
     the float range, the CFL step collapses below 1e-14, or f returns
     non-finite values on the CFL secants; in the last two cases
-    ``blowup_time`` is the time reached.
+    ``blowup_time`` is the time reached.  Snapshot times outside [0, t_end],
+    nan included, raise ParameterError.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ParameterError(f"t_end must be positive and finite, got {t_end}")
+    if not all(0.0 <= float(t) <= t_end for t in snapshot_times or ()):
+        raise ParameterError(
+            f"snapshot times must lie in [0, t_end = {t_end:g}]")
     field = make_field(spec.b, n, spec.u0.values, cap, cap_minus=cap_minus)
     return _march(spec, [field], t_end, snapshot_times)[0]
 

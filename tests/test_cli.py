@@ -576,6 +576,13 @@ def test_dash_leading_values_are_values(monkeypatch, flags, key, value):
     assert scn[key] == value
 
 
+def test_snapshot_past_t_end_exits_1(tmp_path, capsys):
+    assert main(["solve", "--preset", "curvature", "--param", "beta2=1",
+                 "--n", "10", "--cap", "2", "--t-end", "0.01", "--snapshots",
+                 "0.005,0.02", "--out", str(tmp_path)]) == 1
+    assert "snapshot times must lie in [0, t_end" in capsys.readouterr().err
+
+
 def test_dash_leading_solve_values(monkeypatch, capsys):
     base = ["solve", "--preset", "curvature", "--param", "beta2=1", "--n",
             "50", "--t-end", "0.01"]

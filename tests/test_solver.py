@@ -11,8 +11,8 @@ import pytest
 
 from singflow import (ParameterError, SolverOverflowError, StepSizeError,
                       cap_studies, cap_study, cfl_limit, initial_b1,
-                      initial_b3, make_field, make_problem, preset_curvature,
-                      preset_p_heat, psi, solve, step)
+                      initial_b3, make_field, make_problem, march_ordered,
+                      preset_curvature, preset_p_heat, psi, solve, step)
 from singflow import solver
 from singflow.solver import _kernel, _march, _padded, _probe_value
 
@@ -96,17 +96,48 @@ def test_cfl_limit_equals_the_step_kernel_limit(fg):
         assert cfl_limit(field, spec) == float(limit[0])
 
 
-def test_lockstep_comparison_preserves_order():
-    spec = _curvature_spec()
-    lo = make_field(1.0, 100, lambda x: -0.5 + 0.2 * np.cos(3.0 * x), 4.0)
-    hi = make_field(1.0, 100, lambda x: 0.1 + 0.3 * np.sin(2.0 * x) ** 2, 4.0)
-    t_end = 0.02
+def _lockstep(spec, lo, hi, t_end):
+    """march_ordered's reference: cfl_limit and step calls on one pair."""
+    excess = -np.inf
     while lo.time < t_end:
         dt = 0.9 * min(cfl_limit(lo, spec), cfl_limit(hi, spec))
         dt = min(dt, t_end - lo.time)
-        lo = step(lo, spec, dt)
-        hi = step(hi, spec, dt)
-        assert np.all(lo.values <= hi.values + 1e-12)
+        lo, hi = step(lo, spec, dt), step(hi, spec, dt)
+        excess = max(excess, float(np.max(lo.values - hi.values)))
+    return lo, hi, excess
+
+
+def test_lockstep_comparison_preserves_order():
+    """march_ordered equals the per-call loop bit for bit, on pairs with
+    their own caps, a left cap and a later start time."""
+    low = lambda x: -0.5 + 0.2 * np.cos(3.0 * x)          # noqa: E731
+    high = lambda x: 0.1 + 0.3 * np.sin(2.0 * x) ** 2     # noqa: E731
+    pairs = [(make_field(1.0, 100, low, cap, cap_minus=minus, time=time),
+              make_field(1.0, 100, high, 2.0 * cap, time=time))
+             for cap, minus, time in ((4.0, None, 0.0), (1.0, -2.0, 0.005),
+                                      (20.0, 3.0, 0.0))]
+    for fg in (preset_curvature(0.6), preset_curvature(1.0),
+               preset_p_heat(2.0, 1.0, 0.1)):
+        spec = make_problem(1.0, *fg, _flat())
+        got = march_ordered(spec, *zip(*pairs), 0.01)
+        for lo, hi, excess, pair in zip(*got, pairs):
+            want = _lockstep(spec, *pair, 0.01)
+            states = [(fld.values.tobytes(), fld.time, fld.cap,
+                       fld.cap_minus) for fld in (lo, hi, *want[:2])]
+            assert states[:2] == states[2:]
+            assert excess == want[2] <= 1e-12
+
+
+def test_march_ordered_validation():
+    spec, lo = _curvature_spec(), _field()
+    for highs in ([lo, lo], [make_field(2.0, 9, _FLAT, 2.0)],
+                  [make_field(1.0, 10, np.zeros(10), 2.0)],
+                  [dataclasses.replace(lo, time=0.001)]):
+        with pytest.raises(ParameterError):
+            march_ordered(spec, [lo], highs, 0.01)
+    assert march_ordered(spec, [], [], 0.01)[:2] == ([], [])
+    at_int_zero = dataclasses.replace(lo, time=0)
+    assert march_ordered(spec, [at_int_zero], [lo], 1e-4)[1][0].time == 1e-4
 
 
 def test_odd_data_stay_odd():
@@ -162,14 +193,20 @@ def _field():
     lambda spec: cap_study(spec, 10, [2.0, 4.0, 8.0, 16.0], (0.0, _NAN)),
     lambda spec: cap_study(spec, 10, [2.0, 4.0, 8.0, 16.0], (0.0, _INF)),
     lambda spec: cap_study(spec, 10, [2.0, 4.0, 8.0, _INF], (0.0, 0.01)),
+    lambda spec: solve(spec, 10, 2.0, 0.01, snapshot_times=[_NAN, 0.005]),
+    lambda spec: solve(spec, 10, 2.0, 0.01, snapshot_times=[0.005, 0.02]),
     lambda spec: step(_field(), spec, _NAN),
     lambda spec: step(_field(), spec, _INF),
+    lambda spec: march_ordered(spec, [_field()], [_field()], _NAN),
+    lambda spec: march_ordered(spec, [_field()], [_field()], _INF),
     lambda spec: make_field(1.0, 9, _FLAT, cap=_INF),
     lambda spec: make_field(1.0, 9, _FLAT, cap=2.0, cap_minus=_INF),
 ], ids=["solve-t_end-inf", "solve-t_end-nan", "solve-cap-inf",
         "solve-cap-nan", "solve-cap_minus-nan", "solve-cap_minus-inf",
         "cap_study-probe-nan", "cap_study-probe-inf", "cap_study-cap-inf",
-        "step-dt-nan", "step-dt-inf", "make_field-cap-inf",
+        "solve-snapshot-nan", "solve-snapshot-past-t_end", "step-dt-nan",
+        "step-dt-inf", "march_ordered-t_end-nan", "march_ordered-t_end-inf",
+        "make_field-cap-inf",
         "make_field-cap_minus-inf"])
 def test_non_finite_inputs_raise_before_marching(call, monkeypatch):
     def no_run(*args, **kwargs):
@@ -346,7 +383,7 @@ def test_march_retires_a_row_whose_update_alone_turns_minus_inf():
     """f is -inf on a band that the spike's update argument hits and no
     secant argument does, so the CFL step stays finite and only the update
     leaves the float range: that row ends on its first step, the others go
-    on as if marched alone."""
+    on as if marched alone; march_ordered raises, naming the pair."""
     n = 30
     dx = 2.0 / (n + 1)
     smooth = initial_b1(lambda x: 0.2 * np.cos(0.5 * np.pi * np.asarray(x)))
@@ -375,6 +412,11 @@ def test_march_retires_a_row_whose_update_alone_turns_minus_inf():
     for report, cap in zip(reports[::2], (2.0, 4.0)):
         _assert_same_report(report, solve(spec, n, cap, 0.01))
         assert report.dt_history["n_steps"] == 11.0
+    with pytest.raises(SolverOverflowError) as err:
+        march_ordered(spec, fields[:2], [fields[2], fields[1]], 0.01)
+    assert (err.value.node, err.value.time) == (n // 2,
+                                                0.9 * gone.blowup_time)
+    assert str(err.value).endswith("in the low field of pair 1")
 
 
 def test_repeated_snapshot_time_is_one_stop():
@@ -406,37 +448,8 @@ def test_snapshot_times_within_the_stop_tolerance_share_a_stop():
 
 
 # ---------------------------------------------------------------------------
-# batched step
+# step and march errors
 # ---------------------------------------------------------------------------
-
-
-def _batch_fields(n=40):
-    rng = np.random.default_rng(3)
-    return [make_field(1.0, n, cap * rng.random(n) ** 2, cap,
-                       cap_minus=cap_minus, time=time)
-            for cap, cap_minus, time in ((1.0, None, 0.0), (4.0, -2.0, 0.5),
-                                         (20.0, 3.0, 0.0), (2.0, None, 1.0))]
-
-
-@pytest.mark.parametrize("fg", [preset_curvature(0.6), preset_curvature(1.0),
-                                preset_p_heat(2.0, 2.0, 0.1)],
-                         ids=["curvature(0.6)", "curvature(1)",
-                              "p_heat(2,2,0.1)"])
-def test_batch_step_equals_per_field_steps(fg):
-    spec = make_problem(1.0, *fg, _flat())
-    fields = _batch_fields()
-    batch = list(fields)
-    for _ in range(5):
-        dt = 0.5 * min(cfl_limit(fld, spec) for fld in fields)
-        batch = step(batch, spec, dt)
-        fields = [step(fld, spec, dt) for fld in fields]
-        assert isinstance(batch, list) and len(batch) == len(fields)
-        for got, want in zip(batch, fields):
-            assert got.values.tobytes() == want.values.tobytes()
-            assert (got.time, got.cap, got.cap_minus, got.b, got.n) == (
-                want.time, want.cap, want.cap_minus, want.b, want.n)
-    assert isinstance(step(fields[0], spec, dt), solver.GridField)
-    assert step([], spec, dt) == []
 
 
 def test_batch_step_names_the_field_that_fails():
@@ -444,31 +457,20 @@ def test_batch_step_names_the_field_that_fails():
     calm = make_field(1.0, 30, np.zeros(30), 1.0)
     steep = make_field(1.0, 30, np.zeros(30), 100.0)
     dt = (cfl_limit(calm, spec) * cfl_limit(steep, spec)) ** 0.5
-    with pytest.raises(StepSizeError) as alone:
+    with pytest.raises(StepSizeError, match="exceeds the stability limit"):
         step(steep, spec, dt)
-    with pytest.raises(StepSizeError) as batch:
-        step([calm, steep, calm], spec, dt)
-    assert str(batch.value) == str(alone.value) + " in field 1"
 
     spiked = np.zeros(30)
-    spiked[12] = 1e307          # the curvature there overflows to -inf
+    spiked[12] = 1e307          # curvatures overflow there and at the walls
     bad = make_field(1.0, 30, spiked, 1e307)
     dt = 0.5 * cfl_limit(calm, spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SolverOverflowError) as alone:
+        with pytest.raises(SolverOverflowError, match="at node 0 ") as err:
             step(bad, spec, dt)
-        with pytest.raises(SolverOverflowError) as batch:
-            step([calm, calm, bad], spec, dt)
-    assert str(batch.value) == str(alone.value) + " in field 2"
-    assert (batch.value.node, batch.value.time) == (alone.value.node,
-                                                    alone.value.time)
-
-
-def test_batch_step_needs_one_grid():
-    spec = _curvature_spec()
-    with pytest.raises(ParameterError):
-        step([make_field(1.0, 20, np.zeros(20), 1.0),
-              make_field(1.0, 30, np.zeros(30), 1.0)], spec, 1e-6)
+        assert (err.value.node, err.value.time) == (0, dt)
+        # its CFL step is nan, so the pair cannot step at all
+        with pytest.raises(StepSizeError, match="pair 1 collapsed to nan"):
+            march_ordered(spec, [calm, calm], [calm, bad], 0.01)
 
 
 # ---------------------------------------------------------------------------
