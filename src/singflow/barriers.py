@@ -883,17 +883,13 @@ def translate_wave(profile: WaveProfile, spec: ProblemSpec,
 # ---------------------------------------------------------------------------
 
 
-def _parse_side(side) -> Tuple[str, float, int, bool]:
+def _parse_side(side: str) -> Tuple[str, float, int, bool]:
     """Return (label, factor, orientation, check_dt_sign)."""
-    if isinstance(side, (tuple, list)) and len(side) == 2:
-        name, delta = str(side[0]).strip(), float(side[1])
-        side = f"{name}({delta:g})" if name.endswith("_strict") else name
-    else:
-        name, delta = str(side).strip(), None
-        m = _SIDE_PATTERN.match(name)
-        if m:
-            name = m.group(1) + "_strict"
-            delta = float(m.group(2))
+    name, delta = str(side).strip(), None
+    m = _SIDE_PATTERN.match(name)
+    if m:
+        name = m.group(1) + "_strict"
+        delta = float(m.group(2))
     if name == "sub":
         return "sub", 1.0, -1, False
     if name == "super":

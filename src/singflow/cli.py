@@ -11,7 +11,13 @@ any error; scenario schema violations are reported with file and line.
 `SCHEMA` lists each experiment's fields as rows ``(key, kind, default,
 flag)``.  The rows alone decide which keys a scenario may hold, how each
 field is checked and normalized, which flags a subcommand has, and how the
-inline document is built from those flags.
+inline document is built from those flags.  Four more tables declare the
+scenario vocabulary, one row per name, and validation, flag help and
+problem assembly all read them: `PRESETS` (constructor and parameter names)
+at the top of the module, `U0_KINDS` (allowed classes, fields and value
+function of each datum kind) and `FAMILIES` (keys, default side and
+constructor of each barrier family) just before `SCHEMA`, and `_RUNNERS`
+(runner and help text of each experiment) after the runners.
 
 Reruns of the same scenario file write bit-identical artifacts: seeds are
 fixed, reductions are deterministic, and no timestamps or timings are
@@ -37,8 +43,8 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from . import __version__
-from .barriers import (BarrierFunction, h_tail, scalar_params, sub_uk, sub_vL,
-                       super_family, verify_inequality)
+from .barriers import (h_tail, scalar_params, sub_uk, sub_vL, super_family,
+                       verify_inequality)
 from .errors import ScenarioError, SingflowError
 from .model import (ProblemSpec, initial_b1, initial_b2, initial_b3,
                     make_problem, preset_curvature, preset_p_heat, psi,
@@ -55,10 +61,13 @@ EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_FAIL = 2
 
-PRESETS = ("p_heat", "curvature")
-PRESET_PARAMS = {"p_heat": ("p", "beta1", "eps"), "curvature": ("beta2",)}
+# Each preset's constructor and its parameter names in argument order; the
+# optional `f_beta` of any preset replaces f by `signed_power(f_beta)`.
+PRESETS = {
+    "p_heat": (preset_p_heat, ("p", "beta1", "eps")),
+    "curvature": (preset_curvature, ("beta2",)),
+}
 OPTIONAL_PARAMS = ("f_beta",)
-U0_KINDS = ("constant", "poly", "psi", "wave")
 
 DEFAULT_B = 1.0
 DEFAULT_N_GRID = 512
@@ -109,54 +118,29 @@ def _validate_u0(doc, key, path, raw) -> Dict:
         raise _schema_error(path, raw, "class",
                             "u0.class must be one of B1, B2, B3")
     spec = u0.get("spec")
-    if not isinstance(spec, dict) or spec.get("kind") not in U0_KINDS:
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in U0_KINDS:
         raise _schema_error(
             path, raw, "spec",
-            f"u0.spec must be an object with kind in {U0_KINDS}")
-    kind = spec["kind"]
-    if kind == "constant":
-        if not _is_number(spec.get("value")):
-            raise _schema_error(path, raw, "value",
-                                "constant datum needs a numeric 'value'")
-        if klass != "B1":
-            raise _schema_error(path, raw, "class",
-                                "a constant datum is bounded; use class B1")
-        out = {"kind": "constant", "value": float(spec["value"])}
-    elif kind == "poly":
-        coeffs = spec.get("coeffs")
-        if not coeffs or not _is_numbers(coeffs):
-            raise _schema_error(path, raw, "coeffs",
-                                "poly datum needs a numeric 'coeffs' list")
-        if klass != "B1":
-            raise _schema_error(path, raw, "class",
-                                "a polynomial datum is bounded; use class B1")
-        out = {"kind": "poly", "coeffs": _floats(coeffs)}
-    elif kind == "psi":
-        out = {"kind": "psi"}
-        for name in ("gamma_plus", "gamma_minus", "d_plus", "d_minus"):
-            if not _is_number(spec.get(name)):
-                raise _schema_error(path, raw, "spec",
-                                    f"psi datum needs numeric '{name}'")
-            out[name] = float(spec[name])
-        out["offset"] = (float(spec["offset"])
-                         if _is_number(spec.get("offset")) else 0.0)
-        if klass == "B1":
-            raise _schema_error(path, raw, "class",
-                                "a psi datum diverges; use class B2 or B3")
-        if klass == "B2" and out["gamma_plus"] != out["gamma_minus"]:
-            raise _schema_error(
-                path, raw, "gamma_minus",
-                "class B2 needs one shared rate; set gamma_plus = "
-                "gamma_minus or use class B3")
-    else:
-        if klass != "B1":
-            raise _schema_error(path, raw, "class",
-                                "a clamped wave datum is bounded; "
-                                "use class B1")
-        if not _is_number(spec.get("clamp")):
-            raise _schema_error(path, raw, "clamp",
-                                "wave datum needs a numeric 'clamp' level")
-        out = {"kind": "wave", "clamp": float(spec["clamp"])}
+            f"u0.spec must be an object with kind in {', '.join(U0_KINDS)}")
+    datum = U0_KINDS[kind]
+    out = {"kind": kind}
+    for name, field, default in datum.fields:
+        if spec.get(name) is not None:
+            out[name] = field.check(spec, name, path, raw)
+        elif default is REQUIRED:
+            raise _schema_error(path, raw, "spec", f"{kind} datum needs "
+                                f"'{name}', {field.what}")
+        else:
+            out[name] = default
+    if klass not in datum.classes:
+        raise _schema_error(path, raw, "class", f"{datum.nature}; use class "
+                            f"{' or '.join(datum.classes)}")
+    if klass == "B2" and out["gamma_plus"] != out["gamma_minus"]:
+        raise _schema_error(
+            path, raw, "gamma_minus",
+            "class B2 needs one shared rate; set gamma_plus = "
+            "gamma_minus or use class B3")
     return {"class": klass, "spec": out}
 
 
@@ -164,7 +148,8 @@ def _validate_params(doc, key, path, raw) -> Dict[str, float]:
     params, preset = doc[key], doc["preset"]
     if not isinstance(params, dict):
         raise _schema_error(path, raw, "params", "'params' must be an object")
-    known = PRESET_PARAMS[preset] + OPTIONAL_PARAMS
+    needed = PRESETS[preset][1]
+    known = needed + OPTIONAL_PARAMS
     for name, value in params.items():
         if name not in known:
             raise _schema_error(path, raw, name,
@@ -173,7 +158,7 @@ def _validate_params(doc, key, path, raw) -> Dict[str, float]:
         if not _is_number(value):
             raise _schema_error(path, raw, name,
                                 f"parameter '{name}' must be a finite number")
-    missing = [k for k in PRESET_PARAMS[preset] if k not in params]
+    missing = [k for k in needed if k not in params]
     if missing:
         raise _schema_error(path, raw, "params",
                             f"preset '{preset}' needs parameters "
@@ -300,12 +285,82 @@ _PROBES = _Kind(_validate_probes, "[x, t] as X,T, or a bare X probed at "
                 _parse_probes, whole_doc=True)
 
 # Markers for the default column.  A BY_FAMILY field is required when the
-# barrier family lists it in FAMILY_KEYS and refused otherwise; an AUXILIARY
+# barrier family lists it in FAMILIES and refused otherwise; an AUXILIARY
 # field is read by another field's check and never stored in the normalized
 # scenario.
 REQUIRED = "required"
 BY_FAMILY = "by family"
 AUXILIARY = "auxiliary"
+
+
+class _Datum(NamedTuple):
+    """One initial-datum kind of `U0_KINDS`."""
+
+    classes: Tuple[str, ...]  # the classes it may declare
+    nature: str  # why other classes are refused
+    fields: Tuple  # rows (name, kind, default) of its spec
+    values: Callable  # (normalized spec, b, f, g) -> values on (-b, b)
+
+
+def _constant(d, b, f, g):
+    return lambda x: np.full_like(np.asarray(x, dtype=float), d["value"])
+
+
+def _poly(d, b, f, g):
+    poly = np.polynomial.Polynomial(d["coeffs"])
+    return lambda x: poly(np.asarray(x, dtype=float))
+
+
+_PSI_FIELDS = ("gamma_plus", "gamma_minus", "d_plus", "d_minus")
+
+
+def _psi(d, b, f, g):
+    gp, gm, dp, dm = (d[name] for name in _PSI_FIELDS)
+
+    def values(x):
+        xs = np.asarray(x, dtype=float)
+        return dp * psi(gp, b - xs) + dm * psi(gm, b + xs) + d["offset"]
+    return values
+
+
+def _clamped_wave(d, b, f, g):
+    flat = initial_b1(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    w = compute_wave(make_problem(b, f, g, flat)).w
+    return lambda x: np.minimum(
+        np.asarray(w(np.asarray(x, dtype=float)), dtype=float), d["clamp"])
+
+
+U0_KINDS = {
+    "constant": _Datum(("B1",), "a constant datum is bounded",
+                       (("value", _NUMBER, REQUIRED),), _constant),
+    "poly": _Datum(("B1",), "a polynomial datum is bounded",
+                   (("coeffs", _simple(lambda v: _is_numbers(v) and v != [],
+                                       "a non-empty list of numbers", _floats),
+                     REQUIRED),), _poly),
+    "psi": _Datum(("B2", "B3"), "a psi datum diverges",
+                  tuple((name, _NUMBER, REQUIRED) for name in _PSI_FIELDS)
+                  + (("offset", _NUMBER, 0.0),), _psi),
+    "wave": _Datum(("B1",), "a clamped wave datum is bounded",
+                   (("clamp", _NUMBER, REQUIRED),), _clamped_wave),
+}
+
+
+class _Family(NamedTuple):
+    """One barrier family of `FAMILIES`."""
+
+    keys: Tuple[str, ...]  # its scenario fields, in constructor order
+    side: str  # the side verified unless the scenario names one
+    build: Callable  # (spec, *values of keys) -> BarrierFunction
+
+
+FAMILIES = {
+    "uk": _Family(("k",), "sub", sub_uk),
+    "vL": _Family(("L",), "sub", sub_vL),
+    "super": _Family(("L0", "nu"), "super",
+                     lambda spec, l0, nu: super_family(spec, None, l0, nu)),
+    "h": _Family(("gamma_plus", "gamma_minus", "d_plus", "d_minus", "b0"),
+                 "sub", lambda spec, *tail: h_tail(spec.b, *tail)),
+}
 
 _DEFAULT_U0 = {"class": "B1", "spec": {"kind": "constant", "value": 0.0}}
 _COMMON = (
@@ -315,7 +370,7 @@ _COMMON = (
     ("expect", _simple(lambda v: isinstance(v, dict), "an object"), {}, None),
 )
 _PROBLEM = _COMMON + (
-    ("preset", _choice(PRESETS), REQUIRED, "--preset"),
+    ("preset", _choice(tuple(PRESETS)), REQUIRED, "--preset"),
     ("params", _Kind(_validate_params, "a preset parameter; repeatable",
                      {"action": "append", "metavar": "KEY=VALUE"},
                      _parse_kv), REQUIRED, "--param"),
@@ -323,8 +378,6 @@ _PROBLEM = _COMMON + (
     ("u0", _Kind(_validate_u0, "an initial datum document",
                  {"metavar": "JSON"}, _parse_json), _DEFAULT_U0, "--u0"),
 )
-FAMILY_KEYS = {"uk": ("k",), "vL": ("L",), "super": ("L0", "nu"),
-               "h": ("gamma_plus", "gamma_minus", "d_plus", "d_minus", "b0")}
 
 # Each experiment's fields as rows (key, kind, default, flag).  The default
 # is the value an absent field takes, or one of the markers above; a field
@@ -337,9 +390,9 @@ SCHEMA = {
         ("w0", _NUMBER, 0.0, "--w0"),
     ),
     "barrier": _PROBLEM + (
-        ("family", _choice(tuple(FAMILY_KEYS)), REQUIRED, "--family"),
+        ("family", _choice(tuple(FAMILIES)), REQUIRED, "--family"),
     ) + tuple((key, _NUMBER, BY_FAMILY, "--" + key.replace("_", "-"))
-              for keys in FAMILY_KEYS.values() for key in keys) + (
+              for family in FAMILIES.values() for key in family.keys) + (
         ("samples", _integer(1000), DEFAULT_SAMPLES, "--samples"),
         ("side", _simple(lambda v: isinstance(v, str),
                          "sub, super, sub_strict(d) or super_strict(d)"),
@@ -405,7 +458,7 @@ def validate_scenario(doc, raw: str = "", path: str = "<inline>") -> Dict:
     for key, kind, default, flag in rows:
         given = doc.get(key) is not None
         if default is BY_FAMILY:
-            if key not in FAMILY_KEYS[scn["family"]]:
+            if key not in FAMILIES[scn["family"]].keys:
                 if given:
                     raise _schema_error(path, raw, key,
                                         f"family '{scn['family']}' does "
@@ -430,66 +483,26 @@ def validate_scenario(doc, raw: str = "", path: str = "<inline>") -> Dict:
 # ---------------------------------------------------------------------------
 
 
-def _build_fg(scn):
-    params = scn["params"]
-    if scn["preset"] == "p_heat":
-        f, g = preset_p_heat(params["p"], params["beta1"], params["eps"])
-    else:
-        f, g = preset_curvature(params["beta2"])
-    if "f_beta" in params:
-        f = signed_power(params["f_beta"])
-    return f, g
-
-
 def _build_problem(scn) -> ProblemSpec:
     """Assemble the ProblemSpec named by a validated scenario."""
-    f, g = _build_fg(scn)
-    b = scn["b"]
-    klass = scn["u0"]["class"]
-    spec_doc = scn["u0"]["spec"]
-    kind = spec_doc["kind"]
-
-    if kind == "constant":
-        value = spec_doc["value"]
-
-        def values(x, _c=value):
-            return np.full_like(np.asarray(x, dtype=float), _c)
-    elif kind == "poly":
-        poly = np.polynomial.Polynomial(spec_doc["coeffs"])
-
-        def values(x, _p=poly):
-            return _p(np.asarray(x, dtype=float))
-    elif kind == "psi":
-        gp, gm = spec_doc["gamma_plus"], spec_doc["gamma_minus"]
-        dp, dm = spec_doc["d_plus"], spec_doc["d_minus"]
-        offset = spec_doc["offset"]
-
-        def values(x):
-            xs = np.asarray(x, dtype=float)
-            return dp * psi(gp, b - xs) + dm * psi(gm, b + xs) + offset
-    else:
-        clamp = spec_doc["clamp"]
-        flat = initial_b1(
-            lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-        profile = compute_wave(make_problem(b, f, g, flat))
-
-        def values(x, _w=profile.w, _c=clamp):
-            return np.minimum(np.asarray(_w(np.asarray(x, dtype=float)),
-                                         dtype=float), _c)
-
+    make, names = PRESETS[scn["preset"]]
+    params = scn["params"]
+    f, g = make(*(params[name] for name in names))
+    if "f_beta" in params:
+        f = signed_power(params["f_beta"])
+    b, klass, d = scn["b"], scn["u0"]["class"], scn["u0"]["spec"]
+    values = U0_KINDS[d["kind"]].values(d, b, f, g)
     if klass == "B1":
         u0 = initial_b1(values)
     elif klass == "B2":
-        u0 = initial_b2(values, spec_doc["gamma_plus"])
+        u0 = initial_b2(values, d["gamma_plus"])
     else:
-        gp, gm = spec_doc["gamma_plus"], spec_doc["gamma_minus"]
-        dp, dm = spec_doc["d_plus"], spec_doc["d_minus"]
-        offset = spec_doc["offset"]
+        gp, gm, dp, dm = (d[name] for name in _PSI_FIELDS)
         # The far wall's tail is finite here, so it joins the offset in the
         # remainder limit.
         u0 = initial_b3(values, gp, gm, dp, dm,
-                        chat_plus=offset + dm * psi(gm, 2.0 * b),
-                        chat_minus=offset + dp * psi(gp, 2.0 * b))
+                        chat_plus=d["offset"] + dm * psi(gm, 2.0 * b),
+                        chat_minus=d["offset"] + dp * psi(gp, 2.0 * b))
     return make_problem(b, f, g, u0)
 
 
@@ -525,30 +538,19 @@ def _write_json(path: Path, payload: Dict) -> None:
         fh.write("\n")
 
 
-def _csv_cell(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
-
-
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """A CSV with a header row.  Cells are Python scalars (numpy data goes
+    through ``tolist``), so csv writes each float as its repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_columns(path: Path, header: Sequence[str], *columns) -> None:
-    """A CSV of numeric columns; ``tolist`` gives Python floats, which csv
-    writes as their repr, the text `_csv_cell` gives."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*(np.asarray(col, dtype=float).tolist()
-                               for col in columns)))
+    """A CSV of numeric columns, one row per index."""
+    _write_csv(path, header, zip(*(np.asarray(col, dtype=float).tolist()
+                                   for col in columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +558,9 @@ def _write_columns(path: Path, header: Sequence[str], *columns) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_classify(scn, out: Path):
-    spec = _build_problem(scn)
+def _run_classify(scn, spec: ProblemSpec, out: Path):
     verdict = classify(spec)
     report = {
-        "experiment": "classify",
-        "name": scn["name"],
         "verdict": verdict.verdict,
         "theorem": verdict.theorem,
         "notes": verdict.notes,
@@ -580,8 +579,7 @@ def _run_classify(scn, out: Path):
     return report, passed, ["classify.csv"]
 
 
-def _run_wave(scn, out: Path):
-    spec = _build_problem(scn)
+def _run_wave(scn, spec: ProblemSpec, out: Path):
     profile = compute_wave(spec, n_grid=scn["n_grid"], w0=scn["w0"])
     xs = check_points(profile)
     residuals = profile_residuals(profile, spec, xs)
@@ -594,8 +592,6 @@ def _run_wave(scn, out: Path):
         d_plus, d_minus = divergence_rate(profile, alpha)
         gamma = max((2.0 - alpha) / (alpha - 1.0), 0.0)
     report = {
-        "experiment": "wave",
-        "name": scn["name"],
         "c": profile.c,
         "f_inv_c": profile.f_inv_c,
         "D_plus": d_plus,
@@ -618,22 +614,10 @@ def _run_wave(scn, out: Path):
     return report, passed, ["wave_profile.csv"]
 
 
-def _build_barrier(scn, spec: ProblemSpec) -> Tuple[BarrierFunction, str]:
-    family = scn["family"]
-    if family == "uk":
-        return sub_uk(spec, scn["k"]), "sub"
-    if family == "vL":
-        return sub_vL(spec, scn["L"]), "sub"
-    if family == "super":
-        return super_family(spec, None, scn["L0"], scn["nu"]), "super"
-    return h_tail(spec.b, scn["gamma_plus"], scn["gamma_minus"],
-                  scn["d_plus"], scn["d_minus"], scn["b0"]), "sub"
-
-
-def _run_barrier(scn, out: Path):
-    spec = _build_problem(scn)
-    bf, default_side = _build_barrier(scn, spec)
-    side = scn["side"] or default_side
+def _run_barrier(scn, spec: ProblemSpec, out: Path):
+    family = FAMILIES[scn["family"]]
+    bf = family.build(spec, *(scn[key] for key in family.keys))
+    side = scn["side"] or family.side
 
     # Slice curves at a few deterministic times inside the horizon.
     horizon = bf.valid_until
@@ -651,8 +635,6 @@ def _run_barrier(scn, out: Path):
                    np.concatenate(slopes, axis=None))
 
     report = {
-        "experiment": "barrier",
-        "name": scn["name"],
         "family": bf.family,
         "params": scalar_params(bf.params),
         "valid_until": bf.valid_until,
@@ -668,8 +650,7 @@ def _run_barrier(scn, out: Path):
     return report, passed, ["barrier_profile.csv"]
 
 
-def _run_solve(scn, out: Path):
-    spec = _build_problem(scn)
+def _run_solve(scn, spec: ProblemSpec, out: Path):
     result = solve(spec, scn["n"], scn["cap"], scn["t_end"],
                    cap_minus=scn["cap_minus"],
                    snapshot_times=scn["snapshot_times"] or None)
@@ -686,8 +667,6 @@ def _run_solve(scn, out: Path):
     files.append("final_state.csv")
 
     report = {
-        "experiment": "solve",
-        "name": scn["name"],
         "n": scn["n"],
         "cap": scn["cap"],
         "cap_minus": scn["cap_minus"],
@@ -706,8 +685,7 @@ def _run_solve(scn, out: Path):
     return report, passed, files
 
 
-def _run_capstudy(scn, out: Path):
-    spec = _build_problem(scn)
+def _run_capstudy(scn, spec: ProblemSpec, out: Path):
     studies = []
     rows = []
     for study in cap_studies(spec, scn["n"], scn["caps"], scn["probes"]):
@@ -721,8 +699,6 @@ def _run_capstudy(scn, out: Path):
                ["probe_x", "probe_t", "cap", "value", "diff", "monotone",
                 "diverged"], rows)
     report = {
-        "experiment": "capstudy",
-        "name": scn["name"],
         "n": scn["n"],
         "caps": scn["caps"],
         "studies": studies,
@@ -735,13 +711,11 @@ def _run_capstudy(scn, out: Path):
     return report, passed, ["capstudy.csv"]
 
 
-def _run_verify(scn, out: Path):
+def _run_verify(scn, _spec, out: Path):
     summary = run_suite()
     checks = [{"name": c["name"], "pass": c["pass"], "detail": c["detail"]}
               for c in summary["checks"]]
     report = {
-        "experiment": "verify",
-        "name": scn["name"],
         "checks": checks,
         "n_checks": summary["n_checks"],
         "n_failed": summary["n_failed"],
@@ -751,13 +725,16 @@ def _run_verify(scn, out: Path):
     return report, bool(summary["pass"]), ["suite_checks.csv"]
 
 
+# Each experiment's runner and its subcommand help.  A runner takes the
+# validated scenario, its ProblemSpec (None without a preset) and the output
+# directory, and returns (report, passed, written file names).
 _RUNNERS = {
-    "classify": _run_classify,
-    "wave": _run_wave,
-    "barrier": _run_barrier,
-    "solve": _run_solve,
-    "capstudy": _run_capstudy,
-    "verify": _run_verify,
+    "classify": (_run_classify, "regime classification"),
+    "wave": (_run_wave, "traveling-wave profile by quadrature"),
+    "barrier": (_run_barrier, "explicit barrier families"),
+    "solve": (_run_solve, "monotone explicit finite differences"),
+    "capstudy": (_run_capstudy, "existence probe along a cap ladder"),
+    "verify": (_run_verify, "run the invariant suite"),
 }
 
 
@@ -783,8 +760,10 @@ def _manifest(scn: Dict, report: Dict, files: List[str]) -> Dict:
 def _execute(scn: Dict, out_override: Optional[str] = None) -> int:
     out = Path(out_override) if out_override else Path(scn["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    report, passed, files = _RUNNERS[scn["experiment"]](scn, out)
-    report["pass"] = passed
+    spec = _build_problem(scn) if "preset" in scn else None
+    report, passed, files = _RUNNERS[scn["experiment"]][0](scn, spec, out)
+    report.update({"experiment": scn["experiment"], "name": scn["name"],
+                   "pass": passed})
     _write_json(out / "report.json", report)
     _write_json(out / "manifest.json",
                 _manifest(scn, report, files + ["report.json",
@@ -832,16 +811,6 @@ def run(scenario_file, out_dir: Optional[str] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-_SUBCOMMAND_HELP = {
-    "classify": "regime classification",
-    "wave": "traveling-wave profile by quadrature",
-    "barrier": "explicit barrier families",
-    "solve": "monotone explicit finite differences",
-    "capstudy": "existence probe along a cap ladder",
-    "verify": "run the invariant suite",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1 like every other error: 2 means a check failed."""
 
@@ -861,7 +830,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="increase log verbosity (repeatable)")
     sub = parser.add_subparsers(dest="experiment", required=True)
     for experiment, rows in SCHEMA.items():
-        p = sub.add_parser(experiment, help=_SUBCOMMAND_HELP[experiment])
+        p = sub.add_parser(experiment, help=_RUNNERS[experiment][1])
         p.add_argument("--scenario", metavar="FILE",
                        help="JSON scenario document (no field flags then)")
         p.add_argument("--out", metavar="DIR",
@@ -875,7 +844,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _flag_help(key: str, kind: _Kind, default) -> str:
     if default is BY_FAMILY:
-        family = next(f for f, keys in FAMILY_KEYS.items() if key in keys)
+        family = next(name for name, family in FAMILIES.items()
+                      if key in family.keys)
         return f"'{key}': {kind.what} (family {family})"
     if default is None or default is REQUIRED or default is AUXILIARY:
         return f"'{key}': {kind.what}"

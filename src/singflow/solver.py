@@ -109,13 +109,11 @@ class SolveReport:
 
 def make_field(b: float, n: int, values, cap: float,
                cap_minus: Optional[float] = None,
-               time: float = 0.0, clamp: bool = True) -> GridField:
+               time: float = 0.0) -> GridField:
     """Build a GridField from an array or a callable on the nodes.
 
-    With ``clamp`` (the default) values above the cap are clamped to it, the
-    finite stand-in for data diverging at the walls.  Pass ``clamp=False``
-    for experiments whose exact data lies below the ghost values anyway,
-    e.g. smooth-solution convergence checks.
+    Values above the cap are clamped to it, the finite stand-in for data
+    diverging at the walls.
     """
     if b <= 0.0:
         raise ParameterError(f"half-width must be positive, got {b}")
@@ -132,10 +130,7 @@ def make_field(b: float, n: int, values, cap: float,
         raise ParameterError(f"values must have shape ({n},), got {vals.shape}")
     if not np.all(np.isfinite(np.minimum(vals, cap))):
         raise ParameterError("initial values are not finite below the cap")
-    if clamp:
-        np.minimum(vals, cap, out=vals)
-    elif not np.all(np.isfinite(vals)):
-        raise ParameterError("initial values are not finite")
+    np.minimum(vals, cap, out=vals)
     return GridField(b=b, n=n, values=vals, cap=cap, time=time,
                      cap_minus=cap_minus)
 

@@ -24,8 +24,7 @@ import numpy as np
 from .barriers import (BarrierFunction, convex_envelope, h_tail, sub_uk,
                        sub_vL, super_family, super_mu, translate_wave,
                        verify_inequality)
-from .errors import (InsufficientDataError, ParameterError, RegimeError,
-                     SingflowError)
+from .errors import InsufficientDataError, SingflowError
 from .model import (InitialDatum, ProblemSpec, initial_b1, initial_b2,
                     initial_b3, make_problem, preset_curvature,
                     preset_p_heat, psi, signed_power)

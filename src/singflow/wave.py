@@ -509,8 +509,9 @@ def divergence_rate(profile: WaveProfile, g_alpha: float):
 
     For 1 < alpha <= 2 the profile diverges like D * psi_gamma(wall
     distance) with gamma = (2 - alpha)/(alpha - 1) (the log profile at
-    alpha = 2); the constants come from a last-decade fit.  For alpha > 2
-    the wave is bounded and (None, None) is returned.
+    alpha = 2); the constants are the last-decade fit `compute_wave`
+    stored in the profile.  For alpha > 2 the wave is bounded and
+    (None, None) is returned.
 
     Raises
     ------
@@ -524,8 +525,7 @@ def divergence_rate(profile: WaveProfile, g_alpha: float):
             "divergence rates require a tail exponent above 1")
     if g_alpha > 2.0:
         return None, None
-    return _fit_divergence(profile.x_grid, profile.w_values, profile.b,
-                           g_alpha)
+    return profile.d_plus, profile.d_minus
 
 
 def check_points(profile: WaveProfile) -> np.ndarray:

@@ -72,6 +72,92 @@ def test_validate_rejects_bounded_datum_declared_divergent():
         validate_scenario(doc)
 
 
+_PSI_SPEC = {"kind": "psi", "gamma_plus": 0.5, "gamma_minus": 0.5,
+             "d_plus": 1.0, "d_minus": 1.0}
+
+
+# (u0, key whose line anchors the message, phrase of the message)
+DATUM_REJECTIONS = {
+    "constant-missing": ({"class": "B1", "spec": {"kind": "constant"}},
+                         "spec", "constant datum needs 'value'"),
+    "poly-missing": ({"class": "B1", "spec": {"kind": "poly"}},
+                     "spec", "poly datum needs 'coeffs'"),
+    "psi-missing": ({"class": "B2", "spec": dict(_PSI_SPEC, d_minus=None)},
+                    "spec", "psi datum needs 'd_minus'"),
+    "wave-missing": ({"class": "B1", "spec": {"kind": "wave"}},
+                     "spec", "wave datum needs 'clamp'"),
+    "constant-not-number": ({"class": "B1", "spec": {"kind": "constant",
+                                                     "value": "high"}},
+                            "value", "'value' must be a finite number"),
+    "poly-empty": ({"class": "B1", "spec": {"kind": "poly", "coeffs": []}},
+                   "coeffs", "'coeffs' must be a non-empty list of numbers"),
+    "psi-not-number": ({"class": "B3", "spec": dict(_PSI_SPEC, d_plus=True)},
+                       "d_plus", "'d_plus' must be a finite number"),
+    "wave-not-number": ({"class": "B1", "spec": {"kind": "wave",
+                                                 "clamp": [1.0]}},
+                        "clamp", "'clamp' must be a finite number"),
+    "constant-class": ({"class": "B2", "spec": {"kind": "constant",
+                                                "value": 1.0}},
+                       "class", "a constant datum is bounded; use class B1"),
+    "poly-class": ({"class": "B3", "spec": {"kind": "poly", "coeffs": [1.0]}},
+                   "class", "a polynomial datum is bounded; use class B1"),
+    "psi-class": ({"class": "B1", "spec": _PSI_SPEC},
+                  "class", "a psi datum diverges; use class B2 or B3"),
+    "wave-class": ({"class": "B2", "spec": {"kind": "wave", "clamp": 1.0}},
+                   "class", "a clamped wave datum is bounded; use class B1"),
+    "psi-b2-rates": ({"class": "B2", "spec": dict(_PSI_SPEC,
+                                                  gamma_minus=1.0)},
+                     "gamma_minus", "class B2 needs one shared rate"),
+    "unknown-kind": ({"class": "B1", "spec": {"kind": "spline"}},
+                     "spec", "kind in constant, poly, psi, wave"),
+    "spec-not-object": ({"class": "B1", "spec": [0.0]},
+                        "spec", "kind in constant, poly, psi, wave"),
+    "unknown-class": ({"class": "B4", "spec": {"kind": "constant",
+                                               "value": 1.0}},
+                      "class", "u0.class must be one of B1, B2, B3"),
+    "not-object": ("flat", "u0", "'u0' must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATUM_REJECTIONS))
+def test_validate_rejects_bad_datum_at_its_line(case):
+    u0, anchor, phrase = DATUM_REJECTIONS[case]
+    doc = dict(_CURV, name="x", experiment="classify", output_dir="o", u0=u0)
+    raw = json.dumps(doc, indent=2)
+    line = 1 + next(i for i, text in enumerate(raw.splitlines())
+                    if f'"{anchor}":' in text)
+    with pytest.raises(ScenarioError) as exc:
+        validate_scenario(doc, raw, "scn.json")
+    assert str(exc.value).startswith(f"scn.json:{line}: ")
+    assert phrase in str(exc.value)
+
+
+def test_integer_datum_fields_normalize_to_floats():
+    """manifest.json records the normalized scenario, so 1 and 1.0 differ."""
+    cases = [
+        ({"kind": "constant", "value": 1}, {"value": 1.0}),
+        ({"kind": "poly", "coeffs": [1, 0, -1]}, {"coeffs": [1.0, 0.0, -1.0]}),
+        ({"kind": "psi", "gamma_plus": 0, "gamma_minus": 1, "d_plus": 2,
+          "d_minus": 1, "offset": 3},
+         {"gamma_plus": 0.0, "gamma_minus": 1.0, "d_plus": 2.0,
+          "d_minus": 1.0, "offset": 3.0}),
+        ({"kind": "psi", "gamma_plus": 1, "gamma_minus": 1, "d_plus": 2,
+          "d_minus": 1},
+         {"gamma_plus": 1.0, "gamma_minus": 1.0, "d_plus": 2.0,
+          "d_minus": 1.0, "offset": 0.0}),
+        ({"kind": "wave", "clamp": 2}, {"clamp": 2.0}),
+    ]
+    for spec, fields in cases:
+        klass = "B1" if spec["kind"] != "psi" else (
+            "B2" if spec["gamma_plus"] == spec["gamma_minus"] else "B3")
+        scn = validate_scenario(dict(_CURV, name="x", experiment="classify",
+                                     output_dir="o",
+                                     u0={"class": klass, "spec": spec}))
+        expected = {"class": klass, "spec": dict(fields, kind=spec["kind"])}
+        assert (json.dumps(scn["u0"], sort_keys=True)
+                == json.dumps(expected, sort_keys=True)), spec
+
+
 def test_validate_normalizes_probe_forms():
     base = {"name": "x", "experiment": "capstudy", "output_dir": "o",
             "preset": "curvature", "params": {"beta2": 1.0},
@@ -283,6 +369,7 @@ _POLY = {"class": "B1", "spec": {"kind": "poly", "coeffs": [0.5, 0.0, -0.5]}}
 _PSI_B3 = {"class": "B3", "spec": {"kind": "psi", "gamma_plus": 0.5,
                                    "gamma_minus": 0.5, "d_plus": 1.0,
                                    "d_minus": 1.0}}
+_SOLVE = {"experiment": "solve", "n": 40, "cap": 4.0, "t_end": 0.005}
 
 # sha256 over the names and bytes of report.json and the CSVs (manifest.json
 # records library versions), recorded before the CLI was driven by one
@@ -329,6 +416,33 @@ PINNED_ARTIFACTS = {
     "verify": (
         {"experiment": "verify"},
         "108343db8fbcdb70a73d0d60617ec3c80b87eba4217f057e610a72c6eda4b20a"),
+    # One case per datum kind and class and one preset override, recorded
+    # before the presets, datum kinds and barrier families became tables.
+    "solve_constant": (
+        dict(_CURV, **_SOLVE, u0={"class": "B1", "spec": {
+            "kind": "constant", "value": 0.7}}),
+        "a7f672126aa84a8ad56428b415e85d06965e462f20bc2fa7a614687bcb112fb0"),
+    "solve_wave_datum": (
+        dict(_CURV, **_SOLVE, u0={"class": "B1", "spec": {
+            "kind": "wave", "clamp": 1.5}}),
+        "4af6230986ed1b205e5b51fbe5065b0f6a87522c5cf6d8074dfb295083c16b9c"),
+    "solve_psi_b2": (
+        dict(_CURV, **_SOLVE, u0={"class": "B2", "spec": {
+            "kind": "psi", "gamma_plus": 0.5, "gamma_minus": 0.5,
+            "d_plus": 0.2, "d_minus": 0.3}}),
+        "69405fb39b975987af6aec667a17ead0d2a62e654adcab71ea145be650e0bdb4"),
+    "solve_psi_b3_log": (
+        dict(_CURV, **_SOLVE, u0={"class": "B3", "spec": {
+            "kind": "psi", "gamma_plus": 0.0, "gamma_minus": 0.5,
+            "d_plus": 1.0, "d_minus": 0.2, "offset": 0.3}}),
+        "84d7415e0f716e48a9c2615e3d1585c5f542818dedd0da18b3029fcedf5c2435"),
+    "solve_f_beta": (
+        dict(_HEAT, **_SOLVE, params={"p": 2.0, "beta1": 1.0, "eps": 0.1,
+                                      "f_beta": 2.0}, u0=_POLY),
+        "024eae408cef4e1e8bf930a6c7262bc8fa18fd20c8a9e95f9294d37b22468c5e"),
+    "wave_poly_datum": (
+        dict(_CURV, experiment="wave", n_grid=128, u0=_POLY),
+        "d08183036aeff1c8c5b06182a911e2df1c6ebb68abdeb5c7667885cc81bd6123"),
 }
 
 

@@ -15,6 +15,7 @@ from singflow import (ParameterError, RegimeError, check_points,
                       compute_wave, custom_weight, divergence_rate,
                       g_antiderivative, initial_b1, make_problem,
                       power_tail_weight, preset_curvature, profile_residuals)
+from singflow import wave
 from singflow.wave import _gl_partial, _TailCorrectedG
 
 HALF_PI = math.pi / 2.0
@@ -134,6 +135,23 @@ def test_divergence_rate_skipped_for_bounded_waves():
     assert np.max(profile.w_values) < np.inf
     with pytest.raises(ParameterError):
         divergence_rate(profile, 1.0)
+
+
+@pytest.mark.parametrize("beta2", [1.0, 0.8, 2.0 / 3.0])  # alpha 2, 1.75, 1.5
+def test_divergence_rate_reads_the_stored_fit(monkeypatch, beta2):
+    fit, calls = wave._fit_divergence, []
+
+    def counting(*args):
+        calls.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(wave, "_fit_divergence", counting)
+    spec = _spec(beta2)
+    profile = compute_wave(spec)
+    rates = divergence_rate(profile, spec.g.alpha)
+    assert len(calls) == 1
+    assert rates == fit(profile.x_grid, profile.w_values, profile.b,
+                        spec.g.alpha)
 
 
 def test_no_wave_below_critical_decay():
