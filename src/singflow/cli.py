@@ -90,6 +90,14 @@ def _key_line(raw: str, key: str) -> int:
     return 1
 
 
+def _from_key_line(raw: str, key: str) -> str:
+    """raw with the lines above key's first line blanked, so that
+    `_key_line` finds the keys nested under key at their own lines."""
+    lines = raw.splitlines()
+    start = _key_line(raw, key) - 1
+    return "\n" * start + "\n".join(lines[start:])
+
+
 def _schema_error(path: str, raw: str, key: str, msg: str) -> ScenarioError:
     return ScenarioError(f"{path}:{_key_line(raw, key)}: {msg}")
 
@@ -111,8 +119,15 @@ def _floats(values) -> List[float]:
 
 def _validate_u0(doc, key, path, raw) -> Dict:
     u0 = doc[key]
+    # Datum keys share names with top-level ones ("gamma_plus" of barrier
+    # h): anchor them at or below the "u0" line.
+    raw = _from_key_line(raw, "u0")
     if not isinstance(u0, dict):
         raise _schema_error(path, raw, "u0", "'u0' must be an object")
+    for name in u0:
+        if name not in ("class", "spec"):
+            raise _schema_error(path, raw, name,
+                                f"unknown field '{name}' for u0")
     klass = u0.get("class")
     if klass not in ("B1", "B2", "B3"):
         raise _schema_error(path, raw, "class",
@@ -124,6 +139,12 @@ def _validate_u0(doc, key, path, raw) -> Dict:
             path, raw, "spec",
             f"u0.spec must be an object with kind in {', '.join(U0_KINDS)}")
     datum = U0_KINDS[kind]
+    known = {"kind"} | {name for name, _, _ in datum.fields}
+    for name in spec:
+        if name not in known:
+            raise _schema_error(path, raw, name,
+                                f"unknown field '{name}' for datum kind "
+                                f"'{kind}'")
     out = {"kind": kind}
     for name, field, default in datum.fields:
         if spec.get(name) is not None:

@@ -18,19 +18,23 @@ handled analytically.  Beyond a cut |s| > S0 the weight is replaced by its
 declared asymptote cg * |s|^(-alpha), with S0 doubled until (i) the true
 weight matches the asymptote to 1e-7 at the cut and (ii) the tail-corrected
 total G(inf) is stable to 1e-11 between doublings.  The breakpoints of 2 S0
-are those of S0 plus +-2 S0, so each doubling extends the panel table by its
-two new outer panels and refines nothing twice.  Everything downstream
-(speed, inversion, H) is then exact for the hybrid weight, which matches g
+are those of S0 plus +-2 S0, so each doubling refines only its two new outer
+panels and refines nothing twice; the panels of one doubling are bisected
+together, one quadrature call per level.  Everything downstream (speed,
+inversion, H) is then exact for the hybrid weight, which matches g
 pointwise inside the cut and to 1e-7 relative outside.
 
 Inside the cut G^{-1} is a safeguarded Newton iteration on one panel of the
 table: G' = g exactly, so each step costs one Gauss-Legendre partial
 integral and one evaluation of g, and a bracket on the panel catches every
-step that would leave it.
+step that would leave it.  Newton starts from a degree-12 Chebyshev
+interpolant of G^{-1} on the panel, fitted once when the table is built, so
+most points stop after one or two steps.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -60,6 +64,11 @@ _GL_CHUNK_ROWS = 512
 # only a cap for residuals that rounding keeps above that.
 _NEWTON_RTOL = 4.0 * np.finfo(float).eps
 _NEWTON_MAX_ITERS = 80
+# Newton start: per-panel Chebyshev interpolant of G^{-1} in w, fitted at
+# the first-kind nodes t_j = cos(theta_j); _CHEB_COS[k, j] = T_k(t_j).
+_CHEB_DEG = 12
+_CHEB_THETA = np.pi * (np.arange(_CHEB_DEG + 1) + 0.5) / (_CHEB_DEG + 1)
+_CHEB_COS = np.cos(np.outer(np.arange(_CHEB_DEG + 1), _CHEB_THETA))
 
 # Geometric boundary grid x = +-(b - b 2^-j).
 _J_LO = 3
@@ -114,7 +123,10 @@ class _TailCorrectedG:
             raise RegimeError(
                 f"the weight integral diverges for tail exponent alpha = "
                 f"{g.alpha:g} <= 1; no finite antiderivative exists")
-        self.g = g
+        # An equal copy, not the weight itself: the cache keys tables by
+        # weak references to their weights, and a table that held its own
+        # key would keep every cached weight alive.
+        self.g = dataclasses.replace(g)
         self.alpha = float(g.alpha)
         self._build_tables(self._pick_cut())
 
@@ -128,27 +140,44 @@ class _TailCorrectedG:
         pos = s0 * 2.0 ** (-np.arange(k_max + 1, dtype=float))
         return np.concatenate([-pos, [0.0], pos[::-1]])
 
-    def _refine(self, a: float, bb: float):
-        """Adaptive bisection of one panel; returns (subpanels, integral)."""
+    def _refine_panels(self, keys: list) -> list:
+        """Adaptive bisection of the panels keys = [(a, bb), ...]; returns
+        (subpanels, integral) per panel.
+
+        Every live interval of every panel is tested at once, one
+        quadrature call per level for its whole, left half and right half.
+        A panel's integral sums its leaves left to right, and each row's
+        quadrature has the same bits in any batch, so the result equals
+        refining the panels one by one, depth first.
+        """
         g = self.g.eval
-        out = []
-        stack = [(a, bb, 0)]
-        total = 0.0
-        while stack:
-            lo, hi, depth = stack.pop()
+        lo = np.array([a for a, _ in keys], dtype=float)
+        hi = np.array([bb for _, bb in keys], dtype=float)
+        owner = np.arange(len(keys))
+        leaves = []
+        depth = 0
+        while lo.size:
             mid = 0.5 * (lo + hi)
-            whole = float(_gl_partial(g, lo, hi))
-            halves = float(_gl_partial(g, lo, mid)) + \
-                float(_gl_partial(g, mid, hi))
-            if depth >= _PANEL_MAX_DEPTH or \
-                    abs(whole - halves) <= _PANEL_ABS_TOL * (1.0 + abs(halves)):
-                out.append((lo, hi))
-                total += halves
-            else:
-                stack.append((mid, hi, depth + 1))
-                stack.append((lo, mid, depth + 1))
-        out.sort()
-        return out, total
+            n = lo.size
+            parts = _gl_partial(g, np.concatenate([lo, lo, mid]),
+                                np.concatenate([hi, mid, hi]))
+            whole, halves = parts[:n], parts[n:2 * n] + parts[2 * n:]
+            leaf = (depth >= _PANEL_MAX_DEPTH) | (np.abs(whole - halves) <=
+                                                  _PANEL_ABS_TOL *
+                                                  (1.0 + np.abs(halves)))
+            leaves += zip(*(arr[leaf].tolist()
+                            for arr in (owner, lo, hi, halves)))
+            split = ~leaf
+            lo, hi, owner = (np.concatenate([lo[split], mid[split]]),
+                             np.concatenate([mid[split], hi[split]]),
+                             np.tile(owner[split], 2))
+            depth += 1
+        subpanels = [[] for _ in keys]
+        totals = [0.0] * len(keys)
+        for i, a, bb, part in sorted(leaves):     # by panel, left to right
+            subpanels[i].append((a, bb))
+            totals[i] += part
+        return list(zip(subpanels, totals))
 
     def _pick_cut(self) -> list:
         """Double S0 until the cut settles; return the refined panels of the
@@ -163,12 +192,11 @@ class _TailCorrectedG:
         s0 = _S0_INIT
         prev_total = None
         while True:
-            bps = self._breakpoints(s0)
-            panels = []
-            for key in zip(bps[:-1], bps[1:]):
-                if key not in refined:
-                    refined[key] = self._refine(*key)
-                panels.append(refined[key])
+            bps = self._breakpoints(s0).tolist()
+            keys = list(zip(bps[:-1], bps[1:]))
+            new = [key for key in keys if key not in refined]
+            refined.update(zip(new, self._refine_panels(new)))
+            panels = [refined[key] for key in keys]
             dev_p = abs(float(np.asarray(g.eval(np.asarray(s0))))
                         * s0 ** alpha / g.cg_plus - 1.0)
             dev_m = abs(float(np.asarray(g.eval(np.asarray(-s0))))
@@ -213,6 +241,22 @@ class _TailCorrectedG:
         if bps[i0] != 0.0:
             raise AssertionError("panel table lost the origin breakpoint")
         self.hcum = hraw - hraw[i0]
+
+        # Chebyshev coefficients of s(w) = G^{-1}(w) on each panel, from
+        # Newton at the nodes started by linear interpolation.  The sum over
+        # nodes is elementwise, not a BLAS product, so its bits do not
+        # depend on the number of panels.
+        lo_w, span = self.cum[:-1], np.diff(self.cum)
+        frac = 0.5 * (np.cos(_CHEB_THETA) + 1.0)[:, None]
+        w = (lo_w + span * frac).ravel()
+        idx = np.tile(np.arange(span.size), _CHEB_DEG + 1)
+        s = self._panel_inverse(w, idx, bps[idx] + (bps[idx + 1] - bps[idx])
+                                * (w - lo_w[idx]) / span[idx])
+        s = s.reshape(_CHEB_DEG + 1, span.size)
+        coef = (_CHEB_COS[:, :, None] * s).sum(axis=1) * \
+            (2.0 / (_CHEB_DEG + 1))
+        coef[0] *= 0.5
+        self.cheb = coef
 
     # -- evaluation --------------------------------------------------------
 
@@ -302,23 +346,46 @@ class _TailCorrectedG:
             wm = arr[mid]
             idx = np.clip(np.searchsorted(self.cum, wm, side="right") - 1,
                           0, len(self.bps) - 2)
-            out[mid] = self._panel_inverse(wm, idx)
+            out[mid] = self._panel_inverse(wm, idx,
+                                           self._cheb_start(wm, idx))
         return float(out[0]) if scalar else out
 
-    def _panel_inverse(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def _cheb_start(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """The panel's Chebyshev interpolant of G^{-1} at w by Clenshaw,
+        clipped to the panel.  One coefficient row is gathered at a time,
+        and the recurrence runs in four buffers: fresh temporaries per term
+        would churn the heap top, which glibc then trims and faults back."""
+        lo_w = self.cum[idx]
+        t = 2.0 * (w - lo_w) / (self.cum[idx + 1] - lo_w) - 1.0
+        t2 = 2.0 * t
+        b1, b2 = np.zeros_like(t), np.zeros_like(t)
+        c, prod = np.empty_like(t), np.empty_like(t)
+        for k in range(_CHEB_DEG, 0, -1):
+            # b_k = c_k + 2 t b_{k+1} - b_{k+2}, written over b_{k+2}
+            np.take(self.cheb[k], idx, out=c)
+            np.multiply(t2, b1, out=prod)
+            np.add(c, prod, out=c)
+            np.subtract(c, b2, out=b2)
+            b1, b2 = b2, b1
+        s = self.cheb[0][idx] + t * b1 - b2
+        return np.clip(s, self.bps[idx], self.bps[idx + 1])
+
+    def _panel_inverse(self, w: np.ndarray, idx: np.ndarray,
+                       s: np.ndarray) -> np.ndarray:
         """Root of F(s) = G(s) - w in table panel idx, by Newton on F' = g.
 
-        Starts from linear interpolation in the cumulative table and keeps
-        the bracket [lo, hi] around the root by the sign of F; a Newton point
-        outside the open bracket is replaced by its midpoint.  A point stops
-        once |F| <= _NEWTON_RTOL * w and takes its Newton-polished value,
-        clipped to the bracket, then leaves the working arrays.
+        Starts from s inside the panel: the Chebyshev interpolant for
+        `inverse`, linear interpolation in the cumulative table while the
+        interpolant is fitted.  Keeps the bracket [lo, hi] around the root
+        by the sign of F; a Newton point outside the open bracket is
+        replaced by its midpoint.  A point stops once |F| <= _NEWTON_RTOL * w
+        and takes its Newton-polished value, clipped to the bracket, then
+        leaves the working arrays.
         """
         g = self.g.eval
         anchor = self.bps[idx]
         lo, hi = anchor, self.bps[idx + 1]
         tau = w - self.cum[idx]
-        s = lo + (hi - lo) * tau / (self.cum[idx + 1] - self.cum[idx])
         tol = _NEWTON_RTOL * w        # w >= cum[idx] > 0 inside the table
         out = np.empty_like(w)
         todo = np.arange(w.size)

@@ -266,11 +266,12 @@ def test_translated_wave_is_both_sided():
 
 
 # sha256 over the reprs of sub and super reports for three translated waves
-# (10016 samples, seed 7), recorded when the verifier moved from one seeded
-# stream per stratum to one stream for the times and bins and one for the
-# kink redraws.
+# (10016 samples, seed 7), recorded when G^{-1} started Newton from a
+# per-panel Chebyshev interpolant: the profiles moved at rounding level
+# (|dW_x| <= 2.7e-16 (1 + |W_x|)), and every report kept its pass, kink
+# checks, sample count and worst residual.
 PINNED_TRANSLATE_REPORTS = \
-    "134234bed48d60dc39bb6d24a59daefe0cc56a5273ba07ff5beb70672c343b7c"
+    "400076d31872ff5b42ead2e5ef6d56d8905347cd5a01e74184e5d48843719adf"
 
 
 def test_translated_wave_reports_match_pinned_digest():
@@ -612,10 +613,11 @@ def _jet_families():
 
 # sha256 over the shape and bytes of (dx, dxx, dt) of every family in
 # `_jet_families`, at each scalar time and then at the (4, 1) column of its
-# times; recorded from the separate dx, dxx and dt closures the families
-# had before the jet became their only derivative interface.
+# times; recorded when G^{-1} started Newton from a per-panel Chebyshev
+# interpolant, which moved the translated wave's dx and dxx at rounding
+# level (relative 1.6e-16 and 4.8e-16) and no other family's jet.
 PINNED_JETS = \
-    "b5db35bbe389e9dc41f34286fae63c05daff45c10fe1ed133047d2d91356dfe4"
+    "e2bf8bea410811bada0a3698d7639549f53ea95f954fd036f7f6ff3368c1c035"
 
 
 def test_jets_match_pinned_digest():

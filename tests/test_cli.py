@@ -116,6 +116,14 @@ DATUM_REJECTIONS = {
                                                "value": 1.0}},
                       "class", "u0.class must be one of B1, B2, B3"),
     "not-object": ("flat", "u0", "'u0' must be an object"),
+    "unknown-spec-field": ({"class": "B3", "spec": dict(_PSI_SPEC,
+                                                        ofset=2.0)},
+                           "ofset", "unknown field 'ofset' for datum kind "
+                           "'psi'"),
+    "unknown-u0-field": ({"class": "B1", "spec": {"kind": "constant",
+                                                  "value": 1.0},
+                          "extra": 1.0},
+                         "extra", "unknown field 'extra' for u0"),
 }
 
 
@@ -130,6 +138,23 @@ def test_validate_rejects_bad_datum_at_its_line(case):
         validate_scenario(doc, raw, "scn.json")
     assert str(exc.value).startswith(f"scn.json:{line}: ")
     assert phrase in str(exc.value)
+
+
+def test_datum_errors_anchor_below_the_u0_key():
+    """A barrier h scenario has top-level gamma_plus and gamma_minus; a bad
+    datum field of the same name is reported at the datum's line."""
+    doc = dict(_CURV, name="x", experiment="barrier", output_dir="o",
+               family="h", gamma_plus=1.0, gamma_minus=0.5, d_plus=2.0,
+               d_minus=1.0, b0=0.6,
+               u0={"class": "B3", "spec": dict(_PSI_SPEC, gamma_plus="x")})
+    raw = json.dumps(doc, indent=2)
+    lines = [i + 1 for i, text in enumerate(raw.splitlines())
+             if '"gamma_plus":' in text]
+    assert len(lines) == 2
+    with pytest.raises(ScenarioError) as exc:
+        validate_scenario(doc, raw, "scn.json")
+    assert str(exc.value).startswith(f"scn.json:{lines[1]}: ")
+    assert "'gamma_plus' must be a finite number" in str(exc.value)
 
 
 def test_integer_datum_fields_normalize_to_floats():
@@ -375,7 +400,11 @@ _SOLVE = {"experiment": "solve", "n": 40, "cap": 4.0, "t_end": 0.005}
 # records library versions), recorded before the CLI was driven by one
 # schema table; the barrier_uk, barrier_vL, barrier_super and verify digests
 # were re-recorded when the verifier moved from one seeded stream per
-# stratum to one stream for the times and bins and one for the kink redraws.
+# stratum to one stream for the times and bins and one for the kink redraws;
+# the wave_arctan, wave_poly_datum and solve_wave_datum digests were
+# re-recorded when G^{-1} started Newton from a per-panel Chebyshev
+# interpolant, which moved W and W_x at rounding level and kept every
+# verdict.
 PINNED_ARTIFACTS = {
     "classify_b3": (
         dict(_CURV, experiment="classify", u0=_PSI_B3),
@@ -383,7 +412,7 @@ PINNED_ARTIFACTS = {
     "wave_arctan": (
         dict(_CURV, experiment="wave", b=1.5707963267948966, n_grid=256,
              w0=0.5),
-        "dbc1c8b6ffe9cb3b174bece4ab9160bbf70d0c47fa262c85ba320e8983615047"),
+        "9c47239fc299f035a899efa62afe241b14c692f823ee378e7c9249c0436b739a"),
     "barrier_uk": (
         dict(_CURV, experiment="barrier", family="uk", k=100.0, samples=2000,
              seed=7),
@@ -425,7 +454,7 @@ PINNED_ARTIFACTS = {
     "solve_wave_datum": (
         dict(_CURV, **_SOLVE, u0={"class": "B1", "spec": {
             "kind": "wave", "clamp": 1.5}}),
-        "4af6230986ed1b205e5b51fbe5065b0f6a87522c5cf6d8074dfb295083c16b9c"),
+        "f1590d9de2fa94b133633312100e96b3ab99b6d176e0ecbea11311cec36beeda"),
     "solve_psi_b2": (
         dict(_CURV, **_SOLVE, u0={"class": "B2", "spec": {
             "kind": "psi", "gamma_plus": 0.5, "gamma_minus": 0.5,
@@ -442,7 +471,7 @@ PINNED_ARTIFACTS = {
         "024eae408cef4e1e8bf930a6c7262bc8fa18fd20c8a9e95f9294d37b22468c5e"),
     "wave_poly_datum": (
         dict(_CURV, experiment="wave", n_grid=128, u0=_POLY),
-        "d08183036aeff1c8c5b06182a911e2df1c6ebb68abdeb5c7667885cc81bd6123"),
+        "fc0e870dca7687d0827accc261efd185ee94ab5a8c481098df5cb79442e0dcd3"),
 }
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -205,6 +207,37 @@ def _bisection_inverse(table, w):
     return 0.5 * (lo + hi)
 
 
+def _linear_start_newton(table, w):
+    """Reference G^{-1}: the safeguarded Newton of `_panel_inverse` started
+    from linear interpolation in the cumulative table."""
+    g = table.g.eval
+    idx = np.clip(np.searchsorted(table.cum, w, side="right") - 1,
+                  0, len(table.bps) - 2)
+    anchor = table.bps[idx]
+    lo, hi = anchor, table.bps[idx + 1]
+    tau = w - table.cum[idx]
+    s = lo + (hi - lo) * tau / (table.cum[idx + 1] - table.cum[idx])
+    tol = 4.0 * EPS * w
+    out = np.empty_like(w)
+    todo = np.arange(w.size)
+    for _ in range(80):
+        resid = _gl_partial(g, anchor, s) - tau
+        newton = s - resid / np.asarray(g(s), dtype=float)
+        high = resid > 0.0
+        hi = np.where(high, s, hi)
+        lo = np.where(high, lo, s)
+        done = np.abs(resid) <= tol
+        out[todo[done]] = np.clip(newton[done], lo[done], hi[done])
+        keep = ~done
+        todo, anchor, tau, tol, lo, hi, newton = (
+            arr[keep] for arr in (todo, anchor, tau, tol, lo, hi, newton))
+        if not todo.size:
+            return out
+        s = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+    out[todo] = s
+    return out
+
+
 @settings(max_examples=30, deadline=None)
 @given(g=_weights())
 def test_inverse_composes_and_matches_bisection(g):
@@ -214,6 +247,44 @@ def test_inverse_composes_and_matches_bisection(g):
     assert np.all(np.abs(table.value(s) - w) <= 8.0 * EPS * w)
     gap = np.abs(s - _bisection_inverse(table, w)) * np.asarray(g.eval(s))
     assert np.all(gap <= 16.0 * EPS * w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=_weights())
+def test_inverse_matches_the_linear_start_newton(g):
+    """The Chebyshev start moves only where Newton stops, not its root."""
+    table = _TailCorrectedG(g)
+    w = _table_points(table)
+    s = table.inverse(w)
+    gap = np.abs(s - _linear_start_newton(table, w)) * np.asarray(g.eval(s))
+    assert np.all(gap <= 16.0 * EPS * w)
+
+
+def test_inverse_needs_few_quadrature_rows(monkeypatch):
+    """Quadrature rows per inverted point on a 2000-point sweep plus every
+    panel midpoint; the linear start needed 4.3 to 4.5.  Points at every
+    panel edge, where the outer panels of steep tails leave the degree-12
+    start only near 1e-7, are counted apart; the linear start needed 3.9
+    to 4.1 on `_table_points`."""
+    tables = [_TailCorrectedG(make(alpha)) for make, _ in PINNED_TABLES
+              for alpha in TABLE_ALPHAS]
+    rows = []
+
+    def counting(fn, a, s):
+        rows.append(np.broadcast(np.asarray(a), np.asarray(s)).size)
+        return _gl_partial(fn, a, s)
+
+    # Unchunked, so that each quadrature pass is one counted call.
+    monkeypatch.setattr(wave, "_GL_CHUNK_ROWS", 10 ** 9)
+    monkeypatch.setattr(wave, "_gl_partial", counting)
+    for table in tables:
+        cum = table.cum
+        sweep = np.concatenate([np.linspace(cum[0], cum[-1], 2002)[1:-1],
+                                0.5 * (cum[:-1] + cum[1:])])
+        for w, bound in ((sweep, 2.0), (_table_points(table), 3.0)):
+            rows.clear()
+            table.inverse(w)
+            assert sum(rows) <= bound * w.size, (table.alpha, bound)
 
 
 @settings(max_examples=30, deadline=None)
@@ -299,13 +370,13 @@ def test_tables_match_pinned_digests(make, digest):
                          ids=["curvature", "asymmetric_power_tail"])
 def test_table_build_refines_each_panel_once(make, monkeypatch):
     calls = []
-    refine = _TailCorrectedG._refine
+    refine = _TailCorrectedG._refine_panels
 
-    def counting(self, a, bb):
-        calls.append((float(a), float(bb)))
-        return refine(self, a, bb)
+    def counting(self, keys):
+        calls.extend((float(a), float(bb)) for a, bb in keys)
+        return refine(self, keys)
 
-    monkeypatch.setattr(_TailCorrectedG, "_refine", counting)
+    monkeypatch.setattr(_TailCorrectedG, "_refine_panels", counting)
     for alpha in TABLE_ALPHAS:
         calls.clear()
         table = _TailCorrectedG(make(alpha))
@@ -315,3 +386,25 @@ def test_table_build_refines_each_panel_once(make, monkeypatch):
         assert max(bb for _, bb in calls) == table.s0
         # The reuse map dies with the constructor.
         assert not any(isinstance(v, dict) for v in vars(table).values())
+
+
+def test_table_cache_frees_dropped_weights():
+    """The cache holds weights weakly, and a table must not hold its own
+    key: a dropped weight's table is freed, a kept profile still works and
+    a live weight gets its table back."""
+    fn = preset_curvature(1.0)[1].eval
+    g = custom_weight(fn, 2.0, 1.0, 1.0)
+    table = weakref.ref(wave._antiderivative(g))
+    assert wave._antiderivative(g) is table()
+    del g
+    gc.collect()
+    assert table() is None
+
+    spec = _spec(1.0)
+    profile = compute_wave(spec)
+    copy = wave._antiderivative(spec.g).g
+    assert copy == spec.g and copy is not spec.g
+    del spec, copy
+    gc.collect()
+    assert profile.wx(0.5) == pytest.approx(math.tan(0.25 * math.pi),
+                                            rel=1e-12)
