@@ -21,8 +21,8 @@ blowup_vL       sub-solutions equal to 1 at time zero that sweep a wave of
                 with L, which is the engine of instantaneous interior
                 blow-up in the fast-growth regime.
 super_L         super-solutions with a time-dependent wall exponent L(t)
-                fed by an ODE; valid up to a horizon T that grows with the
-                steepness parameter nu.
+                that solves a separable ODE; valid up to a horizon T that
+                grows with the steepness parameter nu.
 convex_envelope greatest convex minorant of sampled data (stationary
                 sub-solution with piecewise-linear graph).
 translate_wave  exact traveling-wave solution W(x) + c t viewed as a
@@ -48,11 +48,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._scalar import bisect, brentq, rk45
+from ._scalar import bisect, brentq
 from .errors import HorizonError, ParameterError, RegimeError
 from .model import ProblemSpec
 from .verify import residual_values
-from .wave import WaveProfile
+from .wave import WaveProfile, _gl_partial
 
 log = logging.getLogger(__name__)
 
@@ -88,8 +88,15 @@ C4_D_POINTS = 60
 C4_L_POINTS = 60
 C4_L_GRID_MIN = 100.0
 MIDDLE_SWEEP_POINTS = 2001
-ODE_RTOL = 1.0e-8
-ODE_ATOL = 1.0e-12
+# L(t) inverts the exponent's time map t(s), s = log L, by Newton started
+# from a table of the map at this many points.  Over the family's parameter
+# range |t''/t'| <= 1, so a Newton step of at most EXPONENT_STEP_TOL leaves
+# an error below EXPONENT_STEP_TOL^2 / 2 in s, under 1e-16 relative in L;
+# the iteration cap only stops steps that rounding keeps above the
+# tolerance.
+EXPONENT_TABLE_POINTS = 33
+EXPONENT_STEP_TOL = 1.0e-8
+EXPONENT_MAX_ITERS = 60
 
 _SIDE_PATTERN = re.compile(r"^(sub|super)_strict\(\s*([^()\s]+)\s*\)$")
 
@@ -545,18 +552,48 @@ def super_mu(alpha: float, beta: float) -> float:
     return max(0.0, (beta * (2.0 - alpha) - 1.0) / den)
 
 
+def _invert_time_map(t: float, time_to: Callable[[float], float],
+                     slope: Callable[[float], float], s_table: np.ndarray,
+                     t_table: np.ndarray) -> float:
+    """The s in [s_table[0], s_table[-1]] with time_to(s) = t, for an
+    increasing time_to with derivative slope, tabulated as t_table.
+
+    Newton starts from linear interpolation in the table; a step that would
+    leave the bracket the evaluations so far have built bisects it instead.
+    """
+    s = float(np.interp(t, t_table, s_table))
+    lo, hi = float(s_table[0]), float(s_table[-1])
+    for _ in range(EXPONENT_MAX_ITERS):
+        miss = t - time_to(s)
+        if miss == 0.0:
+            break
+        if miss > 0.0:
+            lo = s
+        else:
+            hi = s
+        nxt = s + miss / slope(s)
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        elif abs(nxt - s) <= EXPONENT_STEP_TOL:
+            return nxt
+        s = nxt
+    return s
+
+
 def super_family(spec: ProblemSpec, v0, L0: float, nu: float
                  ) -> BarrierFunction:
     """Super-solution with steepening wall layers, valid up to a horizon T.
 
     ``v0`` supplies the smooth datum being dominated: either None (zero) or
     a triple of callables (value, first derivative, second derivative).
-    The wall layers carry L(t)^mu (2 - 2|x|/b)^(-L(t)) with L(t) integrated
-    from L'(t) = C4 L^(beta(1-alpha)(1+mu)-mu) (L+1)^beta; the middle piece
-    is a shallow circular arc of steepness sqrt(nu).  The horizon T is where
-    the kink admissibility at |x| = 2b/3 would fail; it grows without bound
-    in nu.  C4 and the drift constant c are certified by dense sweeps with
-    a factor-2 margin and recorded on the returned parameters.
+    The wall layers carry L(t)^mu (2 - 2|x|/b)^(-L(t)), where L(t) solves
+    L'(t) = C4 L^(beta(1-alpha)(1+mu)-mu) (L+1)^beta from L(0) = L0; the
+    ODE is separable, so L(t) inverts its time map t(L) = int dl / L'(l)
+    from L0.  The middle piece is a shallow circular arc of steepness
+    sqrt(nu).  The horizon T = t(l_max) is where the kink admissibility at
+    |x| = 2b/3 would fail; it grows without bound in nu.  C4 and the drift
+    constant c are certified by dense sweeps with a factor-2 margin and
+    recorded on the returned parameters.
     """
     alpha = spec.g.alpha
     beta = spec.f.beta
@@ -667,37 +704,37 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
             "large for these nonlinearities")
     drift = max(2.0 * float(np.max(np.abs(fmid))), 1.0)
 
-    def ode_rhs(t: float, y):
-        length = y[0]
-        return [c4 * length ** a_exp * (length + 1.0) ** beta]
+    def rate(length):
+        return c4 * length ** a_exp * (length + 1.0) ** beta
 
-    # Horizon estimate by quadrature of dL / L', then the exact event time.
-    l_quad = np.logspace(math.log10(L0), math.log10(l_max), 4001)
-    t_guess = float(np.trapezoid(1.0 / (c4 * l_quad ** a_exp
-                                        * (l_quad + 1.0) ** beta), l_quad))
+    # The exponent ODE L' = rate(L) is autonomous, so its time map is the
+    # integral t(L) = int L / rate(L) d(log L) from L0, one 24-node panel in
+    # log L: the integrand's nearest singularity is pi off the real axis,
+    # and a float nu keeps log(l_max / L0) below 7.
+    s0, s_top = math.log(L0), math.log(l_max)
 
-    def hit_top(t: float, y):
-        return y[0] - l_max
+    def slope(s):
+        ells = np.exp(s)
+        return ells / rate(ells)
 
-    horizon = None
-    t_hi = max(2.5 * t_guess, 1e-9)
-    for _ in range(8):
-        horizon, dense = rk45(ode_rhs, 0.0, [L0], t_hi, ODE_RTOL, ODE_ATOL,
-                              hit_top)
-        if horizon is not None:
-            break
-        t_hi *= 4.0
-    if horizon is None:
+    def time_to(s):
+        return _gl_partial(slope, s0, s)
+
+    horizon = float(time_to(s_top))
+    if not 0.0 < horizon < math.inf:
         raise ParameterError(
-            "exponent ODE never reached its terminal value; parameters "
-            "are outside the family's workable range")
+            f"horizon T = {horizon!r} is not finite and positive (C4 = "
+            f"{c4!r}); parameters are outside the family's workable range")
+    s_table = np.linspace(s0, s_top, EXPONENT_TABLE_POINTS)
+    t_table = time_to(s_table)
     log.info("super_family: mu = %g, L0 = %g, nu = %g, C4 = %.6g, "
              "c = %.6g, T = %.6g, L(T) = %.6g", mu, L0, nu, c4, drift,
              horizon, l_max)
 
     @functools.lru_cache(maxsize=STATE_CACHE)
     def exponent(t: float) -> float:
-        return float(dense(t)[0])
+        return math.exp(_invert_time_map(t, time_to, slope, s_table,
+                                         t_table))
 
     def exponent_at(t: float) -> float:
         t = float(t)
@@ -715,14 +752,14 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
         length = exponent_at(t)
         l_mu = length ** mu
         l_mu1 = length ** (mu + 1.0)
-        rate = c4 * length ** a_exp * (length + 1.0) ** beta
+        dl_dt = rate(length)
         mu_term = mu * length ** (mu - 1.0) if mu > 0.0 else 0.0
         return (length, l_mu, l_mu1, (4.0 / b ** 2) * l_mu1 * (length + 1.0),
-                rate, mu_term,
+                dl_dt, mu_term,
                 drift * t + 1.0 / (horizon - t) - 1.0 / horizon - offset,
                 drift + 1.0 / (horizon - t) ** 2,
                 l_mu * 1.5 ** length,
-                rate * 1.5 ** length * (mu_term + l_mu * math.log(1.5)))
+                dl_dt * 1.5 ** length * (mu_term + l_mu * math.log(1.5)))
 
     def prep(xs: np.ndarray, t):
         """Region masks, d = 2 - 2|x|/b outside, and the per-time state at

@@ -2,9 +2,16 @@
 
 The singular boundary condition u(+-b, t) = +infinity is realized by a cap:
 ghost nodes at +-b carry a large finite value M, and behavior as M grows
-separates the regimes.  In existence regimes the interior saturates as the
-cap increases (the capped solutions are Cauchy); in blow-up regimes it keeps
+separates the regimes.  The PDE's capped solutions are nondecreasing in the
+cap, since the Dirichlet problem has a comparison principle: in existence
+regimes they saturate as the cap increases, in blow-up regimes they keep
 climbing cap after cap.  `cap_study` automates that dichotomy read-out.
+This scheme is not monotone in its ghost values for weights with tail
+exponent alpha > 1: next to a wall the centered g(Dc u) * D2 u scales like
+M^(1 - alpha), so there the update falls as the cap rises.  For
+curvature(1) at n = 100, u(0, 0.1) falls from 5.17e-4 to 8.08e-6 as the cap
+goes from 10 to 640.  The flux form f((G(u_x))_x), with G an antiderivative
+of g, is monotone in every neighbour and is the pending fix.
 
 The scheme is the plain explicit update
 

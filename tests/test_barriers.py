@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq as scipy_brentq
 
 from singflow import barriers
 from singflow import (BarrierFunction, HorizonError, ParameterError,
@@ -166,11 +168,60 @@ def test_super_family_horizon_and_exponent():
     assert bf.kink_slopes is not None and len(bf.kink_slopes) == 2
 
 
+def _terminal_exponent(b, mu, l0, nu):
+    """super_family's l_max: where the junction's steepness need reaches
+    nu, by scipy's brentq on the same bracket and tolerances."""
+    c_star = max(8.0 * b / 9.0, 16.0 / 9.0, 4.0 / b ** 2)
+
+    def needed(length):
+        return (c_star * length ** (2.0 * mu + 2.0)
+                * 1.5 ** (2.0 * length + 2.0))
+
+    hi = max(2.0 * l0, 4.0)
+    while needed(hi) < nu:
+        hi *= 2.0
+    return scipy_brentq(lambda ln: needed(ln) - nu, l0, hi, xtol=1e-12,
+                        rtol=4.0 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("case", ["heat", "lin"])
+def test_super_family_horizon_and_exponent_are_exact(case):
+    """T is the integral of dL / L' from L0 to l_max and L(t) inverts it,
+    against scipy's adaptive quadrature at 1e-13 on both
+    acceptance-criterion-4 specs."""
+    spec, l0 = {
+        "heat": (_p_heat_spec(2.0, 0.5, 0.1), 3.0),
+        "lin": (_spec(signed_power(1.0), preset_curvature(0.5)[1]), 1.2),
+    }[case]
+    alpha, beta = spec.g.alpha, spec.f.beta
+    mu = super_mu(alpha, beta)
+    a_exp = beta * (1.0 - alpha) * (1.0 + mu) - mu
+    ulps = 4.0 * np.finfo(float).eps
+    for nu in np.logspace(3.5, 8.0, 10).tolist():
+        p = super_family(spec, None, l0, nu).params
+
+        def time_to(length):
+            return quad(lambda ln: 1.0 / (p.C4 * ln ** a_exp
+                                          * (ln + 1.0) ** beta),
+                        l0, length, epsabs=0.0, epsrel=1e-13)[0]
+
+        l_max = _terminal_exponent(spec.b, mu, l0, nu)
+        assert p.T == pytest.approx(time_to(l_max), rel=1e-12, abs=0.0)
+        for frac in (0.1, 0.5, 0.9, 0.999):
+            t = frac * p.T
+            assert time_to(p.L(t)) == pytest.approx(t, rel=1e-12, abs=0.0)
+        assert p.L(0.0) == pytest.approx(l0, rel=ulps, abs=0.0)
+        assert p.L(p.T) == pytest.approx(l_max, rel=ulps, abs=0.0)
+
+
 # sha256 over repr(scalar_params(params)) of super_family on both
 # acceptance-criterion-4 specs at ten nu from 10^3.5 to 10^8, recorded while
-# the C4 sweep looped over the exponents one at a time.
+# the C4 sweep looped over the exponents one at a time; re-recorded when the
+# horizon became one Gauss-Legendre integral of the exponent's time map
+# instead of an RK45 event time, which moved T by 1.6e-9 relative (the
+# RK45 error) and left C4, c and the rest unchanged.
 PINNED_SUPER_PARAMS = \
-    "f2d2e1c05b9de38a2eeecb34b8bfe2815a0f050fe3a2666f6ebe546964fb375d"
+    "3f06ae972bb863b5cf0980793eb78dfdd8c1ab6e2d46c04b985ee70416aeb112"
 
 
 def test_super_family_constants_match_pinned_digest():
@@ -480,7 +531,9 @@ def _pinned_family_cases():
 # sha256 of repr(report) per case, recorded when the verifier moved from one
 # seeded stream per stratum to one stream for the times and bins and one for
 # the kink redraws; every case kept its pass flag, kink verdicts and sample
-# count.
+# count.  The super-* entries were re-recorded when L(t) and T came from the
+# exponent's time map instead of RK45: times, margins and worst residuals
+# moved by at most 3e-9 relative and every verdict held.
 PINNED_FAMILY_REPORTS = {
     "vL-sub-1e4":
         "10cb6fff9ffc2fefb680aac3720e03e597046cfcb2869a0c491daa6724dfa22b",
@@ -499,13 +552,13 @@ PINNED_FAMILY_REPORTS = {
     "uk1-window-1e4":
         "ee24d093e9eb45c45ce96e64403387db537f809b71e025e108dacac404f4f7d9",
     "super-heat-1e4":
-        "357bbfea94b682ac5e7471178d709c166787b7e14959f9500c410ea2479576fa",
+        "552371a2dbddd46bf470e0b7cb4fdd72e46e2144608282989858a030ab303934",
     "super-heat-strict-1e5":
-        "0094201383f488ae0ae24de690a7c7143c891af69d8142f10446ccf819809dfb",
+        "61a58a34b72bed5b273e494d7ca78729b07d337d1e913f30bb6f1ba06d46acce",
     "super-lin-1e4":
-        "aee7e62c03cad01b09677588324b08620292d4ea9ece3a04d5eff7bc6ad8ef69",
+        "4e9d57b28bc3725147f80984953aec7be0504d4874dbf557c11c2cd6105fe1ee",
     "super-lin-window-1e4":
-        "992e791e5099773d80c5bfb07e56f238e8a80a5f0394732e3b70b908c117ba31",
+        "ff49898404b97018e9bcb30f299d1eb46ade4a1d9615bdc67eda3337753e7cb1",
 }
 
 
@@ -615,9 +668,12 @@ def _jet_families():
 # `_jet_families`, at each scalar time and then at the (4, 1) column of its
 # times; recorded when G^{-1} started Newton from a per-panel Chebyshev
 # interpolant, which moved the translated wave's dx and dxx at rounding
-# level (relative 1.6e-16 and 4.8e-16) and no other family's jet.
+# level (relative 1.6e-16 and 4.8e-16) and no other family's jet; and
+# again when super_family's L(t) and T came from the exponent's time map
+# instead of RK45, which moved T by 1.6e-9 relative and with it that
+# family's jet at all four times, and no other family's jet.
 PINNED_JETS = \
-    "e2bf8bea410811bada0a3698d7639549f53ea95f954fd036f7f6ff3368c1c035"
+    "a8ffcf91d9c7bcef7071545f618a6b7bf65f3907db79ed05a1991676807b96b2"
 
 
 def test_jets_match_pinned_digest():
@@ -653,15 +709,15 @@ def test_scalar_points_give_floats(name):
 
 
 def test_super_family_evaluates_its_ode_once_per_stratum(monkeypatch):
-    from singflow import _scalar
-    real = _scalar.OdeSolution.__call__
+    """L(t) inverts the exponent's time map once per stratum time."""
+    real = barriers._invert_time_map
     calls = []
 
-    def counted(self, t):
+    def counted(t, *args):
         calls.append(t)
-        return real(self, t)
+        return real(t, *args)
 
-    monkeypatch.setattr(_scalar.OdeSolution, "__call__", counted)
+    monkeypatch.setattr(barriers, "_invert_time_map", counted)
     spec = _p_heat_spec(2.0, 0.5, 0.1)
     bf = super_family(spec, None, 3.0, 1e4)
     for samples, seed in ((10_000, 1), (100_000, 2)):
