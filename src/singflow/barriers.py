@@ -48,7 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._scalar import bisect, brentq
+from ._scalar import root
 from .errors import HorizonError, ParameterError, RegimeError
 from .model import ProblemSpec
 from .verify import residual_values
@@ -89,14 +89,14 @@ C4_L_POINTS = 60
 C4_L_GRID_MIN = 100.0
 MIDDLE_SWEEP_POINTS = 2001
 # L(t) inverts the exponent's time map t(s), s = log L, by Newton started
-# from a table of the map at this many points.  Over the family's parameter
-# range |t''/t'| <= 1, so a Newton step of at most EXPONENT_STEP_TOL leaves
-# an error below EXPONENT_STEP_TOL^2 / 2 in s, under 1e-16 relative in L;
-# the iteration cap only stops steps that rounding keeps above the
-# tolerance.
+# from a table of the map at this many points.
 EXPONENT_TABLE_POINTS = 33
-EXPONENT_STEP_TOL = 1.0e-8
-EXPONENT_MAX_ITERS = 60
+# The Newton roots (sub_uk's layer thickness in log form, and super_family's
+# terminal exponent and L(t)) stop on a step of at most ROOT_STEP_TOL.  Near
+# each root |f''/f'| <= 2 (for sub_uk, once k >= 2.85; for L(t),
+# over the family's parameter range), so the error left is below
+# ROOT_STEP_TOL^2, about 1e-16.
+ROOT_STEP_TOL = 1.0e-8
 
 _SIDE_PATTERN = re.compile(r"^(sub|super)_strict\(\s*([^()\s]+)\s*\)$")
 
@@ -135,8 +135,8 @@ class BarrierFunction:
 class SuperFamilyParams:
     """Constants behind a super_L construction.
 
-    ``L`` is the wall exponent trajectory (callable on [0, T], cubic dense
-    output of the adaptive integration); ``C4`` the certified ODE constant;
+    ``L`` is the wall exponent trajectory (callable on [0, T], inverting
+    the time map t(L) by Newton); ``C4`` the certified ODE constant;
     ``c`` the additive drift covering the middle region.
     """
 
@@ -340,23 +340,28 @@ def sub_uk(spec: ProblemSpec, k: float) -> BarrierFunction:
     # Certified tail floor: g(s) >= 2 M |s|^-2 on the sampled range.
     m_floor = 0.5 * _tail_floor(spec.g.eval, 2.0, both_signs=True)
 
-    def y_equation(y: float) -> float:
-        return y * math.log(y) + 1.0 / k
+    # The layer thickness y_k solves y log y = -1/k.  In u = log y the
+    # equation below increases on u <= -1, and u = -log k - log log k lies
+    # right of its root.
+    def layer(u: float) -> float:
+        return -(u * math.exp(u) + 1.0 / k)
 
-    y_top = math.exp(-1.0)
-    if y_equation(y_top) > 0.0:
+    if layer(-1.0) < 0.0:
         raise ParameterError(
             f"k = {k} is too small for the boundary-layer root (need the "
             "layer thickness equation solvable, k >= e)")
-    y_k = float(bisect(y_equation, 1e-300, y_top, xtol=1e-14,
-                       rtol=4.0 * np.finfo(float).eps))
+    u_lo = math.log(1e-300)
+    log_yk = root(layer, u_lo, -1.0,
+                  x0=max(-math.log(k) - math.log(math.log(k)), u_lo),
+                  slope=lambda u: -(u + 1.0) * math.exp(u),
+                  tol=ROOT_STEP_TOL)
+    y_k = math.exp(log_yk)
     if y_k >= b:
         raise ParameterError(
             f"layer thickness y_k = {y_k:.3g} does not fit in half-width "
             f"b = {b}; increase k")
 
     r_k = b * math.sqrt(1.0 + 1.0 / k ** 2)
-    log_yk = math.log(y_k)
     speed = float(np.asarray(spec.f.eval(-m_floor * log_yk), dtype=float))
     log.info("sub_uk: k = %g, y_k = %.6g, M = %.6g, wall speed = %.6g",
              k, y_k, m_floor, speed)
@@ -552,34 +557,6 @@ def super_mu(alpha: float, beta: float) -> float:
     return max(0.0, (beta * (2.0 - alpha) - 1.0) / den)
 
 
-def _invert_time_map(t: float, time_to: Callable[[float], float],
-                     slope: Callable[[float], float], s_table: np.ndarray,
-                     t_table: np.ndarray) -> float:
-    """The s in [s_table[0], s_table[-1]] with time_to(s) = t, for an
-    increasing time_to with derivative slope, tabulated as t_table.
-
-    Newton starts from linear interpolation in the table; a step that would
-    leave the bracket the evaluations so far have built bisects it instead.
-    """
-    s = float(np.interp(t, t_table, s_table))
-    lo, hi = float(s_table[0]), float(s_table[-1])
-    for _ in range(EXPONENT_MAX_ITERS):
-        miss = t - time_to(s)
-        if miss == 0.0:
-            break
-        if miss > 0.0:
-            lo = s
-        else:
-            hi = s
-        nxt = s + miss / slope(s)
-        if not lo <= nxt <= hi:
-            nxt = 0.5 * (lo + hi)
-        elif abs(nxt - s) <= EXPONENT_STEP_TOL:
-            return nxt
-        s = nxt
-    return s
-
-
 def super_family(spec: ProblemSpec, v0, L0: float, nu: float
                  ) -> BarrierFunction:
     """Super-solution with steepening wall layers, valid up to a horizon T.
@@ -631,33 +608,39 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
             "these growth rates")
 
     c_star = max(8.0 * b / 9.0, 16.0 / 9.0, 4.0 / b ** 2)
+    log_15 = math.log(1.5)
 
-    def steepness_needed(length: float) -> float:
-        return (c_star * length ** (2.0 * mu + 2.0)
-                * 1.5 ** (2.0 * length + 2.0))
+    def log_steepness_needed(length: float) -> float:
+        """log of c* L^(2 mu + 2) 1.5^(2 L + 2), the arc steepness the
+        junction needs at exponent L."""
+        return (math.log(c_star) + (2.0 * mu + 2.0) * math.log(length)
+                + (2.0 * length + 2.0) * log_15)
 
-    if nu <= steepness_needed(L0):
+    log_need_l0 = log_steepness_needed(L0)
+    if not 0.0 < nu < math.inf or math.log(nu) <= log_need_l0:
         raise ParameterError(
-            f"steepness nu = {nu:g} must exceed {steepness_needed(L0):.6g} "
-            f"for L0 = {L0}")
+            f"steepness nu = {nu:g} must be finite with log nu above "
+            f"{log_need_l0:.6g} for L0 = {L0}")
 
     # Terminal exponent: where the kink-admissibility reserve is used up.
-    hi = max(2.0 * L0, 4.0)
-    while steepness_needed(hi) < nu:
-        hi *= 2.0
-    l_max = brentq(lambda ln: steepness_needed(ln) - nu, L0, hi,
-                   xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
+    # At the closed-form top the need is nu times top^(2 mu + 2) > 1.
+    log_nu = math.log(nu)
+    top = (log_nu - math.log(c_star)) / (2.0 * log_15) - 1.0
+    l_max = root(lambda ln: log_steepness_needed(ln) - log_nu, L0, top,
+                 slope=lambda ln: (2.0 * mu + 2.0) / ln + 2.0 * log_15,
+                 tol=ROOT_STEP_TOL)
 
     root_nu = math.sqrt(nu)
     two_thirds = 2.0 * b / 3.0
-    r_arc_sq = two_thirds ** 2 + two_thirds ** 2 / nu ** 2
+    # nu * nu, unlike nu ** 2, overflows to inf rather than raising.
+    r_arc_sq = two_thirds ** 2 + two_thirds ** 2 / (nu * nu)
     a_exp = beta * (1.0 - alpha) * (1.0 + mu) - mu
 
     def arc_gap_sq(xs: np.ndarray) -> np.ndarray:
         # r_arc^2 - x^2 in a cancellation-free form: for nu beyond 1e8 the
         # naive difference rounds to zero at the junctions.
         return ((two_thirds - xs) * (two_thirds + xs)
-                + two_thirds ** 2 / nu ** 2)
+                + two_thirds ** 2 / (nu * nu))
 
     # C4 certification sweep over (exponent, wall distance) in one array
     # pass, exponents down the rows.  The exponent grid top is held at a
@@ -693,9 +676,9 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
     # Drift constant covering the middle region (time-independent there).
     xs_mid = np.linspace(-two_thirds, two_thirds, MIDDLE_SWEEP_POINTS)
     gap_sq = arc_gap_sq(xs_mid)
-    vmx = xs_mid / (root_nu * np.sqrt(gap_sq)) + v0_at(1, xs_mid)
-    vmxx = r_arc_sq / (root_nu * gap_sq ** 1.5) + v0_at(2, xs_mid)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vmx = xs_mid / (root_nu * np.sqrt(gap_sq)) + v0_at(1, xs_mid)
+        vmxx = r_arc_sq / (root_nu * gap_sq ** 1.5) + v0_at(2, xs_mid)
         wmid = np.asarray(spec.g.eval(vmx), dtype=float)
         fmid = np.asarray(spec.f.eval(2.0 * wmid * vmxx), dtype=float)
     if not np.all(np.isfinite(fmid)):
@@ -733,8 +716,10 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
 
     @functools.lru_cache(maxsize=STATE_CACHE)
     def exponent(t: float) -> float:
-        return math.exp(_invert_time_map(t, time_to, slope, s_table,
-                                         t_table))
+        # Newton in s = log L, started by linear interpolation in the table.
+        return math.exp(root(lambda s: time_to(s) - t, s0, s_top,
+                             x0=float(np.interp(t, t_table, s_table)),
+                             slope=slope, tol=ROOT_STEP_TOL))
 
     def exponent_at(t: float) -> float:
         t = float(t)

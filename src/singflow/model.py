@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._scalar import brentq
+from ._scalar import root
 from .errors import DomainError, ParameterError
 
 # Tail declarations are checked at these magnitudes; the ratio must approach
@@ -197,7 +197,7 @@ def signed_power(beta: float) -> Nonlinearity:
 
 def _bracketed_inverse(fn) -> Callable[[float], float]:
     """Inverse of a strictly increasing fn with fn(0) = 0, by bracket
-    expansion plus Brent root finding.  Scalar in, scalar out."""
+    expansion, then bisection.  Scalar in, scalar out."""
 
     def inv(y: float) -> float:
         if not math.isfinite(y):
@@ -212,9 +212,7 @@ def _bracketed_inverse(fn) -> Callable[[float], float]:
             if abs(probe) > 1e300:
                 raise DomainError(f"value {y:g} is never attained")
         lo, hi = (lo, probe) if y > 0.0 else (probe, hi)
-        return float(brentq(lambda s: float(fn(np.asarray(s))) - y, lo, hi,
-                            xtol=1e-300, rtol=4 * np.finfo(float).eps,
-                            maxiter=200))
+        return root(lambda s: float(fn(np.asarray(s))) - y, lo, hi)
 
     return inv
 

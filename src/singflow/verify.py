@@ -15,7 +15,7 @@ and keeping the best relative fit.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -79,7 +79,6 @@ def _default_gamma_grid(alpha: Optional[float] = None) -> list:
 
 
 def fit_boundary_rate(x, u, b: float, side: int = 1,
-                      gamma_grid: Optional[Sequence[float]] = None,
                       alpha: Optional[float] = None):
     """Fit u ~ D * psi_gamma(b -+ x) + C near the wall x = side * b.
 
@@ -91,11 +90,9 @@ def fit_boundary_rate(x, u, b: float, side: int = 1,
         Domain half-width.
     side : {+1, -1}
         Which wall the samples approach.
-    gamma_grid : sequence of float, optional
-        Candidate rates; defaults to quarter steps 0..5, plus
-        (2 - alpha)/(alpha - 1) when alpha lies in (1, 2].
     alpha : float, optional
-        Weight tail exponent, used only to extend the default grid.
+        Weight tail exponent.  The candidate rates are quarter steps 0..5,
+        plus (2 - alpha)/(alpha - 1) when alpha lies in (1, 2].
 
     Returns
     -------
@@ -124,15 +121,13 @@ def fit_boundary_rate(x, u, b: float, side: int = 1,
     if float(np.max(dist) / np.min(dist)) < 100.0:
         raise InsufficientDataError(
             "rate fitting needs wall distances spanning >= 2 decades")
-    if gamma_grid is None:
-        gamma_grid = _default_gamma_grid(alpha)
 
     denom = float(np.linalg.norm(ua - np.mean(ua)))
     if denom == 0.0:
         denom = max(float(np.linalg.norm(ua)), 1.0)
 
     best = None
-    for gam in gamma_grid:
+    for gam in _default_gamma_grid(alpha):
         design = np.column_stack([psi(gam, dist), np.ones_like(dist)])
         norms = np.linalg.norm(design, axis=0)
         coef, *_ = np.linalg.lstsq(design / norms, ua, rcond=None)

@@ -170,7 +170,7 @@ def test_super_family_horizon_and_exponent():
 
 def _terminal_exponent(b, mu, l0, nu):
     """super_family's l_max: where the junction's steepness need reaches
-    nu, by scipy's brentq on the same bracket and tolerances."""
+    nu, by scipy's brentq to float resolution."""
     c_star = max(8.0 * b / 9.0, 16.0 / 9.0, 4.0 / b ** 2)
 
     def needed(length):
@@ -180,8 +180,16 @@ def _terminal_exponent(b, mu, l0, nu):
     hi = max(2.0 * l0, 4.0)
     while needed(hi) < nu:
         hi *= 2.0
-    return scipy_brentq(lambda ln: needed(ln) - nu, l0, hi, xtol=1e-12,
-                        rtol=4.0 * np.finfo(float).eps)
+    return scipy_brentq(lambda ln: needed(ln) - nu, l0, hi, xtol=1e-300,
+                        rtol=4.0 * np.finfo(float).eps, maxiter=500)
+
+
+def _criterion_4(case):
+    """(spec, L0) of an acceptance-criterion-4 super_family case."""
+    return {
+        "heat": (_p_heat_spec(2.0, 0.5, 0.1), 3.0),
+        "lin": (_spec(signed_power(1.0), preset_curvature(0.5)[1]), 1.2),
+    }[case]
 
 
 @pytest.mark.parametrize("case", ["heat", "lin"])
@@ -189,10 +197,7 @@ def test_super_family_horizon_and_exponent_are_exact(case):
     """T is the integral of dL / L' from L0 to l_max and L(t) inverts it,
     against scipy's adaptive quadrature at 1e-13 on both
     acceptance-criterion-4 specs."""
-    spec, l0 = {
-        "heat": (_p_heat_spec(2.0, 0.5, 0.1), 3.0),
-        "lin": (_spec(signed_power(1.0), preset_curvature(0.5)[1]), 1.2),
-    }[case]
+    spec, l0 = _criterion_4(case)
     alpha, beta = spec.g.alpha, spec.f.beta
     mu = super_mu(alpha, beta)
     a_exp = beta * (1.0 - alpha) * (1.0 + mu) - mu
@@ -214,14 +219,31 @@ def test_super_family_horizon_and_exponent_are_exact(case):
         assert p.L(p.T) == pytest.approx(l_max, rel=ulps, abs=0.0)
 
 
+@pytest.mark.parametrize("case", ["heat", "lin"])
+@pytest.mark.parametrize("nu", [1e100, 1e200, 1e300, 1.7e308])
+def test_super_family_at_extreme_steepness_builds_or_fails_typed(case, nu):
+    """A steepness near the float limit either gives a barrier with a
+    finite horizon or raises ParameterError, never a bare OverflowError."""
+    spec, l0 = _criterion_4(case)
+    try:
+        bf = super_family(spec, None, l0, nu)
+    except ParameterError:
+        return
+    assert 0.0 < bf.valid_until < math.inf
+    assert bf.params.L(bf.valid_until) > l0
+
+
 # sha256 over repr(scalar_params(params)) of super_family on both
 # acceptance-criterion-4 specs at ten nu from 10^3.5 to 10^8, recorded while
 # the C4 sweep looped over the exponents one at a time; re-recorded when the
 # horizon became one Gauss-Legendre integral of the exponent's time map
 # instead of an RK45 event time, which moved T by 1.6e-9 relative (the
-# RK45 error) and left C4, c and the rest unchanged.
+# RK45 error) and left C4, c and the rest unchanged; and again when the
+# terminal exponent became a Newton root of the log-form steepness equation
+# instead of brentq at xtol 1e-12, which moved T by at most 3.7e-15
+# relative at seven of the twenty nu and left C4 and c unchanged.
 PINNED_SUPER_PARAMS = \
-    "3f06ae972bb863b5cf0980793eb78dfdd8c1ab6e2d46c04b985ee70416aeb112"
+    "2b7866261665fbb4e1ed4f60d1964d154ff1c0176179900fc0e35eaa7a8be342"
 
 
 def test_super_family_constants_match_pinned_digest():
@@ -533,7 +555,12 @@ def _pinned_family_cases():
 # the kink redraws; every case kept its pass flag, kink verdicts and sample
 # count.  The super-* entries were re-recorded when L(t) and T came from the
 # exponent's time map instead of RK45: times, margins and worst residuals
-# moved by at most 3e-9 relative and every verdict held.
+# moved by at most 3e-9 relative and every verdict held.  The uk* entries
+# and super-heat-1e4 were re-recorded when sub_uk's layer thickness y_k and
+# super_family's terminal exponent became Newton roots to float resolution
+# instead of bisect at xtol 1e-14 and brentq at xtol 1e-12: y_k moved by at
+# most 9e-12 relative and margins by 1e-11 (uk*) and 2e-14 (super), and
+# every pass flag, kink verdict and sample count held.
 PINNED_FAMILY_REPORTS = {
     "vL-sub-1e4":
         "10cb6fff9ffc2fefb680aac3720e03e597046cfcb2869a0c491daa6724dfa22b",
@@ -544,15 +571,15 @@ PINNED_FAMILY_REPORTS = {
     "vL-nan-stratum":
         "17f54b3ab355801f86c21f507bacd56bc31e80e9d68b46794bf71a1372118536",
     "uk0.5-sub-1e4":
-        "ca452560de66946d88793e9f35e25a6315678f7b3daaf319e80b776009ff61af",
+        "cab533df4dda23bba0f27b9f9b3d3683344a2fcd665f88e85c16030cbb1766cd",
     "uk0.75-sub-1e5":
-        "2bf81e633b5bddc7a994b988f38093aed7dc8669cbcd3d498cb8eccfb4e59472",
+        "4bc3a9110724c348617df6d880c763d04545ebb725ec98bab1a91ceb8bb192ae",
     "uk1-strict-1e4":
-        "f979a2c3779b170327551bc0015232a861390b3a26f30882bff9665ea02986c8",
+        "4022753000310de4bd5c1243582762eaca558665ba2218f98e94f90088de0e12",
     "uk1-window-1e4":
-        "ee24d093e9eb45c45ce96e64403387db537f809b71e025e108dacac404f4f7d9",
+        "3559a22321eed060b8f6369bc2cd2a64cabcd5fb7e15fe795672c2be4cd7f574",
     "super-heat-1e4":
-        "552371a2dbddd46bf470e0b7cb4fdd72e46e2144608282989858a030ab303934",
+        "a0d33d323bfc7e75d5af6f31e5c5106b1231320bcd8c6b1ae86c99d576f5c487",
     "super-heat-strict-1e5":
         "61a58a34b72bed5b273e494d7ca78729b07d337d1e913f30bb6f1ba06d46acce",
     "super-lin-1e4":
@@ -671,9 +698,12 @@ def _jet_families():
 # level (relative 1.6e-16 and 4.8e-16) and no other family's jet; and
 # again when super_family's L(t) and T came from the exponent's time map
 # instead of RK45, which moved T by 1.6e-9 relative and with it that
-# family's jet at all four times, and no other family's jet.
+# family's jet at all four times, and no other family's jet; and again when
+# sub_uk's y_k and super_family's terminal exponent became Newton roots to
+# float resolution, which moved y_k by 9e-12 and T by 2e-15 relative and
+# the jets of those two families only.
 PINNED_JETS = \
-    "a8ffcf91d9c7bcef7071545f618a6b7bf65f3907db79ed05a1991676807b96b2"
+    "87a9ad5912129696ac47ab6fdc924a8be6f759b3ef9058060ba4e53fb2fde70f"
 
 
 def test_jets_match_pinned_digest():
@@ -710,14 +740,14 @@ def test_scalar_points_give_floats(name):
 
 def test_super_family_evaluates_its_ode_once_per_stratum(monkeypatch):
     """L(t) inverts the exponent's time map once per stratum time."""
-    real = barriers._invert_time_map
+    real = barriers.root
     calls = []
 
-    def counted(t, *args):
-        calls.append(t)
-        return real(t, *args)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(barriers, "_invert_time_map", counted)
+    monkeypatch.setattr(barriers, "root", counted)
     spec = _p_heat_spec(2.0, 0.5, 0.1)
     bf = super_family(spec, None, 3.0, 1e4)
     for samples, seed in ((10_000, 1), (100_000, 2)):

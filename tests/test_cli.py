@@ -5,11 +5,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import singflow
 from singflow import ScenarioError, cli, solver
 from singflow.cli import main, run, validate_scenario
 
@@ -339,11 +342,18 @@ def test_inline_needs_preset(capsys):
     assert "--preset" in capsys.readouterr().err
 
 
+def _python(*args):
+    """Run the interpreter on args in a child process that imports the
+    package under test, whether or not it is installed."""
+    src = str(Path(singflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_console_script_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "singflow.cli", "classify", "--preset",
-         "curvature", "--param", "beta2=1", "--out", str(tmp_path / "o")],
-        capture_output=True, text=True)
+    proc = _python("-m", "singflow.cli", "classify", "--preset", "curvature",
+                   "--param", "beta2=1", "--out", str(tmp_path / "o"))
     assert proc.returncode == 0, proc.stderr
     assert "classify" in proc.stdout
 
@@ -371,15 +381,15 @@ print(sorted(m for m in ("scipy.optimize", "scipy.integrate")
 
 def test_import_leaves_scipy_solvers_unloaded():
     """scipy.optimize and scipy.integrate cost a process about 45 MB; the
-    package ships its own root finders and RK45, so neither importing it
-    nor building, verifying and inverting anything loads them.  The runtime
+    package ships its own root finder and integrates the super-solution's
+    exponent by Gauss-Legendre quadrature, so neither importing it nor
+    building, verifying and inverting anything loads them.  The runtime
     needs no scipy at all: importing the package and its CLI loads no
     scipy module."""
     for code in ("import sys, singflow, singflow.cli; print(sorted(m for m "
                  "in sys.modules if m.split('.')[0] == 'scipy'))",
                  _BARRIER_SESSION):
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
+        proc = _python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
 
@@ -408,7 +418,13 @@ _SOLVE = {"experiment": "solve", "n": 40, "cap": 4.0, "t_end": 0.005}
 # super_family's L(t) and T came from the exponent's time map instead of
 # RK45, which moved T, the kink times and margins by at most 3e-9 relative
 # and the suite's closure gap from 1.2e-14 to 3.6e-16, and kept every
-# verdict.
+# verdict; the barrier_uk, barrier_super and verify digests were
+# re-recorded when sub_uk's y_k and super_family's terminal exponent became
+# Newton roots to float resolution instead of bisect and brentq at loose
+# tolerances, which moved y_k by 2.9e-12 relative, uk margins by 3.7e-12,
+# super times and margins by 1.3e-14 and the suite's closure gap (measured
+# in the power form, the root now solved in log form) from 3.6e-16 to
+# 1.5e-15, and kept every verdict.
 PINNED_ARTIFACTS = {
     "classify_b3": (
         dict(_CURV, experiment="classify", u0=_PSI_B3),
@@ -420,7 +436,7 @@ PINNED_ARTIFACTS = {
     "barrier_uk": (
         dict(_CURV, experiment="barrier", family="uk", k=100.0, samples=2000,
              seed=7),
-        "38fc5530aeb4e0a7e1740548b6c97bfe0df2a4d8cc88eeb2bd74efac73cfa342"),
+        "17c0973dee0315933de6fd088a681fa454c87b671010a1b92f22d8b6ae02908e"),
     "barrier_vL": (
         dict(_HEAT, experiment="barrier", family="vL", L=100.0, samples=2000,
              seed=5),
@@ -429,7 +445,7 @@ PINNED_ARTIFACTS = {
         dict(_HEAT, experiment="barrier", family="super",
              params={"p": 2.0, "beta1": 0.5, "eps": 0.1}, L0=3.0, nu=1e4,
              samples=2000, seed=3),
-        "3ebbbeb31d4337717031330d40bd9556f184b83b270094832e9fbdb78ec4045e"),
+        "33bda7dddef74c79f2a31bd6cfbeb7434dbb8f4d436218582f585f42b5216944"),
     "barrier_h": (
         dict(_CURV, experiment="barrier", family="h", gamma_plus=1.0,
              gamma_minus=0.5, d_plus=2.0, d_minus=1.0, b0=0.6, verify=False),
@@ -448,7 +464,7 @@ PINNED_ARTIFACTS = {
         "66e9215ab6c979bafcbe147a7149f4a17f4f82af845d2c357fbf1960e7260d35"),
     "verify": (
         {"experiment": "verify"},
-        "de23ab86cbdce83bcb284026795869884335c66bf8810bd5f8d9a860efa3bd50"),
+        "b8bfe58bf75562174f9b722120dbedb2efcfcb11ac49eb01da01c1b22a834a97"),
     # One case per datum kind and class and one preset override, recorded
     # before the presets, datum kinds and barrier families became tables.
     "solve_constant": (
@@ -693,8 +709,7 @@ def test_usage_errors_exit_1(capsys, argv):
 
 
 def test_console_usage_error_exits_1():
-    proc = subprocess.run([sys.executable, "-m", "singflow.cli", "solve",
-                           "--n", "abc"], capture_output=True, text=True)
+    proc = _python("-m", "singflow.cli", "solve", "--n", "abc")
     assert proc.returncode == 1
     assert "invalid int value: 'abc'" in proc.stderr
 
