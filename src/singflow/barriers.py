@@ -361,7 +361,11 @@ def sub_uk(spec: ProblemSpec, k: float) -> BarrierFunction:
             f"layer thickness y_k = {y_k:.3g} does not fit in half-width "
             f"b = {b}; increase k")
 
-    r_k = b * math.sqrt(1.0 + 1.0 / k ** 2)
+    try:
+        r_k = b * math.sqrt(1.0 + 1.0 / k ** 2)
+    except OverflowError:
+        raise ParameterError(
+            f"k = {k:g} is too large: k^2 overflows a float") from None
     speed = float(np.asarray(spec.f.eval(-m_floor * log_yk), dtype=float))
     log.info("sub_uk: k = %g, y_k = %.6g, M = %.6g, wall speed = %.6g",
              k, y_k, m_floor, speed)
@@ -376,7 +380,9 @@ def sub_uk(spec: ProblemSpec, k: float) -> BarrierFunction:
         e_term = big_e * e_neg if big_e < 700.0 else 0.0
         x_k = e_neg + b - y_k
         dx_k = -speed * e_term
-        arc = math.sqrt(r_k ** 2 - x_k ** 2)
+        # x_k <= b keeps the arc at least b/k tall, but once 1/k^2 is below
+        # the float resolution (k >~ 1e8) rounding can cancel it at t = 0.
+        arc = math.sqrt(max(r_k ** 2 - x_k ** 2, (b / k) ** 2))
         return big_e, e_neg, x_k, dx_k, arc, x_k * dx_k / arc
 
     def prep(xs: np.ndarray, t):

@@ -7,8 +7,8 @@ and discrete comparison, residual monotonicity, scaling round-trips, and
 planted-rate recovery.  The CLI ``verify`` subcommand wraps `run_suite`
 and emits its summary as JSON.
 
-Each check is independent and returns a CheckResult; a failed check never
-aborts the run, so one report covers the whole suite.
+Each check is independent and returns (passed, detail); a check that fails
+or raises never aborts the run, so one report covers the whole suite.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -58,14 +57,6 @@ DERIV_POINTS = 1000
 DERIV_CLEARANCE = 0.02
 DERIV_MAX_ROUNDS = 50
 SUITE_SEED = 20240813
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
 
 
 def _zero_datum() -> InitialDatum:
@@ -605,7 +596,7 @@ CHECKS: Tuple[Tuple[str, Callable[[], Tuple[bool, str]]], ...] = (
 
 def run_suite() -> Dict:
     """Run every invariant check and return a JSON-ready summary."""
-    results: List[CheckResult] = []
+    checks = []
     t_start = time.perf_counter()
     for name, fn in CHECKS:
         t0 = time.perf_counter()
@@ -615,15 +606,14 @@ def run_suite() -> Dict:
             log.error("check %s raised", name, exc_info=True)
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - t0
-        results.append(CheckResult(name=name, passed=passed, detail=detail,
-                                   elapsed=elapsed))
+        checks.append({"name": name, "pass": passed, "detail": detail,
+                       "elapsed_s": round(elapsed, 3)})
         log.info("%-32s %s (%.2fs) %s", name,
                  "pass" if passed else "FAIL", elapsed, detail)
-    n_fail = sum(1 for r in results if not r.passed)
+    n_fail = sum(1 for c in checks if not c["pass"])
     return {
-        "checks": [{"name": r.name, "pass": r.passed, "detail": r.detail,
-                    "elapsed_s": round(r.elapsed, 3)} for r in results],
-        "n_checks": len(results),
+        "checks": checks,
+        "n_checks": len(checks),
         "n_failed": n_fail,
         "pass": n_fail == 0,
         "elapsed_s": round(time.perf_counter() - t_start, 3),

@@ -78,6 +78,16 @@ def _default_gamma_grid(alpha: Optional[float] = None) -> list:
     return sorted(grid)
 
 
+def _fit_psi(gamma: float, dist: np.ndarray, u: np.ndarray):
+    """Least squares u ~ D * psi_gamma(dist) + C on the column-normalized
+    design; returns (D, C) and the unnormalized design [psi, 1]."""
+    basis = psi(gamma, dist)
+    design = np.column_stack([basis, np.ones_like(basis)])
+    norms = np.linalg.norm(design, axis=0)
+    coef, *_ = np.linalg.lstsq(design / norms, u, rcond=None)
+    return coef / norms, design
+
+
 def fit_boundary_rate(x, u, b: float, side: int = 1,
                       alpha: Optional[float] = None):
     """Fit u ~ D * psi_gamma(b -+ x) + C near the wall x = side * b.
@@ -128,10 +138,7 @@ def fit_boundary_rate(x, u, b: float, side: int = 1,
 
     best = None
     for gam in _default_gamma_grid(alpha):
-        design = np.column_stack([psi(gam, dist), np.ones_like(dist)])
-        norms = np.linalg.norm(design, axis=0)
-        coef, *_ = np.linalg.lstsq(design / norms, ua, rcond=None)
-        coef = coef / norms
+        coef, design = _fit_psi(gam, dist, ua)
         rel = float(np.linalg.norm(design @ coef - ua)) / denom
         if best is None or rel < best[0]:
             best = (rel, float(gam), float(coef[0]))

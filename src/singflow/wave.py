@@ -24,12 +24,16 @@ together, one quadrature call per level.  Everything downstream (speed,
 inversion, H) is then exact for the hybrid weight, which matches g
 pointwise inside the cut and to 1e-7 relative outside.
 
-Inside the cut G^{-1} is a safeguarded Newton iteration on one panel of the
-table: G' = g exactly, so each step costs one Gauss-Legendre partial
-integral and one evaluation of g, and a bracket on the panel catches every
-step that would leave it.  Newton starts from a degree-12 Chebyshev
-interpolant of G^{-1} on the panel, fitted once when the table is built, so
-most points stop after one or two steps.
+G, G^{-1} and H are evaluated by one dispatch: points at or beyond the
+table's first or last edge (breakpoints for G and H, cumulative values for
+G^{-1}) take the closed-form power-law tail, the rest the panel that holds
+them, and a float argument gives a float.  Inside the cut G^{-1} is a
+safeguarded Newton iteration on one panel of the table: G' = g exactly, so
+each step costs one Gauss-Legendre partial integral and one evaluation of
+g, and a bracket on the panel catches every step that would leave it.
+Newton starts from a degree-12 Chebyshev interpolant of G^{-1} on the
+panel, fitted once when the table is built, so most points stop after one
+or two steps.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ import numpy as np
 
 from .errors import (DomainError, ParameterError, RateExtractionError,
                      RegimeError)
-from .model import DiffusionWeight, ProblemSpec, psi
+from .model import DiffusionWeight, ProblemSpec
+from .verify import _fit_psi
 
 # Tail cut search.
 _S0_INIT = 8.0
@@ -132,7 +137,8 @@ class _TailCorrectedG:
 
     # -- construction ------------------------------------------------------
 
-    def _tail_mass(self, cg: float, s0: float) -> float:
+    def _tail_mass(self, cg: float, s0):
+        """Mass of the tail cg |s|^(-alpha) beyond |s| = s0."""
         return cg * s0 ** (1.0 - self.alpha) / (self.alpha - 1.0)
 
     def _breakpoints(self, s0: float) -> np.ndarray:
@@ -226,8 +232,7 @@ class _TailCorrectedG:
         subpanels = [sub for sub_list, _ in panels for sub in sub_list]
         bps = np.array([p[0] for p in subpanels] + [subpanels[-1][1]])
         vals_g = _gl_partial(g.eval, bps[:-1], bps[1:])
-        vals_h = _gl_partial(lambda t: t * np.asarray(g.eval(t)),
-                             bps[:-1], bps[1:])
+        vals_h = _gl_partial(self._tg, bps[:-1], bps[1:])
 
         self.bps = bps
         self.tm_minus = self._tail_mass(g.cg_minus, self.s0)
@@ -260,95 +265,80 @@ class _TailCorrectedG:
 
     # -- evaluation --------------------------------------------------------
 
-    def value(self, s):
-        """G(s), vectorized; accepts +-inf."""
-        arr = np.asarray(s, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr).astype(float)
+    def _tabled(self, x, edges, below, mid, above):
+        """One map of the table at x: below(v) for v <= edges[0], above(v)
+        for v >= edges[-1] and mid(v, idx) in panel idx between, each on
+        its own points only; a float for a float."""
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(arr)
-        alpha = self.alpha
+        lo = arr <= edges[0]
+        hi = arr >= edges[-1]
+        inside = ~(lo | hi)
+        if np.any(lo):
+            out[lo] = below(arr[lo])
+        if np.any(hi):
+            out[hi] = above(arr[hi])
+        if np.any(inside):
+            v = arr[inside]
+            idx = np.clip(np.searchsorted(edges, v, side="right") - 1,
+                          0, len(edges) - 2)
+            out[inside] = mid(v, idx)
+        return float(out[0]) if np.ndim(x) == 0 else out
 
-        below = arr <= -self.s0
-        above = arr >= self.s0
-        mid = ~(below | above)
-        if np.any(below):
-            # |s|^(1-alpha) -> 0 handles s = -inf for free.
-            out[below] = self.g.cg_minus * np.abs(arr[below]) ** \
-                (1.0 - alpha) / (alpha - 1.0)
-        if np.any(above):
-            gap = self.g.cg_plus * arr[above] ** (1.0 - alpha) / (alpha - 1.0)
-            out[above] = self.total - gap
-        if np.any(mid):
-            sm = arr[mid]
-            idx = np.clip(np.searchsorted(self.bps, sm, side="right") - 1,
-                          0, len(self.bps) - 2)
-            out[mid] = self.cum[idx] + _gl_partial(self.g.eval,
-                                                   self.bps[idx], sm)
-        return float(out[0]) if scalar else out
+    def _tg(self, t):
+        """t g(t), the integrand of H."""
+        return t * np.asarray(self.g.eval(t))
+
+    def _h_tail(self, cg: float, mag):
+        """int_S0^mag t * cg t^(-alpha) dt, the H increment in a tail."""
+        alpha, s0 = self.alpha, self.s0
+        if alpha == 2.0:
+            return cg * np.log(mag / s0)
+        return cg * (mag ** (2.0 - alpha) - s0 ** (2.0 - alpha)) / \
+            (2.0 - alpha)
+
+    def tail_inverse(self, cg: float, gap):
+        """The |s| at which a tail cg |s|^(-alpha) holds mass gap beyond s:
+        G^{-1}(gap) = -tail_inverse(cg_minus, gap) in the lower tail and
+        G^{-1}(G(inf) - gap) = tail_inverse(cg_plus, gap) in the upper."""
+        return (cg / ((self.alpha - 1.0) * gap)) ** (1.0 / (self.alpha - 1.0))
+
+    def value(self, s):
+        """G(s), vectorized; accepts +-inf (|s|^(1-alpha) -> 0 in the
+        tails)."""
+        g = self.g
+        return self._tabled(
+            s, self.bps,
+            lambda v: self._tail_mass(g.cg_minus, np.abs(v)),
+            lambda v, idx: self.cum[idx] + _gl_partial(
+                g.eval, self.bps[idx], v),
+            lambda v: self.total - self._tail_mass(g.cg_plus, v))
 
     def h_value(self, s):
         """H(s) = int_0^s t g(t) dt for the hybrid weight, vectorized."""
-        arr = np.atleast_1d(np.asarray(s, dtype=float))
-        scalar = np.asarray(s).ndim == 0
-        out = np.empty_like(arr)
-        alpha, s0 = self.alpha, self.s0
-
-        def tail_increment(cg, mag):
-            if alpha == 2.0:
-                return cg * np.log(mag / s0)
-            return cg * (mag ** (2.0 - alpha) - s0 ** (2.0 - alpha)) / (2.0 - alpha)
-
-        below = arr <= -s0
-        above = arr >= s0
-        mid = ~(below | above)
-        if np.any(below):
-            out[below] = self.hcum[0] + tail_increment(self.g.cg_minus,
-                                                       -arr[below])
-        if np.any(above):
-            out[above] = self.hcum[-1] + tail_increment(self.g.cg_plus,
-                                                        arr[above])
-        if np.any(mid):
-            sm = arr[mid]
-            idx = np.clip(np.searchsorted(self.bps, sm, side="right") - 1,
-                          0, len(self.bps) - 2)
-            out[mid] = self.hcum[idx] + _gl_partial(
-                lambda t: t * np.asarray(self.g.eval(t)),
-                self.bps[idx], sm)
-        return float(out[0]) if scalar else out
-
-    def inv_from_top(self, gap):
-        """G^{-1}(total - gap) for gap inside the upper analytic tail."""
-        g = np.asarray(gap, dtype=float)
-        alpha = self.alpha
-        return (self.g.cg_plus / ((alpha - 1.0) * g)) ** (1.0 / (alpha - 1.0))
+        g = self.g
+        return self._tabled(
+            s, self.bps,
+            lambda v: self.hcum[0] + self._h_tail(g.cg_minus, -v),
+            lambda v, idx: self.hcum[idx] + _gl_partial(
+                self._tg, self.bps[idx], v),
+            lambda v: self.hcum[-1] + self._h_tail(g.cg_plus, v))
 
     def inverse(self, w):
         """G^{-1}(w), vectorized; safeguarded Newton inside the table (see
         `_panel_inverse`), closed form in the analytic tails.  Each point's
         result is independent of the other points passed with it."""
-        arr = np.atleast_1d(np.asarray(w, dtype=float))
-        scalar = np.asarray(w).ndim == 0
+        arr = np.asarray(w, dtype=float)
         if np.any(arr <= 0.0) or np.any(arr >= self.total):
             raise DomainError(
                 f"G^-1 needs arguments strictly inside (0, {self.total:g})")
-        out = np.empty_like(arr)
-        alpha = self.alpha
-
-        below = arr <= self.cum[0]
-        above = arr >= self.cum[-1]
-        mid = ~(below | above)
-        if np.any(below):
-            out[below] = -(self.g.cg_minus / ((alpha - 1.0) * arr[below])) \
-                ** (1.0 / (alpha - 1.0))
-        if np.any(above):
-            out[above] = self.inv_from_top(self.total - arr[above])
-        if np.any(mid):
-            wm = arr[mid]
-            idx = np.clip(np.searchsorted(self.cum, wm, side="right") - 1,
-                          0, len(self.bps) - 2)
-            out[mid] = self._panel_inverse(wm, idx,
-                                           self._cheb_start(wm, idx))
-        return float(out[0]) if scalar else out
+        g = self.g
+        return self._tabled(
+            arr, self.cum,
+            lambda v: -self.tail_inverse(g.cg_minus, v),
+            lambda v, idx: self._panel_inverse(v, idx,
+                                               self._cheb_start(v, idx)),
+            lambda v: self.tail_inverse(g.cg_plus, self.total - v))
 
     def _cheb_start(self, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """The panel's Chebyshev interpolant of G^{-1} at w by Clenshaw,
@@ -458,13 +448,10 @@ class WaveProfile:
 def _tail_js(b: float, q: float, table: _TailCorrectedG) -> np.ndarray:
     """Geometric tail indices j: default 3..40, trimmed where W_x would
     overflow, extended (never past 50) until the last slope clears 1e6."""
-    alpha = table.alpha
-    m = 1.0 / (alpha - 1.0)
-
     def model_wx(j: float) -> float:
         gap = q * b * 2.0 ** (-j)
         gap = min(gap, table.tm_plus)  # inside the analytic-tail regime
-        return float((table.g.cg_plus / ((alpha - 1.0) * gap)) ** m)
+        return float(table.tail_inverse(table.g.cg_plus, gap))
 
     j_hi = _J_HI
     while model_wx(j_hi) > _WX_CAP and j_hi > _J_LO:
@@ -513,7 +500,7 @@ def compute_wave(spec: ProblemSpec, n_grid: int = 512,
         gap = q * (b - arr)
         top = gap <= table.tm_plus
         if np.any(top):
-            out[top] = table.inv_from_top(gap[top])
+            out[top] = table.tail_inverse(table.g.cg_plus, gap[top])
         if np.any(~top):
             out[~top] = table.inverse((arr[~top] + b) * q)
         return float(out[0]) if scalar else out
@@ -554,12 +541,8 @@ def _fit_divergence(x_grid: np.ndarray, w_values: np.ndarray, b: float,
         if int(np.count_nonzero(sel)) < 3:
             raise RateExtractionError(
                 "not enough boundary-layer points for a rate fit")
-        basis = psi(gamma, dist[sel])
-        design = np.column_stack([basis, np.ones_like(basis)])
-        norms = np.linalg.norm(design, axis=0)
-        coef, *_ = np.linalg.lstsq(design / norms, w_values[sel], rcond=None)
-        coef = coef / norms
-        slopes = (w_values[sel] - coef[1]) / basis
+        coef, design = _fit_psi(gamma, dist[sel], w_values[sel])
+        slopes = (w_values[sel] - coef[1]) / design[:, 0]
         mean = float(np.mean(slopes))
         spread = float((np.max(slopes) - np.min(slopes)) / abs(mean)) \
             if mean != 0.0 else np.inf

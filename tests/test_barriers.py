@@ -16,10 +16,10 @@ from scipy.optimize import brentq as scipy_brentq
 
 from singflow import barriers
 from singflow import (BarrierFunction, HorizonError, ParameterError,
-                      RegimeError, compute_wave, convex_envelope, h_tail,
-                      initial_b1, make_problem, preset_curvature,
-                      preset_p_heat, signed_power, sub_uk, sub_vL,
-                      super_family, super_mu, translate_wave,
+                      RegimeError, SingflowError, compute_wave,
+                      convex_envelope, h_tail, initial_b1, make_problem,
+                      preset_curvature, preset_p_heat, signed_power, sub_uk,
+                      sub_vL, super_family, super_mu, translate_wave,
                       verify_inequality)
 from singflow.verify import residual_values
 
@@ -103,6 +103,24 @@ def test_uk_verifies_as_subsolution():
     assert report["pass"]
     assert report["worst_residual"] <= 1e-9
     assert all(k["pass"] for k in report["kink_checks"])
+
+
+def test_uk_large_k_is_refused_or_finite():
+    """Past k ~ 1e8 the arc height b/k at t = 0 is below the rounding of
+    r_k^2 - x_k^2, and past ~1.3e154 k^2 overflows: each k either raises a
+    typed error or builds and evaluates finitely at t = 0."""
+    spec = _curvature_spec(1.0)
+    assert verify_inequality(sub_uk(spec, 1.0e8), spec, "sub", samples=2000,
+                             seed=3)["pass"]
+    xs = np.concatenate([np.linspace(-0.95, 0.95, 39),
+                         1.0 - 2.0 ** -np.arange(1.0, 53.0)])
+    for k in (1.0e9, 1.0e20, 1.0e160, 1.0e297):
+        try:
+            bf = sub_uk(spec, k)
+        except SingflowError:
+            continue
+        for part in (bf.eval(xs, 0.0), *bf.jet(xs, 0.0)):
+            assert np.all(np.isfinite(part)), k
 
 
 # ---------------------------------------------------------------------------

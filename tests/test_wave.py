@@ -291,29 +291,35 @@ def test_inverse_needs_few_quadrature_rows(monkeypatch):
 @given(g=_weights())
 def test_inverse_is_batch_independent(g):
     """G^{-1}, G and H give each point the same bits alone, in small
-    slices and in one batch of more than three 512-row quadrature chunks."""
+    slices and in one batch of more than three 512-row quadrature chunks;
+    the points cover both analytic tails, their edges and the table."""
     table = _TailCorrectedG(g)
-    w = _table_points(table)
+    tails = np.array([0.5 * table.cum[0], table.cum[0], table.cum[-1],
+                      table.total - 0.5 * table.tm_plus])
+    w = np.concatenate([tails, _table_points(table)])
     full = table.inverse(w)
     sliced = np.concatenate([table.inverse(w[i:i + 7])
                              for i in range(0, w.size, 7)])
     assert sliced.tobytes() == full.tobytes()
-    alone = np.array([table.inverse(x) for x in w[::9]])
-    assert alone.tobytes() == full[::9].tobytes()
+    picks = np.r_[:tails.size, tails.size:w.size:9]
+    alone = np.array([table.inverse(x) for x in w[picks]])
+    assert alone.tobytes() == full[picks].tobytes()
 
     big = np.concatenate([w, np.linspace(table.cum[0], table.cum[-1],
                                          1601)[1:-1]])
     assert big.size > 3 * 512
     s = np.concatenate([table.inverse(big),
-                        table.s0 * np.array([-10.0, -1.0, 1.0, 10.0])])
+                        table.s0 * np.array([-10.0, -1.0, 1.0, 10.0]),
+                        [-np.inf, np.inf]])
     assert s[:w.size].tobytes() == full.tobytes()
+    picks = np.r_[:s.size:41, s.size - 6:s.size]
     for fn in (table.value, table.h_value):
         whole = fn(s)
         sliced = np.concatenate([fn(s[i:i + 97])
                                  for i in range(0, s.size, 97)])
         assert sliced.tobytes() == whole.tobytes()
-        alone = np.array([fn(x) for x in s[::41]])
-        assert alone.tobytes() == whole[::41].tobytes()
+        alone = np.array([fn(x) for x in s[picks]])
+        assert alone.tobytes() == whole[picks].tobytes()
 
 
 def test_inverse_survives_a_sharp_bump():
