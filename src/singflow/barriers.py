@@ -51,7 +51,7 @@ import numpy as np
 from ._scalar import root
 from .errors import HorizonError, ParameterError, RegimeError
 from .model import ProblemSpec
-from .verify import residual_values
+from .verify import _flow, residual_values
 from .wave import WaveProfile, _gl_partial
 
 log = logging.getLogger(__name__)
@@ -201,7 +201,8 @@ def _at_points(state, xs: np.ndarray, t) -> np.ndarray:
 
 
 def _family(prep, val, d1, d2, d_t) -> Dict[str, Callable]:
-    """``eval`` and ``jet`` of a time-dependent family.
+    """``eval`` and ``jet`` of a family; a stationary one takes `_at_rest`
+    as ``d_t``.
 
     ``prep(xs, t)`` computes what the orders share (per-point state, masks,
     powers); each order is a function of (xs, prepared), and ``jet`` runs
@@ -231,17 +232,9 @@ def _tail_floor(fn: Callable[[np.ndarray], np.ndarray], power: float,
     return SAFETY * lowest
 
 
-def _stationary(core_val, core_slopes, kinks, family, domain, params):
-    """A time-independent barrier; ``core_slopes`` gives (dx, dxx) and the
-    jet adds the zero dt."""
-
-    def jet(xs, t):
-        dx, dxx = core_slopes(xs, t)
-        return dx, dxx, np.zeros_like(xs)
-
-    return BarrierFunction(eval=_xt(core_val), jet=_xt(jet),
-                           kinks=tuple(kinks), valid_until=math.inf,
-                           family=family, domain=domain, params=params)
+def _at_rest(xs: np.ndarray, p) -> np.ndarray:
+    """The zero time derivative of a stationary family."""
+    return np.zeros_like(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +287,7 @@ def h_tail(b: float, gamma_plus: float, gamma_minus: float, d_plus: float,
     dpoly = poly.deriv()
     ddpoly = poly.deriv(2)
 
-    def pieces(xs: np.ndarray) -> np.ndarray:
+    def pieces(xs: np.ndarray, t) -> np.ndarray:
         """Value, slope and curvature stacked on a leading axis."""
         out = np.empty((3,) + xs.shape)
         mid = np.abs(xs) <= b0
@@ -310,9 +303,11 @@ def h_tail(b: float, gamma_plus: float, gamma_minus: float, d_plus: float,
     params = {"b": b, "b0": b0, "gamma_plus": gamma_plus,
               "gamma_minus": gamma_minus, "d_plus": d_plus,
               "d_minus": d_minus}
-    return _stationary(lambda xs, t: pieces(xs)[0],
-                       lambda xs, t: pieces(xs)[1:],
-                       (), "h_tail", (-b, b), params)
+    return BarrierFunction(**_family(pieces, lambda xs, p: p[0],
+                                     lambda xs, p: p[1], lambda xs, p: p[2],
+                                     _at_rest),
+                           kinks=(), valid_until=math.inf, family="h_tail",
+                           domain=(-b, b), params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -567,16 +562,17 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
                  ) -> BarrierFunction:
     """Super-solution with steepening wall layers, valid up to a horizon T.
 
-    ``v0`` supplies the smooth datum being dominated: either None (zero) or
-    a triple of callables (value, first derivative, second derivative).
-    The wall layers carry L(t)^mu (2 - 2|x|/b)^(-L(t)), where L(t) solves
-    L'(t) = C4 L^(beta(1-alpha)(1+mu)-mu) (L+1)^beta from L(0) = L0; the
-    ODE is separable, so L(t) inverts its time map t(L) = int dl / L'(l)
-    from L0.  The middle piece is a shallow circular arc of steepness
-    sqrt(nu).  The horizon T = t(l_max) is where the kink admissibility at
-    |x| = 2b/3 would fail; it grows without bound in nu.  C4 and the drift
-    constant c are certified by dense sweeps with a factor-2 margin and
-    recorded on the returned parameters.
+    The family dominates the zero datum: ``v0`` must be None, and anything
+    else raises ParameterError (the argument keeps its place for positional
+    callers).  The wall layers carry L(t)^mu (2 - 2|x|/b)^(-L(t)), where
+    L(t) solves L'(t) = C4 L^(beta(1-alpha)(1+mu)-mu) (L+1)^beta from
+    L(0) = L0; the ODE is separable, so L(t) inverts its time map
+    t(L) = int dl / L'(l) from L0.  The middle piece is a shallow circular
+    arc of steepness sqrt(nu).  The horizon T = t(l_max) is where the kink
+    admissibility at |x| = 2b/3 would fail; it grows without bound in nu.
+    C4 and the drift constant c are certified by dense sweeps of
+    f(2 g(v_x) v_xx) with a factor-2 margin and recorded on the returned
+    parameters.
     """
     alpha = spec.g.alpha
     beta = spec.f.beta
@@ -590,20 +586,9 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
     b = spec.b
     mu = super_mu(alpha, beta)
 
-    if v0 is None:
-        v0_fns = (lambda x: np.zeros_like(np.asarray(x, dtype=float)),) * 3
-    elif isinstance(v0, (tuple, list)) and len(v0) == 3:
-        v0_fns = tuple(v0)
-    else:
+    if v0 is not None:
         raise ParameterError(
-            "v0 must be None or a (value, slope, curvature) triple of "
-            "callables")
-
-    def v0_at(i: int, xs: np.ndarray) -> np.ndarray:
-        # v0 sees 1-d points whatever the shape of a verifier block.
-        flat = xs.ravel()
-        res = np.asarray(v0_fns[i](flat), dtype=float)
-        return (np.zeros_like(flat) + res).reshape(xs.shape)
+            "v0 must be None: the family dominates the zero datum only")
 
     den = 1.0 - beta * (1.0 - alpha)
     l0_bound = max((1.0 - beta * (1.0 - alpha)) / (beta * (2.0 - alpha)),
@@ -664,13 +649,11 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
     l_denom = np.array([ln ** (beta * (1.0 - alpha) * (1.0 + mu))
                         * (ln + 1.0) ** beta for ln in ells])[:, None]
     lengths = l_grid[:, None]
-    x_of_d = b * (2.0 - d_grid) / 2.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vx = (2.0 / b) * l_mu1 * d_grid ** (-lengths - 1.0) + v0_at(1, x_of_d)
+        vx = (2.0 / b) * l_mu1 * d_grid ** (-lengths - 1.0)
         vxx = ((4.0 / b ** 2) * l_mu1 * (lengths + 1.0)
-               * d_grid ** (-lengths - 2.0) + v0_at(2, x_of_d))
-        weight = np.asarray(spec.g.eval(vx.ravel()), dtype=float)
-        rhs = np.asarray(spec.f.eval(2.0 * weight * vxx.ravel()), dtype=float)
+               * d_grid ** (-lengths - 2.0))
+        rhs = _flow(spec.f, spec.g, vx.ravel(), vxx.ravel(), 2.0)
         ratios = (rhs.reshape(vx.shape) * d_grid ** lengths
                   / (l_denom * np.log(1.0 / d_grid)))
     # Entries past float range have a positive d-exponent (the closed
@@ -683,10 +666,8 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
     xs_mid = np.linspace(-two_thirds, two_thirds, MIDDLE_SWEEP_POINTS)
     gap_sq = arc_gap_sq(xs_mid)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        vmx = xs_mid / (root_nu * np.sqrt(gap_sq)) + v0_at(1, xs_mid)
-        vmxx = r_arc_sq / (root_nu * gap_sq ** 1.5) + v0_at(2, xs_mid)
-        wmid = np.asarray(spec.g.eval(vmx), dtype=float)
-        fmid = np.asarray(spec.f.eval(2.0 * wmid * vmxx), dtype=float)
+        fmid = _flow(spec.f, spec.g, xs_mid / (root_nu * np.sqrt(gap_sq)),
+                     r_arc_sq / (root_nu * gap_sq ** 1.5), 2.0)
     if not np.all(np.isfinite(fmid)):
         raise ParameterError(
             "middle-region drift estimate overflowed; steepness nu is too "
@@ -741,6 +722,9 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
         """Per-time scalars, each the Python expression the formulas in
         val, d1, d2 and d_t below once evaluated at a scalar time."""
         length = exponent_at(t)
+        if t == horizon:
+            raise HorizonError(f"the drift 1/(T - t) is infinite at the "
+                               f"horizon t = T = {horizon:.6g}")
         l_mu = length ** mu
         l_mu1 = length ** (mu + 1.0)
         dl_dt = rate(length)
@@ -769,21 +753,21 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
     # Outside |x| < 2b/3 the layer L^mu d^(-L); inside the arc plus the
     # layer's value at the junction; `tail` is the common time drift.
     def val(xs: np.ndarray, p) -> np.ndarray:
-        out = v0_at(0, xs) + p.tail
+        out = np.array(p.tail)
         out[p.outer] += p.l_mu * p.d ** (-p.length)
         out[p.mid] += (-np.sqrt(arc_gap_sq(xs[p.mid])) / root_nu
                        + 2.0 * b / (3.0 * nu * root_nu) + p.junction)
         return out
 
     def d1(xs: np.ndarray, p) -> np.ndarray:
-        out = v0_at(1, xs)
+        out = np.zeros_like(xs)
         out[p.outer] += (np.sign(xs[p.outer]) * (2.0 / b) * p.l_mu1
                          * p.d ** (-p.length - 1.0))
         out[p.mid] += xs[p.mid] / (root_nu * np.sqrt(arc_gap_sq(xs[p.mid])))
         return out
 
     def d2(xs: np.ndarray, p) -> np.ndarray:
-        out = v0_at(2, xs)
+        out = np.zeros_like(xs)
         out[p.outer] += p.coef * p.d ** (-p.length - 2.0)
         out[p.mid] += r_arc_sq / (root_nu * arc_gap_sq(xs[p.mid]) ** 1.5)
         return out
@@ -804,19 +788,15 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
     # to sqrt(nu) inside a layer of width about b/nu^2, far below any probe
     # step, so a finite-difference check there would understate the margin.
     def outer_slope_at(t: float):
-        ell = exponent_at(t)
-        return ((2.0 / b) * ell ** (mu + 1.0) * 1.5 ** (ell + 1.0),)
+        length, _, l_mu1 = state(t)[:3]
+        return ((2.0 / b) * l_mu1 * 1.5 ** (length + 1.0),)
 
     def outer_slope(t):
         return _per_time(outer_slope_at, t)[0]
 
-    v0x_plus = float(v0_at(1, np.array([two_thirds]))[0])
-    v0x_minus = float(v0_at(1, np.array([-two_thirds]))[0])
     kink_slopes = (
-        (lambda t: root_nu + v0x_plus,
-         lambda t: outer_slope(t) + v0x_plus),
-        (lambda t: -outer_slope(t) + v0x_minus,
-         lambda t: -root_nu + v0x_minus),
+        (lambda t: root_nu, outer_slope),
+        (lambda t: -outer_slope(t), lambda t: -root_nu),
     )
     return BarrierFunction(**_family(prep, val, d1, d2, d_t), kinks=kinks,
                            valid_until=horizon, family="super_L",
@@ -858,13 +838,13 @@ def convex_envelope(x, values) -> BarrierFunction:
     hy = np.asarray([p[1] for p in hull])
     slopes = np.diff(hy) / np.diff(hx)
 
-    def val(q: np.ndarray, t: float) -> np.ndarray:
+    def val(q: np.ndarray, p) -> np.ndarray:
         return np.interp(q, hx, hy)
 
-    def slopes_at(q: np.ndarray, t: float):
+    def d1(q: np.ndarray, p) -> np.ndarray:
         idx = np.clip(np.searchsorted(hx, q, side="right") - 1, 0,
                       slopes.size - 1)
-        return slopes[idx], np.zeros_like(q)
+        return slopes[idx]
 
     def make_loc(xv: float):
         return lambda t: xv
@@ -872,8 +852,11 @@ def convex_envelope(x, values) -> BarrierFunction:
     kinks = tuple((make_loc(float(hx[j])), "convex")
                   for j in range(1, hx.size - 1))
     params = {"n_input": int(xs.size), "n_vertices": int(hx.size)}
-    return _stationary(val, slopes_at, kinks, "convex_envelope",
-                       (float(hx[0]), float(hx[-1])), params)
+    return BarrierFunction(**_family(lambda xs, t: None, val, d1, _at_rest,
+                                     _at_rest),
+                           kinks=kinks, valid_until=math.inf,
+                           family="convex_envelope",
+                           domain=(float(hx[0]), float(hx[-1])), params=params)
 
 
 def translate_wave(profile: WaveProfile, spec: ProblemSpec,

@@ -753,7 +753,7 @@ _RUNNERS = {
     "classify": (_run_classify, "regime classification"),
     "wave": (_run_wave, "traveling-wave profile by quadrature"),
     "barrier": (_run_barrier, "explicit barrier families"),
-    "solve": (_run_solve, "monotone explicit finite differences"),
+    "solve": (_run_solve, "explicit finite differences"),
     "capstudy": (_run_capstudy, "existence probe along a cap ladder"),
     "verify": (_run_verify, "run the invariant suite"),
 }

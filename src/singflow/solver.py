@@ -150,14 +150,12 @@ def _padded(fields: Sequence[GridField]) -> np.ndarray:
     return u
 
 
-def _kernel(u: np.ndarray, dx: float, spec: ProblemSpec,
-            with_rate: bool = True):
+def _kernel(u: np.ndarray, dx: float, spec: ProblemSpec):
     """The scheme on ghost-padded rows u: per-row CFL step and f(g(p) z).
 
     Slope, curvature and g(slope) are evaluated once, and f once on the
     stacked arguments [s, s + r, s - r] of the update and of the secants
-    (see cfl_limit); f and g see flat 1-D arrays.  Without ``with_rate`` f
-    sees only the secant arguments and the rate is None.  The secant width
+    (see cfl_limit); f and g see flat 1-D arrays.  The secant width
     2r = max(|s|, 2) is formed directly: halving and doubling are exact, so
     it equals twice the half-width r = max(|s|/2, 1) bit for bit.
     """
@@ -177,16 +175,15 @@ def _kernel(u: np.ndarray, dx: float, spec: ProblemSpec,
     half = np.multiply(width, 0.5, out=curv)
     np.add(arg, half, out=args[1])
     np.subtract(arg, half, out=args[2])
-    stacked = args if with_rate else args[1:]
-    vals = np.asarray(spec.f.eval(stacked.ravel()),
-                      dtype=float).reshape(stacked.shape)
-    spread = np.subtract(vals[-2], vals[-1], out=half)
+    vals = np.asarray(spec.f.eval(args.ravel()),
+                      dtype=float).reshape(args.shape)
+    spread = np.subtract(vals[1], vals[2], out=half)
     spread *= weight
     spread /= width
     lam = np.maximum.reduce(spread, axis=1)
     np.maximum(lam, LAMBDA_FLOOR, out=lam)
     lam *= 2.0
-    return CFL_SAFETY * dx ** 2 / lam, vals[0] if with_rate else None
+    return CFL_SAFETY * dx ** 2 / lam, vals[0]
 
 
 def cfl_limit(field: GridField, spec: ProblemSpec) -> float:
@@ -200,10 +197,10 @@ def cfl_limit(field: GridField, spec: ProblemSpec) -> float:
     infinite slope at zero) from collapsing dt on nearly flat fields, while
     leaving the heat-equation value Lambda = max g and the superlinear
     large-curvature growth intact.  A secant (not a derivative) keeps this
-    meaningful for non-smooth f.
+    meaningful for non-smooth f.  The limit is the step kernel's own, bit
+    for bit.
     """
-    return float(_kernel(_padded([field]), field.dx, spec,
-                         with_rate=False)[0][0])
+    return float(_kernel(_padded([field]), field.dx, spec)[0][0])
 
 
 def step(field: GridField, spec: ProblemSpec, dt: float) -> GridField:
@@ -500,6 +497,9 @@ def cap_studies(spec: ProblemSpec, n: int, caps: Sequence[float],
                 probes: Sequence[Tuple[float, float]]) -> List[CapStudy]:
     """`cap_study` at each probe; probes that share a time share one march.
 
+    A study whose probe value falls as the cap rises (see the module
+    docstring) logs one warning naming the first falling rung.
+
     Probes at different times keep their own march: a stop at one probe's
     time would shorten a step of the other's and change every later bit.
     """
@@ -533,6 +533,12 @@ def cap_studies(spec: ProblemSpec, n: int, caps: Sequence[float],
             })
             values.append(val)
             prev = val
+        fall = next((row for row in rows if row["diff"] < 0.0), None)
+        if fall is not None:
+            log.warning("cap study at (x, t) = (%g, %g) is not monotone in "
+                        "the cap: at cap %g the probe value %.6g is %.3g "
+                        "below the rung before it", x, t, fall["cap"],
+                        fall["value"], -fall["diff"])
         verdict = _cap_verdict(values, any(r.diverged for r in reports))
         studies.append(CapStudy(rows=tuple(rows), verdict=verdict,
                                 probe=(x, t)))

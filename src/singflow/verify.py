@@ -1,12 +1,15 @@
-"""Pointwise residual operator, scaling transforms, and boundary-rate fits.
+"""Pointwise flow operator, scaling transforms, and boundary-rate fits.
 
-The residual of a smooth test function phi at a point is
+`_flow` is the one vectorized f(factor * g(phi_x) * phi_xx), the product
+formed as (factor * g(phi_x)) * phi_xx.  The residual of a smooth test
+function phi at a point is
 
     phi_t - f(factor * g(phi_x) * phi_xx)
 
 with ``factor`` the strengthening weight used by strict barrier checks
 (1/(1+delta) on the sub side, (1+delta) on the super side).  A sub-solution
-has residual <= 0, a super-solution >= 0.
+has residual <= 0, a super-solution >= 0.  `super_family` certifies its
+constants with factor 2.
 
 `fit_boundary_rate` recovers the divergence profile D * psi_gamma(b - |x|)
 from sampled values near a wall by regressing against each candidate rate
@@ -23,12 +26,19 @@ from .errors import InsufficientDataError, ParameterError
 from .model import DiffusionWeight, Nonlinearity, psi
 
 
+def _flow(f: Nonlinearity, g: DiffusionWeight, dx, dxx,
+          factor: float = 1.0) -> np.ndarray:
+    """f(factor * g(dx) * dxx) on arrays as given: reshaping could move
+    numpy's pow in the last bit (a 0-d array and a 1-point one differ)."""
+    weight = np.asarray(g.eval(np.asarray(dx, dtype=float)), dtype=float)
+    return np.asarray(f.eval(factor * weight * np.asarray(dxx, dtype=float)),
+                      dtype=float)
+
+
 def residual_values(f: Nonlinearity, g: DiffusionWeight, dt, dx, dxx,
                     factor: float = 1.0):
     """Vectorized residual dt - f(factor * g(dx) * dxx)."""
-    arg = factor * np.asarray(g.eval(np.asarray(dx, dtype=float)),
-                              dtype=float) * np.asarray(dxx, dtype=float)
-    return np.asarray(dt, dtype=float) - np.asarray(f.eval(arg), dtype=float)
+    return np.asarray(dt, dtype=float) - _flow(f, g, dx, dxx, factor)
 
 
 def _check_lambda(lam: float) -> float:

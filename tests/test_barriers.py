@@ -238,15 +238,21 @@ def test_super_family_horizon_and_exponent_are_exact(case):
 
 
 @pytest.mark.parametrize("case", ["heat", "lin"])
-@pytest.mark.parametrize("nu", [1e100, 1e200, 1e300, 1.7e308])
+@pytest.mark.parametrize("nu", [1e100, 1e110, 1e150, 1e200, 1e300, 1.7e308])
 def test_super_family_at_extreme_steepness_builds_or_fails_typed(case, nu):
     """A steepness near the float limit either gives a barrier with a
-    finite horizon or raises ParameterError, never a bare OverflowError."""
+    finite horizon or raises ParameterError, never a bare OverflowError.
+    From nu = 1e110 up the middle-region drift itself leaves the float
+    range, below the nu ~ 1e154 where the arc gap (2b/3)^2/nu^2 underflows,
+    so that underflow never decides the result."""
     spec, l0 = _criterion_4(case)
     try:
         bf = super_family(spec, None, l0, nu)
-    except ParameterError:
+    except ParameterError as err:
+        assert nu >= 1e110
+        assert "middle-region drift estimate overflowed" in str(err)
         return
+    assert nu < 1e110
     assert 0.0 < bf.valid_until < math.inf
     assert bf.params.L(bf.valid_until) > l0
 
@@ -273,6 +279,17 @@ def test_super_family_constants_match_pinned_digest():
             params = super_family(spec, None, l0, nu).params
             h.update(repr(barriers.scalar_params(params)).encode())
     assert h.hexdigest() == PINNED_SUPER_PARAMS
+
+
+def test_super_family_takes_no_datum_but_none():
+    """v0 keeps its place in the signature, but only None is accepted."""
+    spec, l0 = _criterion_4("heat")
+    zero = (lambda x: 0.0 * x,) * 3
+    with pytest.raises(ParameterError, match="v0 must be None"):
+        super_family(spec, zero, l0, 1e4)
+    positional = super_family(spec, None, l0, 1e4)
+    keyword = super_family(spec, v0=None, L0=l0, nu=1e4)
+    assert positional.params.T == keyword.params.T > 0.0
 
 
 def test_super_family_sweep_hands_flat_arrays_to_the_nonlinearities():
@@ -307,6 +324,12 @@ def test_super_family_window_beyond_horizon_raises():
     with pytest.raises(HorizonError):
         verify_inequality(bf, spec, "super", samples=2000,
                           t_window=(0.0, 2.0 * bf.params.T))
+    # At T itself the drift 1/(T - t) is infinite; L(T) is still defined.
+    assert bf.params.L(bf.params.T) > 3.0
+    for call in (lambda t: bf.eval(0.0, t), lambda t: bf.jet(0.9, t),
+                 bf.kink_slopes[0][1]):
+        with pytest.raises(HorizonError):
+            call(bf.params.T)
 
 
 def test_super_mu_values():

@@ -1,4 +1,4 @@
-"""Explicit monotone scheme: CFL, comparison, caps and rate fits."""
+"""Explicit scheme: CFL, comparison, caps and rate fits."""
 
 from __future__ import annotations
 
@@ -86,7 +86,7 @@ def test_max_principle_and_no_violations():
                          ids=["curvature(0.6)", "curvature(1)",
                               "p_heat(2,2,0.1)"])
 def test_cfl_limit_equals_the_step_kernel_limit(fg):
-    """cfl_limit skips f on the update argument but keeps the step's bits."""
+    """cfl_limit is the step kernel's limit, bit for bit."""
     spec = make_problem(1.0, *fg, _flat())
     rng = np.random.default_rng(7)
     for n, cap in ((20, 1.0), (100, 30.0), (400, 1e6)):
@@ -363,6 +363,28 @@ def test_cap_study_with_an_overflowing_row(caplog):
     assert [rep.diverged for rep in alone] == [False, False, False, True]
     assert alone[-1].dt_history["n_steps"] == 0.0
     assert alone[-1].blowup_time == 0.0         # the time reached
+
+
+@pytest.mark.parametrize("fg, falls", [
+    (preset_curvature(1.0), True), (preset_p_heat(2.0, 1.0, 0.1), False)],
+    ids=["curvature(1)", "p_heat(2,1,0.1)"])
+def test_cap_study_warns_when_the_probe_falls_with_the_cap(fg, falls, caplog):
+    """Next to a wall the centered scheme scales like cap^(1 - alpha), so
+    for alpha = 2 the probe falls as the cap rises (7.0e-4 at cap 10, 4.4e-5
+    at cap 160): one warning names the first falling rung.  p_heat rises
+    with the cap and warns of nothing."""
+    spec = make_problem(1.0, *fg, _flat())
+    with caplog.at_level(logging.WARNING, logger="singflow.solver"):
+        study = cap_study(spec, 30, [10.0, 40.0, 160.0], (0.0, 0.1))
+    values = [row["value"] for row in study.rows]
+    warned = [r.getMessage() for r in caplog.records
+              if "not monotone in the cap" in r.getMessage()]
+    if falls:
+        assert values[0] > values[1] > values[2] > 0.0
+        assert len(warned) == 1 and "at cap 40 " in warned[0]
+    else:
+        assert values[0] < values[1] < values[2]
+        assert not warned
 
 
 def test_march_with_asymmetric_caps_and_snapshots():
