@@ -10,23 +10,27 @@ feed.
 
 Families
 --------
-h_tail          stationary function with prescribed wall divergence rates,
-                bridged by a quintic so it is twice continuously
-                differentiable.
-subsolution_uk  bounded sub-solutions whose wall values grow in time and
-                without bound in the parameter k; built from a circular arc
-                matched to a doubly logarithmic boundary layer.
-blowup_vL       sub-solutions equal to 1 at time zero that sweep a wave of
-                height y^(-L) across the interval; their speed c_L grows
-                with L, which is the engine of instantaneous interior
+Each constructor below records the label in parentheses as ``family``.
+Each family supplies one ``value(x, t)`` and one ``jet(x, t)``, and those
+with per-point state shared by the two compute it in one ``prep``.
+
+h_tail          (h_tail) stationary function with prescribed wall
+                divergence rates, bridged by a quintic so it is twice
+                continuously differentiable.
+sub_uk          (subsolution_uk) bounded sub-solutions whose wall values
+                grow in time and without bound in the parameter k; a
+                circular arc matched to a doubly logarithmic boundary layer.
+sub_vL          (blowup_vL) sub-solutions equal to 1 at time zero that sweep
+                a wave of height y^(-L) across the interval; their speed c_L
+                grows with L, which is the engine of instantaneous interior
                 blow-up in the fast-growth regime.
-super_L         super-solutions with a time-dependent wall exponent L(t)
-                that solves a separable ODE; valid up to a horizon T that
-                grows with the steepness parameter nu.
-convex_envelope greatest convex minorant of sampled data (stationary
-                sub-solution with piecewise-linear graph).
-translate_wave  exact traveling-wave solution W(x) + c t viewed as a
-                barrier (residual identically zero).
+super_family    (super_L) super-solutions with a time-dependent wall
+                exponent L(t) that solves a separable ODE; valid up to a
+                horizon T that grows with the steepness parameter nu.
+convex_envelope (convex_envelope) greatest convex minorant of sampled data
+                (stationary sub-solution with piecewise-linear graph).
+translate_wave  (translate_wave) exact traveling-wave solution W(x) + c t
+                viewed as a barrier (residual identically zero).
 
 The growth constants these constructions need (tail lower bounds for f and
 g, admissible exponents) are never available in closed form, so they are
@@ -149,23 +153,20 @@ class SuperFamilyParams:
     C4: float
 
 
-def _points(x, t) -> Tuple[np.ndarray, np.ndarray]:
-    """x as a float array (read only) of the shape x and t broadcast to,
-    and t as a float array."""
-    xs = np.asarray(x, dtype=float)
-    ts = np.asarray(t, dtype=float)
-    shape = np.broadcast_shapes(xs.shape, ts.shape)
-    return (xs if xs.shape == shape else np.broadcast_to(xs, shape)), ts
-
-
 def _xt(core: Callable[[np.ndarray, np.ndarray], Any]):
     """Wrap an (x array, t array) closure returning an array or a tuple of
     arrays so that x and t broadcast and scalar x and t come back as floats.
-    Scalar x goes in as a 1-point array, since a 0-d result takes no item
+    x goes in as a float array of the broadcast shape that the closure must
+    not write to (it may be the caller's array or a broadcast view); scalar
+    x goes in as a 1-point array, since a 0-d result takes no item
     assignment."""
 
     def call(x, t):
-        xs, ts = _points(x, t)
+        xs = np.asarray(x, dtype=float)
+        ts = np.asarray(t, dtype=float)
+        shape = np.broadcast_shapes(xs.shape, ts.shape)
+        if xs.shape != shape:
+            xs = np.broadcast_to(xs, shape)
         if xs.ndim:
             return core(xs, ts)
         out = core(xs.reshape(1), ts)
@@ -177,43 +178,29 @@ def _xt(core: Callable[[np.ndarray, np.ndarray], Any]):
 
 
 def _per_time(state: Callable[[float], Tuple[float, ...]], t,
-              ndim: int = 0) -> np.ndarray:
+              xs: Optional[np.ndarray] = None) -> np.ndarray:
     """Map a scalar per-time state over t, a float or an array of times.
 
     Each time goes through ``state`` as a Python float, so quantities that
     are Python scalar expressions keep their bits (numpy's array math
     differs from Python's ``**`` and ``math`` in the last bit).  Component
-    i of the state comes back as entry i: an array shaped like t, with
-    leading unit axes up to ``ndim`` axes so that it broadcasts against
-    points with that many.
+    i of the state comes back as entry i: an array shaped like t, or, given
+    the points xs, broadcast to their shape so that masks over the points
+    select from it.
     """
     ts = np.asarray(t, dtype=float)
     vals = np.array([state(float(s)) for s in ts.flat], dtype=float)
-    pad = (1,) * (ndim - ts.ndim)
-    return vals.T.reshape((-1,) + pad + ts.shape)
-
-
-def _at_points(state, xs: np.ndarray, t) -> np.ndarray:
-    """`_per_time` components broadcast to the shape of xs, so that masks
-    over the points select from them."""
-    vals = _per_time(state, t, xs.ndim)
+    if xs is None:
+        return vals.T.reshape((-1,) + ts.shape)
+    vals = vals.T.reshape((-1,) + (1,) * (xs.ndim - ts.ndim) + ts.shape)
     return np.broadcast_to(vals, vals.shape[:1] + xs.shape)
 
 
-def _family(prep, val, d1, d2, d_t) -> Dict[str, Callable]:
-    """``eval`` and ``jet`` of a family; a stationary one takes `_at_rest`
-    as ``d_t``.
-
-    ``prep(xs, t)`` computes what the orders share (per-point state, masks,
-    powers); each order is a function of (xs, prepared), and ``jet`` runs
-    prep once for all three derivatives.
-    """
-
-    def jet(xs, t):
-        shared = prep(xs, t)
-        return d1(xs, shared), d2(xs, shared), d_t(xs, shared)
-
-    return {"eval": _xt(lambda xs, t: val(xs, prep(xs, t))), "jet": _xt(jet)}
+def _growth_rate(spec: ProblemSpec) -> float:
+    """f's declared growth rate beta, which sub_vL and super_family need."""
+    if spec.f.beta is None:
+        raise ParameterError("this family needs a declared growth rate for f")
+    return spec.f.beta
 
 
 def _tail_floor(fn: Callable[[np.ndarray], np.ndarray], power: float,
@@ -230,11 +217,6 @@ def _tail_floor(fn: Callable[[np.ndarray], np.ndarray], power: float,
             "tail sampling produced a nonpositive bound; the declared tail "
             "behavior does not hold on the sampled range")
     return SAFETY * lowest
-
-
-def _at_rest(xs: np.ndarray, p) -> np.ndarray:
-    """The zero time derivative of a stationary family."""
-    return np.zeros_like(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +269,7 @@ def h_tail(b: float, gamma_plus: float, gamma_minus: float, d_plus: float,
     dpoly = poly.deriv()
     ddpoly = poly.deriv(2)
 
-    def pieces(xs: np.ndarray, t) -> np.ndarray:
+    def prep(xs: np.ndarray) -> np.ndarray:
         """Value, slope and curvature stacked on a leading axis."""
         out = np.empty((3,) + xs.shape)
         mid = np.abs(xs) <= b0
@@ -300,12 +282,14 @@ def h_tail(b: float, gamma_plus: float, gamma_minus: float, d_plus: float,
         out[:, lo] = _tail_value(gamma_minus, d_minus, b + xs[lo])
         return out
 
+    def jet(xs: np.ndarray, t):
+        p = prep(xs)
+        return p[1], p[2], np.zeros_like(xs)
+
     params = {"b": b, "b0": b0, "gamma_plus": gamma_plus,
               "gamma_minus": gamma_minus, "d_plus": d_plus,
               "d_minus": d_minus}
-    return BarrierFunction(**_family(pieces, lambda xs, p: p[0],
-                                     lambda xs, p: p[1], lambda xs, p: p[2],
-                                     _at_rest),
+    return BarrierFunction(eval=_xt(lambda xs, t: prep(xs)[0]), jet=_xt(jet),
                            kinks=(), valid_until=math.inf, family="h_tail",
                            domain=(-b, b), params=params)
 
@@ -383,7 +367,7 @@ def sub_uk(spec: ProblemSpec, k: float) -> BarrierFunction:
     def prep(xs: np.ndarray, t):
         """Region masks, and the layer variables and per-time state on the
         outer part."""
-        big_e, e_neg, x_k, dx_k, arc, arc_rate = _at_points(state, xs, t)
+        big_e, e_neg, x_k, dx_k, arc, arc_rate = _per_time(state, t, xs)
         outer = np.abs(xs) > x_k
         gap = np.maximum(b - np.abs(xs[outer]), 0.0)
         with np.errstate(divide="ignore"):
@@ -393,28 +377,22 @@ def sub_uk(spec: ProblemSpec, k: float) -> BarrierFunction:
                                arc=arc[outer], dx_k=dx_k[outer],
                                arc_rate=arc_rate[outer])
 
-    def val(xs: np.ndarray, p) -> np.ndarray:
+    def value(xs: np.ndarray, t) -> np.ndarray:
+        p = prep(xs, t)
         out = np.empty_like(xs)
         out[p.mid] = -np.sqrt(r_k ** 2 - xs[p.mid] ** 2)
         out[p.outer] = np.log(p.log_xi / log_yk) - p.arc
         return out
 
-    def d1(xs: np.ndarray, p) -> np.ndarray:
-        out = np.empty_like(xs)
-        out[p.mid] = xs[p.mid] / np.sqrt(r_k ** 2 - xs[p.mid] ** 2)
-        out[p.outer] = np.sign(xs[p.outer]) * (-1.0) / (p.xi * p.log_xi)
-        return out
-
-    def d2(xs: np.ndarray, p) -> np.ndarray:
-        out = np.empty_like(xs)
-        out[p.mid] = r_k ** 2 / (r_k ** 2 - xs[p.mid] ** 2) ** 1.5
-        out[p.outer] = -(p.log_xi + 1.0) / (p.xi * p.log_xi) ** 2
-        return out
-
-    def d_t(xs: np.ndarray, p) -> np.ndarray:
-        out = np.zeros_like(xs)
-        out[p.outer] = p.dx_k / (p.xi * p.log_xi) + p.arc_rate
-        return out
+    def jet(xs: np.ndarray, t):
+        p = prep(xs, t)
+        dx, dxx, dt = np.empty_like(xs), np.empty_like(xs), np.zeros_like(xs)
+        dx[p.mid] = xs[p.mid] / np.sqrt(r_k ** 2 - xs[p.mid] ** 2)
+        dx[p.outer] = np.sign(xs[p.outer]) * (-1.0) / (p.xi * p.log_xi)
+        dxx[p.mid] = r_k ** 2 / (r_k ** 2 - xs[p.mid] ** 2) ** 1.5
+        dxx[p.outer] = -(p.log_xi + 1.0) / (p.xi * p.log_xi) ** 2
+        dt[p.outer] = p.dx_k / (p.xi * p.log_xi) + p.arc_rate
+        return dx, dxx, dt
 
     def kink_loc(sign: float):
         return lambda t: sign * _per_time(state, t)[2]
@@ -422,7 +400,7 @@ def sub_uk(spec: ProblemSpec, k: float) -> BarrierFunction:
     params = {"k": k, "y_k": y_k, "r_k": r_k, "M": m_floor, "s0": TAIL_LO,
               "wall_speed": speed,
               "note": "tail bound certified on the sampled range only"}
-    return BarrierFunction(**_family(prep, val, d1, d2, d_t),
+    return BarrierFunction(eval=_xt(value), jet=_xt(jet),
                            kinks=((kink_loc(1.0), "convex"),
                                   (kink_loc(-1.0), "convex")),
                            valid_until=math.inf, family="subsolution_uk",
@@ -453,10 +431,7 @@ def sub_vL(spec: ProblemSpec, L: float) -> BarrierFunction:
     interior values blow up along L -> infinity.
     """
     alpha = spec.g.alpha
-    beta = spec.f.beta
-    if beta is None:
-        raise ParameterError(
-            "this family needs a declared growth rate for f")
+    beta = _growth_rate(spec)
     if alpha >= 1.0 or beta < 1.0 / (1.0 - alpha):
         raise RegimeError(
             f"needs alpha < 1 and beta >= 1/(1-alpha); got alpha = {alpha}, "
@@ -490,44 +465,33 @@ def sub_vL(spec: ProblemSpec, L: float) -> BarrierFunction:
         return c_l * min(t, t_cross), float(t < t_cross)
 
     def prep(xs: np.ndarray, t):
-        """yhat, the wave mask, yhat and yhat^(-L-1) on the wave, and where
-        the front still moves."""
-        shift, moving = _per_time(moved, t, xs.ndim)
+        """yhat, the wave mask, yhat on the wave, and where the front still
+        moves."""
+        shift, moving = _per_time(moved, t, xs)
         y = (3.0 * b - xs) / (2.0 * b) - shift
         wave = y < 1.0
-        y_wave = y[wave]
-        # Powers y^(-L-2) overflow to inf close to the wall for large L;
-        # inf is the honest value there, so the warning is silenced.
-        with np.errstate(over="ignore"):
-            slope_power = y_wave ** (-L - 1.0)
-        return SimpleNamespace(y=y, wave=wave, y_wave=y_wave,
-                               slope_power=slope_power,
+        return SimpleNamespace(y=y, wave=wave, y_wave=y[wave],
                                sweep=wave & (moving > 0.0))
 
-    def val(xs: np.ndarray, p) -> np.ndarray:
+    # Powers y^(-L-2) overflow to inf close to the wall for large L; inf is
+    # the honest value there, so the warning is silenced.
+    def value(xs: np.ndarray, t) -> np.ndarray:
+        p = prep(xs, t)
         out = np.ones_like(p.y)
         with np.errstate(over="ignore"):
             out[p.wave] = p.y_wave ** (-L)
         return out
 
-    def d1(xs: np.ndarray, p) -> np.ndarray:
-        out = np.zeros_like(p.y)
+    def jet(xs: np.ndarray, t):
+        p = prep(xs, t)
+        dx, dxx, dt = (np.zeros_like(p.y) for _ in range(3))
         with np.errstate(over="ignore"):
-            out[p.wave] = (L / (2.0 * b)) * p.slope_power
-        return out
-
-    def d2(xs: np.ndarray, p) -> np.ndarray:
-        out = np.zeros_like(p.y)
-        with np.errstate(over="ignore"):
-            out[p.wave] = ((L * (L + 1.0) / (4.0 * b ** 2))
+            slope_power = p.y_wave ** (-L - 1.0)
+            dx[p.wave] = (L / (2.0 * b)) * slope_power
+            dxx[p.wave] = ((L * (L + 1.0) / (4.0 * b ** 2))
                            * p.y_wave ** (-L - 2.0))
-        return out
-
-    def d_t(xs: np.ndarray, p) -> np.ndarray:
-        out = np.zeros_like(p.y)
-        with np.errstate(over="ignore"):
-            out[p.sweep] = L * c_l * p.slope_power[p.sweep[p.wave]]
-        return out
+            dt[p.sweep] = L * c_l * slope_power[p.sweep[p.wave]]
+        return dx, dxx, dt
 
     def front(t):
         ts = np.asarray(t, dtype=float)
@@ -537,7 +501,7 @@ def sub_vL(spec: ProblemSpec, L: float) -> BarrierFunction:
     params = {"L": L, "L0": l_min, "c_L": c_l, "M_g": m_g, "M_f": m_f,
               "L_g": l_g, "L_f": l_f,
               "note": "tail bounds certified on the sampled range only"}
-    return BarrierFunction(**_family(prep, val, d1, d2, d_t),
+    return BarrierFunction(eval=_xt(value), jet=_xt(jet),
                            kinks=((front, "convex"),),
                            valid_until=math.inf, family="blowup_vL",
                            domain=(-b, b), params=params)
@@ -575,10 +539,7 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
     parameters.
     """
     alpha = spec.g.alpha
-    beta = spec.f.beta
-    if beta is None:
-        raise ParameterError(
-            "this family needs a declared growth rate for f")
+    beta = _growth_rate(spec)
     if not (alpha == 1.0 or (alpha < 1.0 and beta < 1.0 / (1.0 - alpha))):
         raise RegimeError(
             f"needs alpha = 1, or alpha < 1 with beta < 1/(1-alpha); got "
@@ -720,7 +681,7 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
 
     def state(t: float):
         """Per-time scalars, each the Python expression the formulas in
-        val, d1, d2 and d_t below once evaluated at a scalar time."""
+        value and jet below once evaluated at a scalar time."""
         length = exponent_at(t)
         if t == horizon:
             raise HorizonError(f"the drift 1/(T - t) is infinite at the "
@@ -740,7 +701,7 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
         """Region masks, d = 2 - 2|x|/b outside, and the per-time state at
         the points of the region it serves."""
         (length, l_mu, l_mu1, coef, rate, mu_term, tail, base, junction,
-         mid_rate) = _at_points(state, xs, t)
+         mid_rate) = _per_time(state, t, xs)
         outer = np.abs(xs) >= 2.0 * b / 3.0
         mid = ~outer
         return SimpleNamespace(
@@ -752,32 +713,27 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
 
     # Outside |x| < 2b/3 the layer L^mu d^(-L); inside the arc plus the
     # layer's value at the junction; `tail` is the common time drift.
-    def val(xs: np.ndarray, p) -> np.ndarray:
+    def value(xs: np.ndarray, t) -> np.ndarray:
+        p = prep(xs, t)
         out = np.array(p.tail)
         out[p.outer] += p.l_mu * p.d ** (-p.length)
         out[p.mid] += (-np.sqrt(arc_gap_sq(xs[p.mid])) / root_nu
                        + 2.0 * b / (3.0 * nu * root_nu) + p.junction)
         return out
 
-    def d1(xs: np.ndarray, p) -> np.ndarray:
-        out = np.zeros_like(xs)
-        out[p.outer] += (np.sign(xs[p.outer]) * (2.0 / b) * p.l_mu1
-                         * p.d ** (-p.length - 1.0))
-        out[p.mid] += xs[p.mid] / (root_nu * np.sqrt(arc_gap_sq(xs[p.mid])))
-        return out
-
-    def d2(xs: np.ndarray, p) -> np.ndarray:
-        out = np.zeros_like(xs)
-        out[p.outer] += p.coef * p.d ** (-p.length - 2.0)
-        out[p.mid] += r_arc_sq / (root_nu * arc_gap_sq(xs[p.mid]) ** 1.5)
-        return out
-
-    def d_t(xs: np.ndarray, p) -> np.ndarray:
-        out = np.array(p.base)
-        out[p.outer] += (p.rate * p.d ** (-p.length)
-                         * (p.mu_term + p.l_mu * np.log(1.0 / p.d)))
-        out[p.mid] += p.mid_rate
-        return out
+    def jet(xs: np.ndarray, t):
+        p = prep(xs, t)
+        gap_sq = arc_gap_sq(xs[p.mid])
+        dx, dxx, dt = np.zeros_like(xs), np.zeros_like(xs), np.array(p.base)
+        dx[p.outer] += (np.sign(xs[p.outer]) * (2.0 / b) * p.l_mu1
+                        * p.d ** (-p.length - 1.0))
+        dx[p.mid] += xs[p.mid] / (root_nu * np.sqrt(gap_sq))
+        dxx[p.outer] += p.coef * p.d ** (-p.length - 2.0)
+        dxx[p.mid] += r_arc_sq / (root_nu * gap_sq ** 1.5)
+        dt[p.outer] += (p.rate * p.d ** (-p.length)
+                        * (p.mu_term + p.l_mu * np.log(1.0 / p.d)))
+        dt[p.mid] += p.mid_rate
+        return dx, dxx, dt
 
     params = SuperFamilyParams(mu=mu, L0=L0, nu=nu, c=drift, T=horizon,
                                L=exponent_at, C4=c4)
@@ -798,7 +754,7 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
         (lambda t: root_nu, outer_slope),
         (lambda t: -outer_slope(t), lambda t: -root_nu),
     )
-    return BarrierFunction(**_family(prep, val, d1, d2, d_t), kinks=kinks,
+    return BarrierFunction(eval=_xt(value), jet=_xt(jet), kinks=kinks,
                            valid_until=horizon, family="super_L",
                            domain=(-b, b), params=params,
                            kink_slopes=kink_slopes)
@@ -838,13 +794,13 @@ def convex_envelope(x, values) -> BarrierFunction:
     hy = np.asarray([p[1] for p in hull])
     slopes = np.diff(hy) / np.diff(hx)
 
-    def val(q: np.ndarray, p) -> np.ndarray:
+    def value(q: np.ndarray, t) -> np.ndarray:
         return np.interp(q, hx, hy)
 
-    def d1(q: np.ndarray, p) -> np.ndarray:
+    def jet(q: np.ndarray, t):
         idx = np.clip(np.searchsorted(hx, q, side="right") - 1, 0,
                       slopes.size - 1)
-        return slopes[idx]
+        return slopes[idx], np.zeros_like(q), np.zeros_like(q)
 
     def make_loc(xv: float):
         return lambda t: xv
@@ -852,10 +808,8 @@ def convex_envelope(x, values) -> BarrierFunction:
     kinks = tuple((make_loc(float(hx[j])), "convex")
                   for j in range(1, hx.size - 1))
     params = {"n_input": int(xs.size), "n_vertices": int(hx.size)}
-    return BarrierFunction(**_family(lambda xs, t: None, val, d1, _at_rest,
-                                     _at_rest),
-                           kinks=kinks, valid_until=math.inf,
-                           family="convex_envelope",
+    return BarrierFunction(eval=_xt(value), jet=_xt(jet), kinks=kinks,
+                           valid_until=math.inf, family="convex_envelope",
                            domain=(float(hx[0]), float(hx[-1])), params=params)
 
 
@@ -874,17 +828,17 @@ def translate_wave(profile: WaveProfile, spec: ProblemSpec,
             f"half-width {spec.b}")
     q = profile.f_inv_c
 
-    def val(xs: np.ndarray, t: float) -> np.ndarray:
+    def value(xs: np.ndarray, t) -> np.ndarray:
         return np.asarray(profile.w(xs), dtype=float) + profile.c * t + shift
 
-    def jet(xs: np.ndarray, t: float):
+    def jet(xs: np.ndarray, t):
         # One slope inversion serves both space derivatives.
         slope = np.asarray(profile.wx(xs), dtype=float)
         return (slope, q / np.asarray(spec.g.eval(slope), dtype=float),
                 np.full_like(xs, profile.c))
 
     params = {"c": profile.c, "shift": shift}
-    return BarrierFunction(eval=_xt(val), jet=_xt(jet), kinks=(),
+    return BarrierFunction(eval=_xt(value), jet=_xt(jet), kinks=(),
                            valid_until=math.inf, family="translate_wave",
                            domain=(-profile.b, profile.b), params=params)
 

@@ -49,7 +49,7 @@ from .errors import ScenarioError, SingflowError
 from .model import (ProblemSpec, initial_b1, initial_b2, initial_b3,
                     make_problem, preset_curvature, preset_p_heat, psi,
                     signed_power)
-from .regime import classify
+from .regime import classify, uniqueness_threshold
 from .solver import cap_studies, solve
 from .suite import run_suite
 from .wave import (check_points, compute_wave, divergence_rate,
@@ -611,7 +611,7 @@ def _run_wave(scn, spec: ProblemSpec, out: Path):
     d_plus = d_minus = gamma = None
     if alpha <= 2.0:
         d_plus, d_minus = divergence_rate(profile, alpha)
-        gamma = max((2.0 - alpha) / (alpha - 1.0), 0.0)
+        gamma = uniqueness_threshold(alpha)
     report = {
         "c": profile.c,
         "f_inv_c": profile.f_inv_c,

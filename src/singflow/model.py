@@ -453,7 +453,8 @@ def certify_initial(u0: InitialDatum, b: float) -> None:
 def make_problem(b: float, f: Nonlinearity, g: DiffusionWeight,
                  u0: InitialDatum) -> ProblemSpec:
     """Assemble and validate a ProblemSpec (runs the boundary certificates)."""
-    if b <= 0.0:
-        raise ParameterError(f"half-width b must be positive, got {b}")
+    if not 0.0 < b < math.inf:
+        raise ParameterError(
+            f"half-width b must be positive and finite, got {b}")
     certify_initial(u0, b)
     return ProblemSpec(b=b, f=f, g=g, u0=u0)

@@ -122,8 +122,9 @@ def make_field(b: float, n: int, values, cap: float,
     Values above the cap are clamped to it, the finite stand-in for data
     diverging at the walls.
     """
-    if b <= 0.0:
-        raise ParameterError(f"half-width must be positive, got {b}")
+    if not 0.0 < b < math.inf:
+        raise ParameterError(
+            f"half-width must be positive and finite, got {b}")
     if n < 3:
         raise ParameterError(f"need at least 3 interior nodes, got {n}")
     if not (math.isfinite(cap) and cap >= 0.0):

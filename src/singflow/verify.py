@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
 from .model import DiffusionWeight, Nonlinearity, psi
+from .regime import uniqueness_threshold
 
 
 def _flow(f: Nonlinearity, g: DiffusionWeight, dx, dxx,
@@ -82,7 +83,7 @@ def _default_gamma_grid(alpha: Optional[float] = None) -> list:
     when a tail exponent in (1, 2] is supplied."""
     grid = [0.25 * k for k in range(21)]
     if alpha is not None and 1.0 < alpha <= 2.0:
-        special = (2.0 - alpha) / (alpha - 1.0)
+        special = uniqueness_threshold(alpha)
         if min(abs(gv - special) for gv in grid) > 1e-12:
             grid.append(special)
     return sorted(grid)

@@ -48,6 +48,7 @@ import numpy as np
 from .errors import (DomainError, ParameterError, RateExtractionError,
                      RegimeError)
 from .model import DiffusionWeight, ProblemSpec
+from .regime import uniqueness_threshold
 from .verify import _fit_psi
 
 # Tail cut search.
@@ -451,7 +452,10 @@ def _tail_js(b: float, q: float, table: _TailCorrectedG) -> np.ndarray:
     def model_wx(j: float) -> float:
         gap = q * b * 2.0 ** (-j)
         gap = min(gap, table.tm_plus)  # inside the analytic-tail regime
-        return float(table.tail_inverse(table.g.cg_plus, gap))
+        # As a numpy float the power overflows to inf (past _WX_CAP) for
+        # alpha near 1, where a Python float raises OverflowError.
+        with np.errstate(over="ignore"):
+            return float(table.tail_inverse(table.g.cg_plus, np.float64(gap)))
 
     j_hi = _J_HI
     while model_wx(j_hi) > _WX_CAP and j_hi > _J_LO:
@@ -531,7 +535,7 @@ def _fit_divergence(x_grid: np.ndarray, w_values: np.ndarray, b: float,
                     alpha: float) -> Tuple[float, float]:
     """Slope of W against psi_gamma(wall distance) over the last decade of
     grid points on each side, with an intercept to absorb the anchor shift."""
-    gamma = (2.0 - alpha) / (alpha - 1.0)
+    gamma = uniqueness_threshold(alpha)
     out = []
     for side in (+1, -1):
         dist = b - side * x_grid

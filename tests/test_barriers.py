@@ -762,6 +762,28 @@ def test_jets_match_pinned_digest():
     assert h.hexdigest() == PINNED_JETS
 
 
+# sha256 over the shape and bytes of the value of every family in
+# `_jet_families`, at each scalar time and then at the (4, 1) column of its
+# times; recorded while the families were still built by a shared
+# per-order builder, before each got one value and one jet function.
+PINNED_VALUES = \
+    "64ca149a1d205e75b216d385acfc250b014b6f8727bda0518cc570c6c5995872"
+
+
+def test_values_match_pinned_digest():
+    h = hashlib.sha256()
+    for bf, times in _jet_families().values():
+        xs = _probe_points(bf.domain[1])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            calls = [bf.eval(xs, t) for t in times]
+            calls.append(bf.eval(xs, np.array(times)[:, None]))
+        for part in calls:
+            arr = np.asarray(part, dtype=float)
+            h.update(repr(arr.shape).encode())
+            h.update(arr.tobytes())
+    assert h.hexdigest() == PINNED_VALUES
+
+
 @pytest.mark.parametrize("name", ["h_tail", "sub_uk", "sub_vL",
                                   "super_family", "convex_envelope",
                                   "translate_wave"])

@@ -277,6 +277,17 @@ def test_wave_artifacts(tmp_path):
     assert report["D_plus"] == pytest.approx(1.0, rel=0.02)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_wave_near_alpha_one_exits_1_without_traceback(tmp_path, capsys):
+    """curvature(0.5025) has alpha = 1.005, where the model wall slope
+    overflows a float: the run fails typed, with a message and exit 1."""
+    assert main(["wave", "--preset", "curvature", "--param", "beta2=0.5025",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "divergence-rate fit" in err or "boundary-layer points" in err
+    assert "Traceback" not in err
+
+
 def test_barrier_artifacts_and_determinism(tmp_path):
     doc = {
         "name": "uk",

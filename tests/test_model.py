@@ -195,6 +195,13 @@ def test_make_problem_rejects_nonfinite_b1():
         make_problem(1.0, f, g, initial_b1(values))
 
 
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_make_problem_rejects_bad_half_widths(b):
+    f, g = preset_curvature(1.0)
+    with pytest.raises(ParameterError, match="half-width"):
+        make_problem(b, f, g, _flat())
+
+
 def test_make_problem_accepts_diverging_b2():
     f, g = preset_curvature(1.0)
     b = 1.0

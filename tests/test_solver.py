@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +38,12 @@ def test_make_field_clamps_at_cap():
     assert field.ghost_left == 3.0
     assert field.dx == pytest.approx(0.2)
     np.testing.assert_allclose(field.nodes[[0, -1]], [-0.8, 0.8])
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+def test_make_field_rejects_nonfinite_half_widths(b):
+    with pytest.raises(ParameterError, match="half-width"):
+        make_field(b, 9, lambda x: np.zeros_like(x), cap=1.0)
 
 
 def test_make_field_validation():

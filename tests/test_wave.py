@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singflow import (ParameterError, RegimeError, check_points,
+from singflow import (ParameterError, RateExtractionError, RegimeError,
+                      check_points,
                       compute_wave, custom_weight, divergence_rate,
                       g_antiderivative, initial_b1, make_problem,
-                      power_tail_weight, preset_curvature, profile_residuals)
+                      power_tail_weight, preset_curvature, profile_residuals,
+                      signed_power)
 from singflow import wave
 from singflow.wave import _gl_partial, _TailCorrectedG
 
@@ -414,3 +416,15 @@ def test_table_cache_frees_dropped_weights():
     gc.collect()
     assert profile.wx(0.5) == pytest.approx(math.tan(0.25 * math.pi),
                                             rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.005, 1.01, 1.02, 1.03])
+def test_wave_near_alpha_one_fails_typed(alpha):
+    """Just above alpha = 1 the model wall slope overflows a float at the
+    default tail indices; that reads as past the slope cap, and the wave
+    then fails with a typed error instead of a bare OverflowError."""
+    spec = make_problem(1.0, signed_power(1.0),
+                        power_tail_weight(alpha, 1.0, 1.0),
+                        initial_b1(lambda x: np.zeros_like(x)))
+    with np.errstate(over="ignore"), pytest.raises(RateExtractionError):
+        compute_wave(spec)
