@@ -31,14 +31,19 @@ One kernel evaluates the scheme on a batch of ghost-padded rows on one grid;
 `cfl_limit` and `step` run it on one row, `solve` and `cap_study` march
 through `_march`, and `march_ordered` marches ordered pairs in lockstep.
 
-`_march` keeps two ghost-padded state buffers and writes each step's
-update into the idle one, then swaps them.  A step on which every row stays
-quiet -- its CFL step neither collapses nor reaches the row's next stop
-(snapshot or end time), and its update stays finite and below the row's
-bound -- takes dt = limit outright: when time + limit lies below the stop's
-mark, min(limit, stop - time) is limit, so the shortcut changes no bit.
-Any other step takes the slow path, which retires, snapshots and advances
-rows one by one.
+`_march` validates blocks of steps, not steps.  It takes `BLOCK` steps
+on its live rows at a time; each step only evaluates the kernel,
+writes u + dt * rate into the idle state buffer, adds dt to the row times,
+records dt and keeps a running elementwise max of the states.  The block
+is committed when, at its end, every row's time lies below its next stop
+(snapshot or end time), no dt fell below the floor, no value passed its
+row's bound, nothing turned -inf and numpy reported no floating-point
+error.  Times only grow, so then min(limit, stop - time) was the limit on
+every step, and the block is bit for bit what step-by-step marching gives.
+Otherwise the state is restored and the block's steps are replayed on the
+exact path, which retires, snapshots and advances rows one by one and
+emits any floating-point warning under the caller's numpy settings; f and
+g may see the discarded block's non-finite states before that.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ DT_FLOOR = 1.0e-14
 STOP_RTOL = 1.0e-12
 # A pair in `march_ordered` steps this share of its two rows' CFL limits.
 ORDERED_SAFETY = 0.9
+# `_march` takes this many steps before it checks them.
+BLOCK = 32
 
 # Boundary-rate fits use unclamped nodes with wall distance in
 # [RATE_DIST_INNER * dx, RATE_DIST_OUTER * b].
@@ -151,27 +158,39 @@ def _padded(fields: Sequence[GridField]) -> np.ndarray:
     return u
 
 
-def _kernel(u: np.ndarray, dx: float, spec: ProblemSpec):
+def _workspace(rows: int, n: int) -> Tuple[np.ndarray, ...]:
+    """Scratch arrays for `_kernel` on `rows` rows of n interior nodes."""
+    return (np.empty((rows, n)), np.empty((rows, n)), np.empty((3, rows, n)),
+            np.empty((rows, n)), np.empty(rows))
+
+
+def _kernel(u: np.ndarray, dx: float, spec: ProblemSpec,
+            work: Optional[Tuple[np.ndarray, ...]] = None,
+            out: Optional[np.ndarray] = None):
     """The scheme on ghost-padded rows u: per-row CFL step and f(g(p) z).
 
     Slope, curvature and g(slope) are evaluated once, and f once on the
     stacked arguments [s, s + r, s - r] of the update and of the secants
     (see cfl_limit); f and g see flat 1-D arrays.  The secant width
     2r = max(|s|, 2) is formed directly: halving and doubling are exact, so
-    it equals twice the half-width r = max(|s|/2, 1) bit for bit.
+    it equals twice the half-width r = max(|s|/2, 1) bit for bit, and so
+    the step (0.5 * CFL_SAFETY * dx^2) / Lambda equals CFL_SAFETY * dx^2 /
+    (2 Lambda).  Intermediates go to ``work`` (a `_workspace` of u's shape)
+    and the step to ``out`` when given; the returned rate may be a view of
+    ``work``, valid until the next call with it.
     """
+    slope, curv, args, width, lam = work or _workspace(len(u), u.shape[1] - 2)
     left, mid, right = u[:, :-2], u[:, 1:-1], u[:, 2:]
-    slope = np.subtract(right, left)
+    np.subtract(right, left, out=slope)
     slope /= 2.0 * dx
-    curv = np.multiply(mid, 2.0)
+    np.multiply(mid, 2.0, out=curv)
     np.subtract(right, curv, out=curv)
     curv += left
     curv /= dx * dx
     weight = np.asarray(spec.g.eval(slope.ravel()),
                         dtype=float).reshape(curv.shape)
-    args = np.empty((3,) + curv.shape)
     arg = np.multiply(weight, curv, out=args[0])
-    width = np.abs(arg)
+    np.abs(arg, out=width)
     np.maximum(width, 2.0 * SECANT_ARG_FLOOR, out=width)
     half = np.multiply(width, 0.5, out=curv)
     np.add(arg, half, out=args[1])
@@ -181,10 +200,8 @@ def _kernel(u: np.ndarray, dx: float, spec: ProblemSpec):
     spread = np.subtract(vals[1], vals[2], out=half)
     spread *= weight
     spread /= width
-    lam = np.maximum.reduce(spread, axis=1)
-    np.maximum(lam, LAMBDA_FLOOR, out=lam)
-    lam *= 2.0
-    return CFL_SAFETY * dx ** 2 / lam, vals[0]
+    np.maximum.reduce(spread, axis=1, initial=LAMBDA_FLOOR, out=lam)
+    return np.divide(0.5 * CFL_SAFETY * dx ** 2, lam, out=out), vals[0]
 
 
 def cfl_limit(field: GridField, spec: ProblemSpec) -> float:
@@ -298,7 +315,8 @@ def _fit_rates(field: GridField, spec: ProblemSpec):
 def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
            snapshot_times: Optional[Sequence[float]] = None
            ) -> List[SolveReport]:
-    """Evolve fields on one grid to t_end together, one kernel call a step.
+    """Evolve fields on one grid to t_end together, one kernel call a step
+    for the batch, in blocks of steps (see the module docstring).
 
     Every row keeps its own CFL step, time, step count, dt range, violation
     count and snapshots, exactly as if it were marched alone.  A row that
@@ -346,58 +364,90 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
             snapshots=tuple(snaps[row[k]]))
 
     row = np.arange(len(fields))
-    # The state and the next state; ghost columns are set in both once, and
-    # each step writes only the interior of the idle buffer.
+    # The state and the next state; ghost columns are set in both, and each
+    # step writes only the interior of the idle buffer.
     u = _padded(fields)
-    spare = u.copy()
     time = np.array([fld.time for fld in fields])
     bounds = [max(fld.cap, fld.ghost_left, float(np.max(fld.values)))
               for fld in fields]
     tol = np.array([bd + 1e-9 * max(1.0, abs(bd)) for bd in bounds])
-    # A step is quiet when no row collapses, leaves the float range, passes
-    # its bound or reaches its next stop; only other steps take the slow
-    # path below, so the common step costs a handful of array operations.
-    quiet_top = np.minimum(tol, BLOWUP_VALUE)
+    # A block commits only if no value passes this: no violation, no blow-up.
+    ceiling = np.minimum(tol, BLOWUP_VALUE)
     dt_min = np.full(len(fields), math.inf)
     dt_max = np.zeros(len(fields))
     violations = np.zeros(len(fields), dtype=np.int64)
     nxt = np.zeros(len(fields), dtype=np.intp)
     stop, mark = stops[nxt], marks[nxt]
     n_steps = 0   # rows start together, so one count serves them all
+    committed = replayed = replay = 0
+    # Inside a block every floating-point error numpy would report is only
+    # recorded; the exact replay reports it as the caller's settings say.
+    errors: List[Tuple[str, int]] = []
+    modes = {key: "ignore" if mode == "ignore" else "call"
+             for key, mode in np.geterr().items()}
+    shape = None
 
     while row.size:
-        limit, rate = _kernel(u, dx, spec)
-        later = time + limit
-        quiet = bool((later < mark).all() and limit.min() >= DT_FLOOR)
-        dt = limit if quiet else np.minimum(limit, stop - time)
+        if shape != u.shape:
+            # Per batch shape, never per block: large temporaries are mapped
+            # fresh on every allocation.
+            shape, spare, saved = u.shape, u.copy(), np.empty_like(u)
+            work = _workspace(len(u), n)
+            hist, peak = np.empty((BLOCK, len(u))), np.empty((len(u), n))
+            start = np.empty(len(u))
+        if not replay:
+            np.copyto(saved, u)
+            np.copyto(start, time)
+            peak.fill(-math.inf)
+            errors.clear()
+            with np.errstate(call=lambda *err: errors.append(err), **modes):
+                for dt in hist:
+                    _, rate = _kernel(u, dx, spec, work, dt)
+                    new = np.multiply(dt[:, None], rate, out=spare[:, 1:-1])
+                    np.add(u[:, 1:-1], new, out=new)
+                    time += dt
+                    np.maximum(peak, new, out=peak)
+                    u, spare = spare, u
+            # A value that turned -inf stays -inf or turns nan, and max and
+            # min carry nan, so end-of-block checks cover every step.
+            if (not errors and (time < mark).all()
+                    and hist.min() >= DT_FLOOR
+                    and (np.maximum.reduce(peak, axis=1) <= ceiling).all()
+                    and u[:, 1:-1].min() > -math.inf):
+                n_steps += BLOCK
+                committed += 1
+                np.minimum(dt_min, hist.min(axis=0), out=dt_min)
+                np.maximum(dt_max, hist.max(axis=0), out=dt_max)
+                continue
+            np.copyto(u, saved)
+            np.copyto(time, start)
+            replay = BLOCK
+        replay -= 1
+        replayed += 1
+        limit, rate = _kernel(u, dx, spec, work, hist[0])
+        dt = np.minimum(limit, stop - time)
         new = np.multiply(dt[:, None], rate, out=spare[:, 1:-1])
         np.add(u[:, 1:-1], new, out=new)
-        # max <= bound rules out +inf and nan, min > -inf rules out -inf
-        quiet = (quiet and (np.maximum.reduce(new, axis=1) <= quiet_top).all()
-                 and new.min() > -math.inf)
         n_steps += 1
-        if not quiet:
-            later = time + dt
-            # Rows whose CFL step collapsed or is nan (f returned non-finite
-            # values on the secants), or whose update left the float range,
-            # end on their current state without taking the step.
-            stalled = ~(limit >= DT_FLOOR)
-            gone = stalled | ~np.isfinite(new).all(axis=1)
-            for k in np.flatnonzero(gone):
-                if np.isnan(limit[k]):
-                    log.warning("f returned non-finite values at t = %.6g",
-                                time[k])
-                elif stalled[k]:
-                    log.warning("CFL step collapsed to %.3g at t = %.6g",
-                                limit[k], time[k])
-                retire(k, u[k, 1:-1], time[k], n_steps - 1,
-                       time[k] if stalled[k] else later[k])
+        later = time + dt
+        # Rows whose CFL step collapsed or is nan (f returned non-finite
+        # values on the secants), or whose update left the float range, end
+        # on their current state without taking the step.
+        stalled = ~(limit >= DT_FLOOR)
+        gone = stalled | ~np.isfinite(new).all(axis=1)
+        for k in np.flatnonzero(gone):
+            if np.isnan(limit[k]):
+                log.warning("f returned non-finite values at t = %.6g",
+                            time[k])
+            elif stalled[k]:
+                log.warning("CFL step collapsed to %.3g at t = %.6g",
+                            limit[k], time[k])
+            retire(k, u[k, 1:-1], time[k], n_steps - 1,
+                   time[k] if stalled[k] else later[k])
         u, spare = spare, u
         time = later
         np.minimum(dt_min, dt, out=dt_min)
         np.maximum(dt_max, dt, out=dt_max)
-        if quiet:
-            continue
         violations += np.count_nonzero(new > tol[:, None], axis=1)
         blown = ~gone & (new.max(axis=1) > BLOWUP_VALUE)
         for k in np.flatnonzero(blown):
@@ -413,11 +463,13 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
         gone |= done
         if gone.any():
             keep = ~gone
-            row, u, time, tol, quiet_top, dt_min, dt_max, violations, nxt = (
-                arr[keep] for arr in (row, u, time, tol, quiet_top, dt_min,
+            row, u, time, tol, ceiling, dt_min, dt_max, violations, nxt = (
+                arr[keep] for arr in (row, u, time, tol, ceiling, dt_min,
                                       dt_max, violations, nxt))
-            spare = u.copy()
         stop, mark = stops[nxt], marks[nxt]
+    log.debug("march of %d rows: %d steps, %d blocks of %d committed, %d "
+              "steps replayed", len(fields), n_steps, committed, BLOCK,
+              replayed)
     return reports
 
 

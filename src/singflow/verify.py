@@ -91,10 +91,18 @@ def _default_gamma_grid(alpha: Optional[float] = None) -> list:
 
 def _fit_psi(gamma: float, dist: np.ndarray, u: np.ndarray):
     """Least squares u ~ D * psi_gamma(dist) + C on the column-normalized
-    design; returns (D, C) and the unnormalized design [psi, 1]."""
+    design; returns (D, C) and the unnormalized design [psi, 1].
+
+    A column whose squares overflow (psi near 1e200, at steep rates close
+    to the wall) is normalized through its max-abs instead.
+    """
     basis = psi(gamma, dist)
     design = np.column_stack([basis, np.ones_like(basis)])
-    norms = np.linalg.norm(design, axis=0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(design, axis=0)
+    if not np.isfinite(norms).all():
+        top = np.max(np.abs(design), axis=0)
+        norms = top * np.linalg.norm(design / top, axis=0)
     coef, *_ = np.linalg.lstsq(design / norms, u, rcond=None)
     return coef / norms, design
 

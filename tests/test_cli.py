@@ -810,3 +810,23 @@ def test_capstudy_marches_once_per_probe_time(tmp_path, monkeypatch, probes,
     assert times == marches
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert len(report["studies"]) == len(probes)
+
+
+def test_march_counts_reach_the_log_and_no_artifact(tmp_path, caplog):
+    """-vv logs each march's step and block counts; the artifacts of the
+    run are byte for byte those of a quiet run."""
+    argv = [*_CAPSTUDY_ARGV, "--caps", "2,4,8", "--probe", "0,0.05",
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    quiet = {path.name: path.read_bytes()
+             for path in (tmp_path / "o").iterdir()}
+    for path in (tmp_path / "o").iterdir():
+        path.unlink()
+    with caplog.at_level("DEBUG", logger="singflow.solver"):
+        assert main(["-vv", *argv]) == 0
+    assert [rec.getMessage() for rec in caplog.records
+            if rec.levelname == "DEBUG"] == [
+        "march of 3 rows: 131 steps, 4 blocks of 32 committed, "
+        "3 steps replayed"]
+    assert {path.name: path.read_bytes()
+            for path in (tmp_path / "o").iterdir()} == quiet

@@ -6,6 +6,8 @@ import dataclasses
 import hashlib
 import logging
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -525,3 +527,247 @@ def test_probes_that_share_a_time_share_one_march(monkeypatch):
     assert studies == alone
     with pytest.raises(ParameterError):
         cap_studies(spec, 60, caps, [(0.0, 0.02), (1.0, 0.02)])
+
+
+# ---------------------------------------------------------------------------
+# block-validated marching against a step-by-step reference
+# ---------------------------------------------------------------------------
+
+
+def _reference(spec, field, t_end, snapshot_times=()):
+    """`solve`'s reference: a loop of `cfl_limit` and `step` calls on one
+    field, each step clipped at the next stop (a snapshot time or t_end),
+    which counts as reached once the time is within STOP_RTOL of it.
+    Snapshot times must be STOP_RTOL apart.  Returns the report's fields
+    and the step count at each stop."""
+    bound = max(field.cap, field.ghost_left, float(np.max(field.values)))
+    tol = bound + 1e-9 * max(1.0, abs(bound))
+    snaps = [(0.0, field.values) for t in snapshot_times if t == 0.0]
+    dts, violations, blowup, stop_steps = [], 0, None, []
+    for stop in sorted({t for t in snapshot_times if t > 0.0} | {t_end}):
+        mark = stop * (1.0 - solver.STOP_RTOL)
+        while blowup is None and field.time < mark:
+            limit = cfl_limit(field, spec)
+            if not limit >= solver.DT_FLOOR:
+                blowup = field.time
+                break
+            dt = min(limit, stop - field.time)
+            try:
+                field = step(field, spec, dt)
+            except SolverOverflowError as err:
+                blowup = err.time
+                break
+            dts.append(dt)
+            violations += int(np.count_nonzero(field.values > tol))
+            if float(np.max(field.values)) > solver.BLOWUP_VALUE:
+                blowup = field.time
+        if blowup is not None:
+            break
+        stop_steps.append(len(dts))
+        snaps.extend((t, field.values) for t in snapshot_times if t == stop)
+    n_steps = len(dts)
+    history = {"n_steps": float(n_steps),
+               "dt_min": min(dts, default=0.0),
+               "dt_max": max(dts, default=0.0),
+               "dt_mean": field.time / n_steps if n_steps else 0.0}
+    return (field, history, violations, blowup, snaps), stop_steps
+
+
+def _assert_matches_reference(report, reference):
+    field, history, violations, blowup, snaps = reference
+    assert report.final.values.tobytes() == field.values.tobytes()
+    assert (report.final.time, report.final.cap, report.final.cap_minus) == (
+        field.time, field.cap, field.cap_minus)
+    assert report.dt_history == history
+    assert report.comparison_violations == violations
+    assert report.diverged == (blowup is not None)
+    assert repr(report.blowup_time) == repr(blowup)
+    assert [t for t, _ in report.snapshots] == [t for t, _ in snaps]
+    for (_, got), (_, want) in zip(report.snapshots, snaps):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_solve_matches_the_reference_with_a_snapshot_inside_a_block():
+    spec = _curvature_spec()
+    times = [0.0, 0.02, 0.05]
+    report = solve(spec, 50, 5.0, 0.05, snapshot_times=times)
+    want, stop_steps = _reference(
+        spec, make_field(1.0, 50, spec.u0.values, 5.0), 0.05, times)
+    assert stop_steps[0] % solver.BLOCK and stop_steps[1] > 3 * solver.BLOCK
+    _assert_matches_reference(report, want)
+
+
+def test_march_matches_the_reference_when_rows_retire_inside_blocks():
+    """A p_heat(2, 2, 0.1) ladder whose rows end at four different steps,
+    one of them before its first step."""
+    spec = make_problem(1.0, *preset_p_heat(2.0, 2.0, 0.1), _flat())
+    fields = [make_field(1.0, 30, spec.u0.values, cap)
+              for cap in (10.0, 20.0, 40.0, 1e13)]
+    reports = _march(spec, fields, 0.02)
+    for report, fld in zip(reports, fields):
+        _assert_matches_reference(report, _reference(spec, fld, 0.02)[0])
+    ends = [report.dt_history["n_steps"] for report in reports]
+    assert ends[-1] == 0.0 and all(end % solver.BLOCK for end in ends[:3])
+    assert len(set(ends)) == 4
+
+
+def test_march_matches_the_reference_with_asymmetric_caps_and_snapshots():
+    f, g = preset_p_heat(2.0, 1.0, 0.1)
+    spec = make_problem(1.0, f, g, initial_b1(
+        lambda x: 0.3 * np.cos(np.asarray(x, dtype=float))))
+    times = [0.0, 0.031, 0.077, 0.077]
+    fields = [make_field(1.0, 40, spec.u0.values, cap, cap_minus=minus)
+              for cap, minus in ((2.0, -1.0), (8.0, 0.5), (30.0, -30.0))]
+    for report, fld in zip(_march(spec, fields, 0.1, times), fields):
+        want, stop_steps = _reference(spec, fld, 0.1, times)
+        assert all(k % solver.BLOCK for k in stop_steps)
+        assert stop_steps[-1] > 3 * solver.BLOCK
+        _assert_matches_reference(report, want)
+
+
+_N, _DX = 30, 2.0 / 31
+_SMOOTH = initial_b1(lambda x: 0.2 * np.cos(0.5 * np.pi * np.asarray(x)))
+_SPIKE = np.where(np.arange(_N) == _N // 2, 1.0, 0.0)
+
+
+def _band(s):      # -inf where only the spike's update argument falls
+    s = np.asarray(s, dtype=float)
+    return np.where((s > -2.5 / _DX ** 2) & (s < -2.0 / _DX ** 2), -np.inf, s)
+
+
+def _nan_above(s):
+    s = np.asarray(s, dtype=float)
+    return np.where(s > 1.2e4, np.nan, s)
+
+
+def _steep_above(s):    # Lambda ~ 1e12, yet dt * f(s) stays small
+    s = np.asarray(s, dtype=float)
+    return np.where(s > 3e3, 1e12 * s, s)
+
+
+@pytest.mark.parametrize("f_eval, caps, datum", [
+    (_band, (2.0, 2.0), (_SMOOTH.values, _SPIKE)),
+    (_nan_above, (5.0, 40.0), (np.zeros(_N), np.zeros(_N))),
+    (_steep_above, (2.0, 40.0), (np.zeros(_N), np.zeros(_N))),
+    (None, (5.0, 1e13), (np.zeros(_N), np.zeros(_N)))],
+    ids=["update-minus-inf", "secant-nan", "cfl-collapse", "past-1e12"])
+def test_march_matches_the_reference_when_a_row_ends_early(f_eval, caps,
+                                                          datum):
+    """The second row ends on its first step, each way a row can, and no
+    floating-point error need flag the failed block."""
+    spec = make_problem(1.0, *preset_p_heat(2.0, 1.0, 0.1), _SMOOTH)
+    if f_eval is not None:
+        spec = dataclasses.replace(spec, f=dataclasses.replace(
+            spec.f, eval=f_eval))
+    fields = [make_field(1.0, _N, values, cap)
+              for values, cap in zip(datum, caps)]
+    with np.errstate(all="ignore"):
+        reports = _march(spec, fields, 0.05)
+        wants = [_reference(spec, fld, 0.05)[0] for fld in fields]
+    assert [rep.diverged for rep in reports] == [False, True]
+    assert reports[1].dt_history["n_steps"] <= 1.0
+    assert reports[0].dt_history["n_steps"] > solver.BLOCK
+    for report, want in zip(reports, wants):
+        _assert_matches_reference(report, want)
+
+
+def test_march_retires_a_row_turning_minus_inf_on_a_blocks_last_step():
+    """f is -inf on a narrow band around the update argument one node
+    reaches on a block's last step, so no later step of the block sees the
+    -inf and no floating-point error flags it: the final state's min does."""
+    spec = make_problem(1.0, *preset_p_heat(2.0, 1.0, 0.1), _flat())
+    fields = [make_field(1.0, _N, np.zeros(_N), cap) for cap in (2.0, 3.0)]
+    args = []    # what f sees on the way to t = 0.1; the update is f = s
+    for fld in fields:
+        while fld.time < 0.1 * (1.0 - solver.STOP_RTOL):
+            s = _kernel(_padded([fld]), fld.dx, spec)[1][0]
+            r = np.maximum(np.abs(s) / 2.0, 1.0)
+            args.append((s, np.concatenate([s + r, s - r])))
+            fld = step(fld, spec, min(cfl_limit(fld, spec), 0.1 - fld.time))
+    hit = args[solver.BLOCK - 1][0][-1]
+    seen = np.concatenate([np.concatenate(pair) for pair in args])
+    half = 0.5 * np.min(np.abs(seen[seen != hit] - hit))
+
+    def f_eval(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(np.abs(s - hit) < half, -np.inf, s)
+
+    spec = dataclasses.replace(spec, f=dataclasses.replace(spec.f,
+                                                            eval=f_eval))
+    reports = _march(spec, fields, 0.1)
+    assert reports[0].diverged and not reports[1].diverged
+    assert reports[0].dt_history["n_steps"] == solver.BLOCK - 1
+    for report, fld in zip(reports, fields):
+        _assert_matches_reference(report, _reference(spec, fld, 0.1)[0])
+
+
+def test_march_counts_bound_violations_as_the_reference_does():
+    """For beta < 1 the scheme can pass a row's bound by more than its
+    tolerance: a block that does is replayed, so every violation counts."""
+    spec = make_problem(1.0, *preset_curvature(0.6), initial_b1(
+        lambda x: 0.9 * np.cos(0.5 * np.pi * np.asarray(x, dtype=float))))
+    fields = [make_field(1.0, 40, spec.u0.values, cap) for cap in (0.5, 2.0)]
+    reports = _march(spec, fields, 0.05)
+    assert [rep.comparison_violations for rep in reports] == [52, 0]
+    for report, fld in zip(reports, fields):
+        _assert_matches_reference(report, _reference(spec, fld, 0.05)[0])
+
+
+def test_march_work_is_bounded_by_steps_and_events(monkeypatch, caplog):
+    """A failed block costs BLOCK kernel calls beyond the steps taken, and
+    on these ladders only a stop or a row's end fails one, so a block path
+    that always failed (bit-identical, twice the work) breaks the bound."""
+    calls = []
+    kernel = solver._kernel
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_kernel", counting)
+    ladders = [(make_problem(1.0, *preset_p_heat(2.0, 2.0, 0.1), _flat()),
+                30, (10.0, 20.0, 40.0, 1e13), ()),
+               (_curvature_spec(), 100, (2.0, 4.0, 8.0, 16.0), (0.0123,))]
+    for spec, n, caps, times in ladders:
+        calls.clear()
+        caplog.clear()
+        fields = [make_field(1.0, n, spec.u0.values, cap) for cap in caps]
+        with caplog.at_level(logging.DEBUG, logger="singflow.solver"):
+            reports = _march(spec, fields, 0.05, times)
+        ends = {rep.dt_history["n_steps"] for rep in reports}
+        steps = int(max(ends))
+        assert steps > 10 * solver.BLOCK
+        assert len(calls) <= steps + solver.BLOCK * (len(ends) + len(times))
+        (line,) = [rec.getMessage() for rec in caplog.records
+                   if rec.getMessage().startswith("march of")]
+        counts = re.fullmatch(
+            r"march of (\d+) rows: (\d+) steps, (\d+) blocks of \d+ "
+            r"committed, (\d+) steps replayed", line)
+        rows, logged, committed, replayed = map(int, counts.groups())
+        assert (rows, logged) == (len(caps), steps)
+        assert committed * solver.BLOCK + replayed == steps
+        failed = -(-replayed // solver.BLOCK)   # only the last replay is cut
+        assert len(calls) == steps + solver.BLOCK * failed
+
+
+def test_blocks_report_floating_point_errors_as_steps_do(caplog):
+    """A numpy floating-point error fails its block, whose exact replay
+    reports it under the caller's settings.  Step-by-step marching emits no
+    RuntimeWarning on the -inf and overflowing-row marches, and one
+    overflow in g per step when the cap's slope squared passes the float
+    range, so blocks must add none and lose none."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        test_march_retires_a_row_whose_update_alone_turns_minus_inf()
+        test_cap_study_with_an_overflowing_row(caplog)
+    assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+
+    spec = make_problem(1.0, *preset_curvature(1.0), _flat())
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        report = solve(spec, 30, 1e160, 0.1)
+    assert report.dt_history["n_steps"] == 97.0 > 2 * solver.BLOCK
+    assert [(w.category, str(w.message)) for w in seen] == 97 * [
+        (RuntimeWarning, "overflow encountered in multiply")]
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        solve(spec, 30, 1e160, 0.1)

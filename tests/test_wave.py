@@ -428,3 +428,19 @@ def test_wave_near_alpha_one_fails_typed(alpha):
                         initial_b1(lambda x: np.zeros_like(x)))
     with np.errstate(over="ignore"), pytest.raises(RateExtractionError):
         compute_wave(spec)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha, message", [
+    (1.01, "did not converge"), (1.03, "did not converge"),
+    (1.05, r"\(spread 0\.702 over the last decade\)")])
+def test_divergence_fit_near_alpha_one_does_not_overflow(alpha, message):
+    """gamma = (2 - alpha)/(alpha - 1) is 19 or more here, so psi on the
+    last decade reaches 1e200 and squaring it overflows: the fit normalizes
+    that column through its max-abs, warns of nothing and reports the real
+    spread (0.702 at alpha = 1.05, not the 4 of a zeroed column)."""
+    spec = make_problem(1.0, signed_power(1.0),
+                        power_tail_weight(alpha, 1.0, 1.0),
+                        initial_b1(lambda x: np.zeros_like(x)))
+    with pytest.raises(RateExtractionError, match=message):
+        compute_wave(spec)
