@@ -33,13 +33,13 @@ from .regime import (EXISTS, EXISTS_UNIQUE, NEEDS_B2, NOT_EXISTS,
                      OUTSIDE_THEORY, RegimeVerdict, classify, classify_wave,
                      uniqueness_threshold)
 from .wave import (WaveProfile, check_points, compute_wave, divergence_rate,
-                   g_antiderivative, profile_residuals)
+                   fit_boundary_rate, g_antiderivative, profile_residuals)
 from .barriers import (BarrierFunction, SuperFamilyParams, convex_envelope,
-                       h_tail, sub_uk, sub_vL, super_family, super_mu,
+                       h_tail, residual_values, scale_sub, scale_super,
+                       sub_uk, sub_vL, super_family, super_mu,
                        translate_wave, verify_inequality)
 from .solver import (CapStudy, GridField, SolveReport, cap_studies, cap_study,
                      cfl_limit, make_field, march_ordered, solve, step)
-from .verify import fit_boundary_rate, residual_values, scale_sub, scale_super
 from .suite import run_suite
 
 __all__ = [
@@ -58,17 +58,14 @@ __all__ = [
     "EXISTS", "EXISTS_UNIQUE", "NOT_EXISTS", "NEEDS_B2", "OUTSIDE_THEORY",
     # wave
     "WaveProfile", "compute_wave", "divergence_rate", "check_points",
-    "profile_residuals", "g_antiderivative",
+    "profile_residuals", "g_antiderivative", "fit_boundary_rate",
     # barriers
     "BarrierFunction", "SuperFamilyParams", "h_tail", "sub_uk", "sub_vL",
     "super_family", "super_mu", "convex_envelope", "translate_wave",
-    "verify_inequality",
+    "verify_inequality", "residual_values", "scale_super", "scale_sub",
     # solver
     "GridField", "SolveReport", "CapStudy", "make_field", "cfl_limit",
     "step", "march_ordered", "solve", "cap_study", "cap_studies",
-    # verify
-    "residual_values", "scale_super", "scale_sub",
-    "fit_boundary_rate",
     # suite
     "run_suite",
 ]

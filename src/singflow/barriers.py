@@ -37,6 +37,16 @@ g, admissible exponents) are never available in closed form, so they are
 estimated by dense log-spaced sampling of the declared tails with a
 conservative safety factor; every estimate is recorded on the returned
 object and echoed in verification reports.
+
+Residual operator
+-----------------
+`_flow` is the one vectorized f(factor * g(phi_x) * phi_xx), the product
+formed as (factor * g(phi_x)) * phi_xx, and `residual_values` gives the
+residual phi_t - f(factor * g(phi_x) * phi_xx) of a smooth test function
+phi.  A sub-solution has residual <= 0, a super-solution >= 0; ``factor``
+is the strengthening weight of strict checks (1/(1+delta) on the sub side,
+(1+delta) on the super side), and `super_family` certifies its constants
+with factor 2.
 """
 
 from __future__ import annotations
@@ -54,8 +64,7 @@ import numpy as np
 
 from ._scalar import root
 from .errors import HorizonError, ParameterError, RegimeError
-from .model import ProblemSpec
-from .verify import _flow, residual_values
+from .model import DiffusionWeight, Nonlinearity, ProblemSpec
 from .wave import WaveProfile, _gl_partial
 
 log = logging.getLogger(__name__)
@@ -217,6 +226,57 @@ def _tail_floor(fn: Callable[[np.ndarray], np.ndarray], power: float,
             "tail sampling produced a nonpositive bound; the declared tail "
             "behavior does not hold on the sampled range")
     return SAFETY * lowest
+
+
+def _flow(f: Nonlinearity, g: DiffusionWeight, dx, dxx,
+          factor: float = 1.0) -> np.ndarray:
+    """f(factor * g(dx) * dxx) on arrays as given: reshaping could move
+    numpy's pow in the last bit (a 0-d array and a 1-point one differ)."""
+    weight = np.asarray(g.eval(np.asarray(dx, dtype=float)), dtype=float)
+    return np.asarray(f.eval(factor * weight * np.asarray(dxx, dtype=float)),
+                      dtype=float)
+
+
+def residual_values(f: Nonlinearity, g: DiffusionWeight, dt, dx, dxx,
+                    factor: float = 1.0):
+    """Vectorized residual dt - f(factor * g(dx) * dxx)."""
+    return np.asarray(dt, dtype=float) - _flow(f, g, dx, dxx, factor)
+
+
+def _check_lambda(lam: float) -> float:
+    if not 0.0 <= lam < 1.0:
+        raise ParameterError(f"scaling parameter must lie in [0, 1), got {lam}")
+    return 1.0 + lam
+
+
+def scale_super(fn: Callable[[float, float], float],
+                lam: float) -> Callable[[float, float], float]:
+    """Super-solution scaling (x, t) -> fn((1+lam) x, (1+lam) t) / (1+lam).
+
+    Shrinks the spatial domain to (-b/(1+lam), b/(1+lam)) and weakens the
+    diffusion term by the factor 1/(1+lam) under the flow operator.
+    """
+    s = _check_lambda(lam)
+
+    def scaled(x, t):
+        return fn(s * x, s * t) / s
+
+    return scaled
+
+
+def scale_sub(fn: Callable[[float, float], float],
+              lam: float) -> Callable[[float, float], float]:
+    """Sub-solution scaling (x, t) -> (1+lam) fn(x/(1+lam), t/(1+lam)).
+
+    Exact inverse of `scale_super` with the same lam (their composition is
+    the identity pointwise).
+    """
+    s = _check_lambda(lam)
+
+    def scaled(x, t):
+        return s * fn(x / s, t / s)
+
+    return scaled
 
 
 # ---------------------------------------------------------------------------
@@ -1070,3 +1130,4 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
     if check_dt:
         report["dt_min"] = float(dt_min)
     return report
+

@@ -11,13 +11,14 @@ any error; scenario schema violations are reported with file and line.
 `SCHEMA` lists each experiment's fields as rows ``(key, kind, default,
 flag)``.  The rows alone decide which keys a scenario may hold, how each
 field is checked and normalized, which flags a subcommand has, and how the
-inline document is built from those flags.  Four more tables declare the
+inline document is built from those flags.  Five more tables declare the
 scenario vocabulary, one row per name, and validation, flag help and
 problem assembly all read them: `PRESETS` (constructor and parameter names)
 at the top of the module, `U0_KINDS` (allowed classes, fields and value
-function of each datum kind) and `FAMILIES` (keys, default side and
-constructor of each barrier family) just before `SCHEMA`, and `_RUNNERS`
-(runner and help text of each experiment) after the runners.
+function of each datum kind), `FAMILIES` (keys, default side and
+constructor of each barrier family) and `EXPECT` (the ``expect`` keys of
+each experiment) just before `SCHEMA`, and `_RUNNERS` (runner and help
+text of each experiment) after the runners.
 
 Reruns of the same scenario file write bit-identical artifacts: seeds are
 fixed, reductions are deterministic, and no timestamps or timings are
@@ -117,6 +118,30 @@ def _floats(values) -> List[float]:
     return [float(v) for v in values]
 
 
+def _check_rows(doc, key, rows, path, raw, owner, needs="") -> Dict:
+    """Check the object doc[key] against rows (name, kind, default): only
+    the rows' names may appear, given values go through their kind's check
+    and absent ones take the default (REQUIRED raises, None skips)."""
+    obj = doc[key]
+    if not isinstance(obj, dict):
+        raise _schema_error(path, raw, key, f"'{key}' must be an object")
+    known = {name for name, _, _ in rows}
+    for name in obj:
+        if name not in known:
+            raise _schema_error(path, raw, name,
+                                f"unknown field '{name}' for {owner}")
+    out = {}
+    for name, kind, default in rows:
+        if obj.get(name) is not None:
+            out[name] = kind.check(obj, name, path, raw)
+        elif default is REQUIRED:
+            raise _schema_error(path, raw, key,
+                                f"{needs} needs '{name}', {kind.what}")
+        elif default is not None:
+            out[name] = default
+    return out
+
+
 def _validate_u0(doc, key, path, raw) -> Dict:
     u0 = doc[key]
     # Datum keys share names with top-level ones ("gamma_plus" of barrier
@@ -139,21 +164,8 @@ def _validate_u0(doc, key, path, raw) -> Dict:
             path, raw, "spec",
             f"u0.spec must be an object with kind in {', '.join(U0_KINDS)}")
     datum = U0_KINDS[kind]
-    known = {"kind"} | {name for name, _, _ in datum.fields}
-    for name in spec:
-        if name not in known:
-            raise _schema_error(path, raw, name,
-                                f"unknown field '{name}' for datum kind "
-                                f"'{kind}'")
-    out = {"kind": kind}
-    for name, field, default in datum.fields:
-        if spec.get(name) is not None:
-            out[name] = field.check(spec, name, path, raw)
-        elif default is REQUIRED:
-            raise _schema_error(path, raw, "spec", f"{kind} datum needs "
-                                f"'{name}', {field.what}")
-        else:
-            out[name] = default
+    out = _check_rows(u0, "spec", (("kind", _TEXT, REQUIRED),) + datum.fields,
+                      path, raw, f"datum kind '{kind}'", f"{kind} datum")
     if klass not in datum.classes:
         raise _schema_error(path, raw, "class", f"{datum.nature}; use class "
                             f"{' or '.join(datum.classes)}")
@@ -163,6 +175,13 @@ def _validate_u0(doc, key, path, raw) -> Dict:
             "class B2 needs one shared rate; set gamma_plus = "
             "gamma_minus or use class B3")
     return {"class": klass, "spec": out}
+
+
+def _validate_expect(doc, key, path, raw) -> Dict:
+    experiment = doc["experiment"]
+    return _check_rows(doc, key, EXPECT[experiment], path,
+                       _from_key_line(raw, key),
+                       f"expect of experiment '{experiment}'")
 
 
 def _validate_params(doc, key, path, raw) -> Dict[str, float]:
@@ -383,12 +402,29 @@ FAMILIES = {
                  "sub", lambda spec, *tail: h_tail(spec.b, *tail)),
 }
 
+# Each experiment's `expect` keys, the ones its runner reads, as rows
+# (name, kind, default) checked like a datum spec; values stay as given.
+_FINITE = _simple(_is_number, "a finite number")
+_VERDICT = (("verdict", _TEXT, None),)
+EXPECT = {
+    "classify": _VERDICT,
+    "wave": (("c", _FINITE, None),
+             ("c_tol", _simple(lambda v: _is_number(v) and v >= 0,
+                               "a finite number >= 0"), None),
+             ("max_residual", _FINITE, None)),
+    "barrier": (),
+    "solve": (("diverged", _simple(lambda v: isinstance(v, bool),
+                                   "a boolean"), None),),
+    "capstudy": _VERDICT,
+    "verify": (),
+}
+
 _DEFAULT_U0 = {"class": "B1", "spec": {"kind": "constant", "value": 0.0}}
 _COMMON = (
     ("name", _TEXT, REQUIRED, "--name"),
     ("output_dir", _TEXT, REQUIRED, None),
     ("seed", _integer(0), 0, "--seed"),
-    ("expect", _simple(lambda v: isinstance(v, dict), "an object"), {}, None),
+    ("expect", _Kind(_validate_expect, "an object", {}), {}, None),
 )
 _PROBLEM = _COMMON + (
     ("preset", _choice(tuple(PRESETS)), REQUIRED, "--preset"),
@@ -626,12 +662,10 @@ def _run_wave(scn, spec: ProblemSpec, out: Path):
     passed = True
     expect = scn["expect"]
     if "c" in expect:
-        tol = float(expect.get("c_tol", 1e-8))
         report["expected_c"] = expect["c"]
-        passed = passed and abs(profile.c - float(expect["c"])) <= tol
+        passed = abs(profile.c - expect["c"]) <= expect.get("c_tol", 1e-8)
     if "max_residual" in expect:
-        passed = passed and report["max_residual"] <= float(
-            expect["max_residual"])
+        passed = passed and report["max_residual"] <= expect["max_residual"]
     return report, passed, ["wave_profile.csv"]
 
 
@@ -702,7 +736,7 @@ def _run_solve(scn, spec: ProblemSpec, out: Path):
     }
     passed = True
     if "diverged" in scn["expect"]:
-        passed = bool(scn["expect"]["diverged"]) == result.diverged
+        passed = scn["expect"]["diverged"] == result.diverged
     return report, passed, files
 
 
@@ -733,17 +767,11 @@ def _run_capstudy(scn, spec: ProblemSpec, out: Path):
 
 
 def _run_verify(scn, _spec, out: Path):
-    summary = run_suite()
-    checks = [{"name": c["name"], "pass": c["pass"], "detail": c["detail"]}
-              for c in summary["checks"]]
-    report = {
-        "checks": checks,
-        "n_checks": summary["n_checks"],
-        "n_failed": summary["n_failed"],
-    }
+    report = run_suite()
     _write_csv(out / "suite_checks.csv", ["name", "pass", "detail"],
-               [[c["name"], int(c["pass"]), c["detail"]] for c in checks])
-    return report, bool(summary["pass"]), ["suite_checks.csv"]
+               [[c["name"], int(c["pass"]), c["detail"]]
+                for c in report["checks"]])
+    return report, report["pass"], ["suite_checks.csv"]
 
 
 # Each experiment's runner and its subcommand help.  A runner takes the
@@ -794,9 +822,9 @@ def _execute(scn: Dict, out_override: Optional[str] = None) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def _load(path: str, experiment: Optional[str] = None) -> Dict:
-    """Read, parse and validate one scenario file.  With ``experiment``,
-    the file must also run that subcommand."""
+def _load(path: str, experiment: str) -> Dict:
+    """Read, parse and validate one scenario file, which must run the
+    ``experiment`` subcommand."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -806,25 +834,11 @@ def _load(path: str, experiment: Optional[str] = None) -> Dict:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}")
     scn = validate_scenario(doc, raw, path)
-    if experiment is not None and scn["experiment"] != experiment:
+    if scn["experiment"] != experiment:
         raise _schema_error(path, raw, "experiment",
                             f"scenario runs '{scn['experiment']}' but the "
                             f"'{experiment}' subcommand was invoked")
     return scn
-
-
-def run(scenario_file, out_dir: Optional[str] = None) -> int:
-    """Execute one scenario file; returns the process exit status.
-
-    0 on pass, 2 when verification or a declared expectation fails, 1 on
-    errors (unreadable file, malformed JSON, schema violations, parameter
-    or regime errors raised while running).
-    """
-    try:
-        return _execute(_load(str(scenario_file)), out_dir)
-    except SingflowError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ERROR
 
 
 # ---------------------------------------------------------------------------

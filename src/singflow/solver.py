@@ -58,7 +58,7 @@ import numpy as np
 from .errors import (InsufficientDataError, ParameterError,
                      SolverOverflowError, StepSizeError)
 from .model import ProblemSpec
-from .verify import fit_boundary_rate
+from .wave import fit_boundary_rate
 
 log = logging.getLogger(__name__)
 

@@ -34,6 +34,10 @@ g, and a bracket on the panel catches every step that would leave it.
 Newton starts from a degree-12 Chebyshev interpolant of G^{-1} on the
 panel, fitted once when the table is built, so most points stop after one
 or two steps.
+
+Near a wall, `_fit_psi` fits D * psi_gamma(b - |x|) + C by least squares:
+`compute_wave` at the known rate gamma = (2 - alpha)/(alpha - 1), and
+`fit_boundary_rate` at each candidate rate, keeping the best relative fit.
 """
 
 from __future__ import annotations
@@ -45,11 +49,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import (DomainError, ParameterError, RateExtractionError,
-                     RegimeError)
-from .model import DiffusionWeight, ProblemSpec
+from .errors import (DomainError, InsufficientDataError, ParameterError,
+                     RateExtractionError, RegimeError)
+from .model import DiffusionWeight, ProblemSpec, psi
 from .regime import uniqueness_threshold
-from .verify import _fit_psi
 
 # Tail cut search.
 _S0_INIT = 8.0
@@ -531,6 +534,24 @@ def compute_wave(spec: ProblemSpec, n_grid: int = 512,
                        g_total=table.total, b=b, f_inv_c=q)
 
 
+def _fit_psi(gamma: float, dist: np.ndarray, u: np.ndarray):
+    """Least squares u ~ D * psi_gamma(dist) + C on the column-normalized
+    design; returns (D, C) and the unnormalized design [psi, 1].
+
+    A column whose squares overflow (psi near 1e200, at steep rates close
+    to the wall) is normalized through its max-abs instead.
+    """
+    basis = psi(gamma, dist)
+    design = np.column_stack([basis, np.ones_like(basis)])
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(design, axis=0)
+    if not np.isfinite(norms).all():
+        top = np.max(np.abs(design), axis=0)
+        norms = top * np.linalg.norm(design / top, axis=0)
+    coef, *_ = np.linalg.lstsq(design / norms, u, rcond=None)
+    return coef / norms, design
+
+
 def _fit_divergence(x_grid: np.ndarray, w_values: np.ndarray, b: float,
                     alpha: float) -> Tuple[float, float]:
     """Slope of W against psi_gamma(wall distance) over the last decade of
@@ -580,6 +601,79 @@ def divergence_rate(profile: WaveProfile, g_alpha: float):
     if g_alpha > 2.0:
         return None, None
     return profile.d_plus, profile.d_minus
+
+
+def _default_gamma_grid(alpha: Optional[float] = None) -> list:
+    """Quarter-step rates 0..5, plus the distinguished rate (2-a)/(a-1)
+    when a tail exponent in (1, 2] is supplied."""
+    grid = [0.25 * k for k in range(21)]
+    if alpha is not None and 1.0 < alpha <= 2.0:
+        special = uniqueness_threshold(alpha)
+        if min(abs(gv - special) for gv in grid) > 1e-12:
+            grid.append(special)
+    return sorted(grid)
+
+
+def fit_boundary_rate(x, u, b: float, side: int = 1,
+                      alpha: Optional[float] = None):
+    """Fit u ~ D * psi_gamma(b -+ x) + C near the wall x = side * b.
+
+    Parameters
+    ----------
+    x, u : array_like
+        Sample locations and values; all must lie strictly inside the wall.
+    b : float
+        Domain half-width.
+    side : {+1, -1}
+        Which wall the samples approach.
+    alpha : float, optional
+        Weight tail exponent.  The candidate rates are quarter steps 0..5,
+        plus (2 - alpha)/(alpha - 1) when alpha lies in (1, 2].
+
+    Returns
+    -------
+    (gamma_fit, d_fit, spread)
+        Best rate, its slope, and the relative fit residual
+        ||fit - u|| / ||u - mean(u)||.
+
+    Raises
+    ------
+    ParameterError
+        A bad side, unequal lengths, a non-finite sample or one past the wall.
+    InsufficientDataError
+        Fewer than 8 samples, or the wall distances span less than two
+        decades (the rates are not separable from closer data).
+    """
+    if side not in (1, -1):
+        raise ParameterError(f"side must be +1 or -1, got {side}")
+    xa = np.asarray(x, dtype=float).ravel()
+    ua = np.asarray(u, dtype=float).ravel()
+    if xa.size != ua.size:
+        raise ParameterError("x and u must have matching lengths")
+    if not (np.isfinite(xa).all() and np.isfinite(ua).all()):
+        raise ParameterError("rate fitting needs finite samples")
+    dist = b - side * xa
+    if np.any(dist <= 0.0):
+        raise ParameterError("samples must lie strictly inside the wall")
+    if xa.size < 8:
+        raise InsufficientDataError(
+            f"rate fitting needs >= 8 samples, got {xa.size}")
+    if float(np.max(dist) / np.min(dist)) < 100.0:
+        raise InsufficientDataError(
+            "rate fitting needs wall distances spanning >= 2 decades")
+
+    denom = float(np.linalg.norm(ua - np.mean(ua)))
+    if denom == 0.0:
+        denom = max(float(np.linalg.norm(ua)), 1.0)
+
+    best = None
+    for gam in _default_gamma_grid(alpha):
+        coef, design = _fit_psi(gam, dist, ua)
+        rel = float(np.linalg.norm(design @ coef - ua)) / denom
+        if best is None or rel < best[0]:
+            best = (rel, float(gam), float(coef[0]))
+    spread, gamma_fit, d_fit = best
+    return gamma_fit, d_fit, spread
 
 
 def check_points(profile: WaveProfile) -> np.ndarray:

@@ -212,7 +212,7 @@ def test_criterion_8_clamped_wave_speed():
 
 
 def test_criterion_9_invariant_suite_cli(tmp_path):
-    """`singflow verify` runs the invariant suite green."""
+    """The `verify` subcommand runs the invariant suite green."""
     t0 = time.perf_counter()
     code = cli_main(["verify", "--out", str(tmp_path / "verify_out")])
     assert code == 0

@@ -21,7 +21,7 @@ from singflow import (BarrierFunction, HorizonError, ParameterError,
                       preset_curvature, preset_p_heat, signed_power, sub_uk,
                       sub_vL, super_family, super_mu, translate_wave,
                       verify_inequality)
-from singflow.verify import residual_values
+from singflow.barriers import residual_values
 
 
 def _flat():

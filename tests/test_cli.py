@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 import singflow
 from singflow import ScenarioError, cli, solver
-from singflow.cli import main, run, validate_scenario
+from singflow.cli import main, validate_scenario
 
 
 def _scenario(tmp_path, doc, name="scn.json"):
@@ -198,6 +199,102 @@ def test_validate_normalizes_probe_forms():
     assert single["probes"] == [(0.25, 0.3)]
 
 
+# The fields each experiment needs beside a curvature problem (verify
+# takes none).
+_NEEDS = {
+    "classify": {},
+    "wave": {},
+    "barrier": {"family": "uk", "k": 100.0},
+    "solve": {"n": 60, "cap": 4.0, "t_end": 0.01},
+    "capstudy": {"n": 60, "caps": [2.0, 4.0], "probes": [[0.0, 0.01]]},
+    "verify": None,
+}
+
+
+def _with_expect(experiment, expect):
+    """A valid scenario of the experiment with the given expect."""
+    doc = {"name": "x", "experiment": experiment, "output_dir": "o"}
+    if _NEEDS[experiment] is not None:
+        doc.update(_CURV, **_NEEDS[experiment])
+    doc["expect"] = expect
+    return doc
+
+
+# (experiment, expect, key whose line anchors the message, phrase)
+EXPECT_REJECTIONS = {
+    "classify-typo": ("classify", {"verdit": "exists"}, "verdit",
+                      "unknown field 'verdit' for expect of experiment "
+                      "'classify'"),
+    "capstudy-empty": ("capstudy", {"verdict": ""}, "verdict",
+                       "'verdict' must be a non-empty string"),
+    "wave-tol-text": ("wave", {"c": 1.0, "c_tol": "tight"}, "c_tol",
+                      "'c_tol' must be a finite number >= 0"),
+    "wave-tol-negative": ("wave", {"c": 1.0, "c_tol": -1e-8}, "c_tol",
+                          "'c_tol' must be a finite number >= 0"),
+    "wave-c-nan": ("wave", {"c": math.nan}, "c", "'c' must be a finite "
+                   "number"),
+    "wave-residual-inf": ("wave", {"max_residual": math.inf},
+                          "max_residual", "'max_residual' must be a finite "
+                          "number"),
+    "solve-text-bool": ("solve", {"diverged": "false"}, "diverged",
+                        "'diverged' must be a boolean"),
+    "solve-verdict": ("solve", {"verdict": "exists"}, "verdict",
+                      "unknown field 'verdict' for expect of experiment "
+                      "'solve'"),
+    "barrier-any": ("barrier", {"pass": True}, "pass",
+                    "unknown field 'pass' for expect of experiment "
+                    "'barrier'"),
+    "verify-any": ("verify", {"n_failed": 0}, "n_failed",
+                   "unknown field 'n_failed' for expect of experiment "
+                   "'verify'"),
+    "not-object": ("classify", ["exists"], "expect",
+                   "'expect' must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPECT_REJECTIONS))
+def test_validate_rejects_bad_expect_at_its_line(case):
+    experiment, expect, anchor, phrase = EXPECT_REJECTIONS[case]
+    doc = _with_expect(experiment, expect)
+    raw = json.dumps(doc, indent=2)
+    line = 1 + next(i for i, text in enumerate(raw.splitlines())
+                    if f'"{anchor}":' in text)
+    with pytest.raises(ScenarioError) as exc:
+        validate_scenario(json.loads(raw), raw, "scn.json")
+    assert str(exc.value).startswith(f"scn.json:{line}: ")
+    assert phrase in str(exc.value)
+
+
+def test_expect_values_pass_through_and_null_counts_as_absent():
+    """manifest.json records expect as given: 1 stays 1, not 1.0."""
+    cases = [
+        ("classify", {"verdict": "exists"}),
+        ("capstudy", {"verdict": "saturating"}),
+        ("wave", {"c": 1, "c_tol": 0, "max_residual": 2}),
+        ("solve", {"diverged": False}),
+        ("barrier", {}),
+        ("verify", {}),
+    ]
+    for experiment, expect in cases:
+        scn = validate_scenario(_with_expect(experiment, expect))
+        assert (json.dumps(scn["expect"], sort_keys=True)
+                == json.dumps(expect, sort_keys=True)), experiment
+    scn = validate_scenario(_with_expect("wave", {"c": None,
+                                                  "max_residual": 1e-3}))
+    assert scn["expect"] == {"max_residual": 1e-3}
+
+
+def test_bad_expect_exits_1_before_running(tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = dict(_with_expect("wave", {"c": 1.0, "c_tol": "tight"}),
+               output_dir=str(out))
+    assert main(["wave", "--scenario", str(_scenario(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert "'c_tol' must be a finite number >= 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -241,13 +338,6 @@ def test_subcommand_scenario_mismatch_exits_1(tmp_path, capsys):
     path = _scenario(tmp_path, _classify_doc(tmp_path / "out"))
     assert main(["wave", "--scenario", str(path)]) == 1
     assert "subcommand" in capsys.readouterr().err
-
-
-def test_run_api_uses_file_experiment(tmp_path):
-    out = tmp_path / "out"
-    path = _scenario(tmp_path, _classify_doc(out))
-    assert run(path) == 0
-    assert (out / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------

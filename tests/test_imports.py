@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in it."""
+"""Source hygiene: every name a module imports is used in it, and no
+module imports another's private names."""
 
 from __future__ import annotations
 
@@ -46,3 +47,38 @@ def test_the_check_sees_an_unused_import():
     source = ("import math\nfrom typing import Dict, List\n"
               "from os import sep\n__all__ = ['sep']\nx: List = []\n")
     assert _unused_imports(source) == [(1, "math"), (2, "Dict")]
+
+
+# (importing module, source module, private name) pairs allowed, each with
+# its reason.
+PRIVATE_IMPORTS_ALLOWED = {
+    # The one Gauss-Legendre partial-integral rule: super_family's exponent
+    # time map integrates with the same nodes as the wave table.
+    ("barriers", "wave", "_gl_partial"),
+}
+
+
+def _private_imports(module: str, source: str):
+    """(module, source module, name) for each ``from .other import _name``;
+    the package's own attributes (``from . import __version__``) and private
+    modules (``from ._scalar import root``) name no private object."""
+    return sorted((module, node.module, alias.name)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  and node.module
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_private_cross_module_import(path):
+    found = _private_imports(path.stem, path.read_text())
+    assert [entry for entry in found
+            if entry not in PRIVATE_IMPORTS_ALLOWED] == []
+
+
+def test_the_check_sees_a_private_import():
+    source = ("from . import __version__\nfrom ._scalar import root\n"
+              "from .wave import WaveProfile, _gl_partial\n"
+              "from .solver import _march\n")
+    assert _private_imports("barriers", source) == [
+        ("barriers", "solver", "_march"), ("barriers", "wave", "_gl_partial")]

@@ -13,7 +13,7 @@ from singflow import (InsufficientDataError, ParameterError,
                       fit_boundary_rate, initial_b1, make_problem,
                       preset_curvature, residual_values, scale_sub,
                       scale_super)
-from singflow.verify import _default_gamma_grid
+from singflow.wave import _default_gamma_grid
 
 
 def _curvature_spec():
@@ -155,6 +155,21 @@ def test_fit_input_validation():
         fit_boundary_rate(b - dist, dist, b, side=2)
     with pytest.raises(ParameterError):
         fit_boundary_rate(np.array([0.5, 1.5]), np.array([1.0, 2.0]), b)
+
+
+@pytest.mark.parametrize("where, value", [("u", math.nan), ("u", math.inf),
+                                          ("u", -math.inf), ("x", math.nan)])
+def test_fit_refuses_non_finite_samples(where, value):
+    """One bad sample is a ParameterError, even among too few samples;
+    it used to read as the log rate with a nan slope."""
+    b = 1.0
+    dist = 2.0 ** -np.arange(3, 31, dtype=float)
+    x, u = b - dist, 3.0 * dist ** -2.0
+    (u if where == "u" else x)[5] = value
+    with pytest.raises(ParameterError, match="finite"):
+        fit_boundary_rate(x, u, b)
+    with pytest.raises(ParameterError, match="finite"):
+        fit_boundary_rate(x[3:7], u[3:7], b)
 
 
 # ---------------------------------------------------------------------------
