@@ -406,11 +406,22 @@ FAMILIES = {
 # (name, kind, default) checked like a datum spec; values stay as given.
 _FINITE = _simple(_is_number, "a finite number")
 _VERDICT = (("verdict", _TEXT, None),)
+_TOLERANCE = _simple(lambda v: _is_number(v) and v >= 0,
+                     "a finite number >= 0")
+
+
+def _check_c_tol(doc, key, path, raw):
+    """A speed tolerance, refused without the speed it applies to."""
+    tol = _TOLERANCE.check(doc, key, path, raw)
+    if doc.get("c") is None:
+        raise _schema_error(path, raw, key, f"'{key}' needs 'c'")
+    return tol
+
+
 EXPECT = {
     "classify": _VERDICT,
     "wave": (("c", _FINITE, None),
-             ("c_tol", _simple(lambda v: _is_number(v) and v >= 0,
-                               "a finite number >= 0"), None),
+             ("c_tol", _Kind(_check_c_tol, _TOLERANCE.what, {}), None),
              ("max_residual", _FINITE, None)),
     "barrier": (),
     "solve": (("diverged", _simple(lambda v: isinstance(v, bool),

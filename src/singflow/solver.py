@@ -28,22 +28,26 @@ principle and, through `march_ordered`, that ordered pairs at least 0.05
 apart stay ordered.
 
 One kernel evaluates the scheme on a batch of ghost-padded rows on one grid;
-`cfl_limit` and `step` run it on one row, `solve` and `cap_study` march
-through `_march`, and `march_ordered` marches ordered pairs in lockstep.
+`cfl_limit` and `step` run it on one row, and `solve`, `cap_study` and
+`march_ordered` march through `_march`, the one march loop, which steps
+ordered pairs in lockstep.
 
-`_march` validates blocks of steps, not steps.  It takes `BLOCK` steps
-on its live rows at a time; each step only evaluates the kernel,
-writes u + dt * rate into the idle state buffer, adds dt to the row times,
-records dt and keeps a running elementwise max of the states.  The block
-is committed when, at its end, every row's time lies below its next stop
-(snapshot or end time), no dt fell below the floor, no value passed its
-row's bound, nothing turned -inf and numpy reported no floating-point
-error.  Times only grow, so then min(limit, stop - time) was the limit on
-every step, and the block is bit for bit what step-by-step marching gives.
-Otherwise the state is restored and the block's steps are replayed on the
-exact path, which retires, snapshots and advances rows one by one and
-emits any floating-point warning under the caller's numpy settings; f and
-g may see the discarded block's non-finite states before that.
+`_march` validates blocks of steps, not steps.  It takes up to `BLOCK` steps
+on its live rows at a time, as many as the first row to reach its next stop
+would take at the CFL step it last took; a march's first step, and a block
+of fewer than 2 steps, is one step on the exact path.  Each step of a block
+only evaluates the kernel, writes u + dt * rate into the idle state buffer,
+adds dt to the row times, records dt and keeps a running elementwise max of
+the states.  The block is committed when, at its end, every row's time lies
+below its next stop (snapshot or end time), no dt fell below the floor, no
+value passed its row's bound, nothing turned -inf and numpy reported no
+floating-point error.  Times only grow, so then min(limit, stop - time) was
+the limit on every step, and the block is bit for bit what step-by-step
+marching gives.  Otherwise the state is restored and the block's steps are
+replayed on the exact path, which retires, snapshots and advances rows one
+by one and emits any floating-point warning under the caller's numpy
+settings; f and g may see the discarded block's non-finite states before
+that.
 """
 
 from __future__ import annotations
@@ -116,7 +120,7 @@ class SolveReport:
     dt_history: Dict[str, float]
     comparison_violations: int
     diverged: bool
-    rate_fit: Optional[Dict[str, Tuple[float, float, float]]]
+    rate_fit: Optional[Dict[str, Tuple[float, float, float]]] = None
     blowup_time: Optional[float] = None
     snapshots: Tuple[Tuple[float, np.ndarray], ...] = ()
 
@@ -258,39 +262,9 @@ def march_ordered(spec: ProblemSpec, lows: Sequence[GridField],
         raise ParameterError("pairs need one grid and a start time per pair")
     if not math.isfinite(t_end):
         raise ParameterError(f"t_end must be finite, got {t_end}")
-    if not m:
-        return [], [], np.empty(0)
-    u = _padded(fields)
-    time = np.array([lo.time for lo in lows], dtype=float)
     excess = np.full(m, -math.inf)
-    live = np.flatnonzero(time < t_end)
-    while live.size:
-        rows, now, h = np.concatenate([live, live + m]), time[live], live.size
-        limit, rate = _kernel(u[rows], fields[0].dx, spec)
-        stalled = np.flatnonzero(~(limit >= DT_FLOOR))
-        if stalled.size:
-            i = stalled[0]
-            raise StepSizeError(f"CFL step of pair {live[i % h]} collapsed to "
-                                f"{limit[i]:.3g} at t = {now[i % h]:.6g}")
-        dt = np.minimum(ORDERED_SAFETY * np.minimum(limit[:h], limit[h:]),
-                        t_end - now)
-        later = now + dt
-        new = u[rows, 1:-1] + np.concatenate([dt, dt])[:, None] * rate
-        bad = np.argwhere(~np.isfinite(new))
-        if bad.size:
-            (i, node), side = bad[0], ("low", "high")[bad[0][0] // h]
-            raise SolverOverflowError(
-                f"non-finite value at node {node} at t = {later[i % h]:.6g} "
-                f"in the {side} field of pair {live[i % h]}",
-                node=int(node), time=float(later[i % h]))
-        u[rows, 1:-1] = new
-        excess[live] = np.maximum(excess[live],
-                                  np.max(new[:h] - new[h:], axis=1))
-        time[live] = later
-        live = live[later < t_end]
-    out = [replace(fld, values=row[1:-1].copy(), time=float(time[i % m]))
-           for i, (fld, row) in enumerate(zip(fields, u))]
-    return out[:m], out[m:], excess
+    finals = [rep.final for rep in _march(spec, fields, t_end, excess=excess)]
+    return finals[:m], finals[m:], excess
 
 
 def _fit_rates(field: GridField, spec: ProblemSpec):
@@ -313,17 +287,24 @@ def _fit_rates(field: GridField, spec: ProblemSpec):
 
 
 def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
-           snapshot_times: Optional[Sequence[float]] = None
-           ) -> List[SolveReport]:
+           snapshot_times: Optional[Sequence[float]] = None,
+           excess: Optional[np.ndarray] = None) -> List[SolveReport]:
     """Evolve fields on one grid to t_end together, one kernel call a step
     for the batch, in blocks of steps (see the module docstring).
 
     Every row keeps its own CFL step, time, step count, dt range, violation
     count and snapshots, exactly as if it were marched alone.  A row that
-    finishes or diverges is copied out and the batch is compacted then.
-    Snapshot times within the stop tolerance of an earlier requested time
-    (their mark at or below it) share its stop; every requested time gets
-    its own snapshot.  Snapshot times must lie in [0, t_end].
+    finishes or diverges is copied out and the batch is compacted then; a
+    row that starts at or past t_end takes no step.  Snapshot times within
+    the stop tolerance of an earlier requested time (their mark at or below
+    it) share its stop; every requested time gets its own snapshot.
+    Snapshot times must lie in [0, t_end].
+
+    With ``excess`` (one entry per pair) the fields are the lows followed by
+    the highs of `march_ordered`'s pairs.  Both rows of a pair step
+    ORDERED_SAFETY times the smaller of their CFL limits, each step raises
+    the pair's entry to its max(low - high), pairs do not retire at 1e12,
+    and a row that would end early raises instead of retiring.
     """
     if not fields:
         return []
@@ -348,7 +329,6 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
         src = fields[row[k]]
         final = GridField(b=b, n=n, values=values.copy(), cap=src.cap,
                           time=float(time), cap_minus=src.cap_minus)
-        diverged = blowup_time is not None
         reports[row[k]] = SolveReport(
             final=final,
             dt_history={
@@ -357,11 +337,21 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
                 "dt_max": float(dt_max[k]),
                 "dt_mean": final.time / n_steps if n_steps else 0.0,
             },
-            comparison_violations=int(violations[k]), diverged=diverged,
-            rate_fit=(_fit_rates(final, spec) if spec.u0.klass == "B3"
-                      and not diverged else None),
+            comparison_violations=int(violations[k]),
+            diverged=blowup_time is not None,
             blowup_time=None if blowup_time is None else float(blowup_time),
             snapshots=tuple(snaps[row[k]]))
+
+    def couple(limit: np.ndarray) -> None:
+        """Each pair's rows step ORDERED_SAFETY times their smaller limit."""
+        pairs = limit.reshape(2, -1)   # the lows' limits above the highs'
+        pairs[:] = ORDERED_SAFETY * pairs.min(axis=0)
+
+    def widen(new: np.ndarray) -> None:
+        """Raise each pair's excess to max(low - high) of its new state."""
+        h = len(new) // 2
+        excess[row[:h]] = np.maximum(excess[row[:h]],
+                                     np.max(new[:h] - new[h:], axis=1))
 
     row = np.arange(len(fields))
     # The state and the next state; ghost columns are set in both, and each
@@ -373,21 +363,33 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
     tol = np.array([bd + 1e-9 * max(1.0, abs(bd)) for bd in bounds])
     # A block commits only if no value passes this: no violation, no blow-up.
     ceiling = np.minimum(tol, BLOWUP_VALUE)
+    blowup = BLOWUP_VALUE if excess is None else math.inf
     dt_min = np.full(len(fields), math.inf)
     dt_max = np.zeros(len(fields))
     violations = np.zeros(len(fields), dtype=np.int64)
     nxt = np.zeros(len(fields), dtype=np.intp)
-    stop, mark = stops[nxt], marks[nxt]
+    # The CFL step each row last took; a march's first step is exact.
+    last = np.full(len(fields), math.inf)
     n_steps = 0   # rows start together, so one count serves them all
-    committed = replayed = replay = 0
+    replayed = failed = replay = 0
     # Inside a block every floating-point error numpy would report is only
     # recorded; the exact replay reports it as the caller's settings say.
     errors: List[Tuple[str, int]] = []
     modes = {key: "ignore" if mode == "ignore" else "call"
              for key, mode in np.geterr().items()}
     shape = None
+    gone = time >= t_end   # such rows take no step
+    for k in np.flatnonzero(gone):
+        retire(k, u[k, 1:-1], time[k], 0, None)
 
-    while row.size:
+    while not gone.all():
+        if gone.any():
+            keep = ~gone
+            (row, u, time, tol, ceiling, dt_min, dt_max, violations, nxt,
+             last, gone) = (arr[keep] for arr in (
+                 row, u, time, tol, ceiling, dt_min, dt_max, violations, nxt,
+                 last, gone))
+        stop, mark = stops[nxt], marks[nxt]
         if shape != u.shape:
             # Per batch shape, never per block: large temporaries are mapped
             # fresh on every allocation.
@@ -396,35 +398,57 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
             hist, peak = np.empty((BLOCK, len(u))), np.empty((len(u), n))
             start = np.empty(len(u))
         if not replay:
+            # As many steps as the first row to reach its next stop would
+            # take at its last step; fewer than 2 are taken exactly.
+            size = int(min(BLOCK, np.min((mark - time) / last)))
+            replay = int(size < 2)
+        if not replay:
+            block = hist[:size]
             np.copyto(saved, u)
             np.copyto(start, time)
+            kept = None if excess is None else excess.copy()
             peak.fill(-math.inf)
             errors.clear()
             with np.errstate(call=lambda *err: errors.append(err), **modes):
-                for dt in hist:
+                for dt in block:
                     _, rate = _kernel(u, dx, spec, work, dt)
+                    if excess is not None:
+                        couple(dt)
                     new = np.multiply(dt[:, None], rate, out=spare[:, 1:-1])
                     np.add(u[:, 1:-1], new, out=new)
                     time += dt
                     np.maximum(peak, new, out=peak)
+                    if excess is not None:
+                        widen(new)
                     u, spare = spare, u
             # A value that turned -inf stays -inf or turns nan, and max and
             # min carry nan, so end-of-block checks cover every step.
             if (not errors and (time < mark).all()
-                    and hist.min() >= DT_FLOOR
+                    and block.min() >= DT_FLOOR
                     and (np.maximum.reduce(peak, axis=1) <= ceiling).all()
                     and u[:, 1:-1].min() > -math.inf):
-                n_steps += BLOCK
-                committed += 1
-                np.minimum(dt_min, hist.min(axis=0), out=dt_min)
-                np.maximum(dt_max, hist.max(axis=0), out=dt_max)
+                n_steps += size
+                np.minimum(dt_min, block.min(axis=0), out=dt_min)
+                np.maximum(dt_max, block.max(axis=0), out=dt_max)
+                np.copyto(last, block[-1])
                 continue
             np.copyto(u, saved)
             np.copyto(time, start)
-            replay = BLOCK
+            if excess is not None:
+                excess[:] = kept
+            replay = size
+            failed += size
         replay -= 1
         replayed += 1
         limit, rate = _kernel(u, dx, spec, work, hist[0])
+        stalled = ~(limit >= DT_FLOOR)
+        if excess is not None:
+            if stalled.any():
+                k = np.flatnonzero(stalled)[0]
+                raise StepSizeError(
+                    f"CFL step of pair {row[k] % len(excess)} collapsed to "
+                    f"{limit[k]:.3g} at t = {time[k]:.6g}")
+            couple(limit)
         dt = np.minimum(limit, stop - time)
         new = np.multiply(dt[:, None], rate, out=spare[:, 1:-1])
         np.add(u[:, 1:-1], new, out=new)
@@ -433,9 +457,15 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
         # Rows whose CFL step collapsed or is nan (f returned non-finite
         # values on the secants), or whose update left the float range, end
         # on their current state without taking the step.
-        stalled = ~(limit >= DT_FLOOR)
         gone = stalled | ~np.isfinite(new).all(axis=1)
         for k in np.flatnonzero(gone):
+            if excess is not None:
+                node = int(np.flatnonzero(~np.isfinite(new[k]))[0])
+                side, pair = divmod(int(row[k]), len(excess))
+                raise SolverOverflowError(
+                    f"non-finite value at node {node} at t = {later[k]:.6g} "
+                    f"in the {('low', 'high')[side]} field of pair {pair}",
+                    node=node, time=float(later[k]))
             if np.isnan(limit[k]):
                 log.warning("f returned non-finite values at t = %.6g",
                             time[k])
@@ -446,30 +476,25 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
                    time[k] if stalled[k] else later[k])
         u, spare = spare, u
         time = later
+        np.copyto(last, limit)
         np.minimum(dt_min, dt, out=dt_min)
         np.maximum(dt_max, dt, out=dt_max)
         violations += np.count_nonzero(new > tol[:, None], axis=1)
-        blown = ~gone & (new.max(axis=1) > BLOWUP_VALUE)
-        for k in np.flatnonzero(blown):
-            retire(k, new[k], time[k], n_steps, time[k])
+        if excess is not None:
+            widen(new)
+        blown = ~gone & (new.max(axis=1) > blowup)
         gone |= blown
         hit = ~gone & (nxt < len(groups)) & (time >= mark)
         for k in np.flatnonzero(hit):
             snaps[row[k]].extend((t, new[k].copy()) for t in groups[nxt[k]])
         nxt += hit
         done = ~gone & (time >= marks[-1])
-        for k in np.flatnonzero(done):
-            retire(k, new[k], time[k], n_steps, None)
+        for k in np.flatnonzero(blown | done):
+            retire(k, new[k], time[k], n_steps, time[k] if blown[k] else None)
         gone |= done
-        if gone.any():
-            keep = ~gone
-            row, u, time, tol, ceiling, dt_min, dt_max, violations, nxt = (
-                arr[keep] for arr in (row, u, time, tol, ceiling, dt_min,
-                                      dt_max, violations, nxt))
-        stop, mark = stops[nxt], marks[nxt]
-    log.debug("march of %d rows: %d steps, %d blocks of %d committed, %d "
-              "steps replayed", len(fields), n_steps, committed, BLOCK,
-              replayed)
+    log.debug("march of %d rows: %d steps, %d committed in blocks, %d "
+              "replayed, %d kernel calls on failed blocks", len(fields),
+              n_steps, n_steps - replayed, replayed, failed)
     return reports
 
 
@@ -495,7 +520,10 @@ def solve(spec: ProblemSpec, n: int, cap: float, t_end: float,
         raise ParameterError(
             f"snapshot times must lie in [0, t_end = {t_end:g}]")
     field = make_field(spec.b, n, spec.u0.values, cap, cap_minus=cap_minus)
-    return _march(spec, [field], t_end, snapshot_times)[0]
+    report = _march(spec, [field], t_end, snapshot_times)[0]
+    if spec.u0.klass != "B3" or report.diverged:
+        return report
+    return replace(report, rate_fit=_fit_rates(report.final, spec))
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,8 @@ EXPECT_REJECTIONS = {
                       "'c_tol' must be a finite number >= 0"),
     "wave-tol-negative": ("wave", {"c": 1.0, "c_tol": -1e-8}, "c_tol",
                           "'c_tol' must be a finite number >= 0"),
+    "wave-tol-without-c": ("wave", {"c_tol": 1e-3}, "c_tol",
+                           "'c_tol' needs 'c'"),
     "wave-c-nan": ("wave", {"c": math.nan}, "c", "'c' must be a finite "
                    "number"),
     "wave-residual-inf": ("wave", {"max_residual": math.inf},
@@ -916,7 +918,7 @@ def test_march_counts_reach_the_log_and_no_artifact(tmp_path, caplog):
         assert main(["-vv", *argv]) == 0
     assert [rec.getMessage() for rec in caplog.records
             if rec.levelname == "DEBUG"] == [
-        "march of 3 rows: 131 steps, 4 blocks of 32 committed, "
-        "3 steps replayed"]
+        "march of 3 rows: 131 steps, 128 committed in blocks, 3 replayed, "
+        "0 kernel calls on failed blocks"]
     assert {path.name: path.read_bytes()
             for path in (tmp_path / "o").iterdir()} == quiet

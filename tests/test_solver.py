@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import logging
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +149,31 @@ def test_march_ordered_validation():
     assert march_ordered(spec, [], [], 0.01)[:2] == ([], [])
     at_int_zero = dataclasses.replace(lo, time=0)
     assert march_ordered(spec, [at_int_zero], [lo], 1e-4)[1][0].time == 1e-4
+
+
+def test_pairs_at_or_past_t_end_take_no_step():
+    """A pair that starts at or past t_end comes back as it went in, with
+    excess -inf, beside a pair that marches and in a batch of such pairs
+    alone."""
+    spec = _curvature_spec()
+    lo = make_field(1.0, 30, lambda x: -0.5 + 0.2 * np.cos(3.0 * x), 2.0)
+    hi = make_field(1.0, 30, lambda x: 0.1 + 0.3 * np.sin(2.0 * x), 4.0,
+                    cap_minus=3.0)
+    late = [dataclasses.replace(fld, time=0.02) for fld in (lo, hi)]
+    cases = [([lo, late[0]], [hi, late[1]], 0.01, [1]),
+             ([lo, lo], [hi, hi], -1.0, [0, 1]),
+             ([lo, lo], [hi, hi], 0.0, [0, 1])]
+    for lows, highs, t_end, idle in cases:
+        got = march_ordered(spec, lows, highs, t_end)
+        for k in range(2):
+            before = [(fld.values.tobytes(), fld.time, fld.cap, fld.cap_minus)
+                      for fld in (lows[k], highs[k])]
+            after = [(fld.values.tobytes(), fld.time, fld.cap, fld.cap_minus)
+                     for fld in (got[0][k], got[1][k])]
+            assert (after == before) == (k in idle)
+            assert (got[2][k] == -np.inf) == (k in idle)
+        if 0 not in idle:
+            assert got[0][0].time == got[1][0].time == t_end
 
 
 def test_odd_data_stay_odd():
@@ -714,9 +741,12 @@ def test_march_counts_bound_violations_as_the_reference_does():
 
 
 def test_march_work_is_bounded_by_steps_and_events(monkeypatch, caplog):
-    """A failed block costs BLOCK kernel calls beyond the steps taken, and
-    on these ladders only a stop or a row's end fails one, so a block path
-    that always failed (bit-identical, twice the work) breaks the bound."""
+    """Blocks are sized to end before the first row reaches its next stop,
+    so on these batches, two ladders and march_ordered's lows-then-highs
+    batch of pairs with two start times, only a snapshot stop may fail one,
+    at a cost of at most BLOCK kernel calls beyond the steps taken; a block
+    path that always failed (bit-identical, twice the work) breaks the
+    bound."""
     calls = []
     kernel = solver._kernel
 
@@ -725,29 +755,56 @@ def test_march_work_is_bounded_by_steps_and_events(monkeypatch, caplog):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_kernel", counting)
-    ladders = [(make_problem(1.0, *preset_p_heat(2.0, 2.0, 0.1), _flat()),
-                30, (10.0, 20.0, 40.0, 1e13), ()),
-               (_curvature_spec(), 100, (2.0, 4.0, 8.0, 16.0), (0.0123,))]
-    for spec, n, caps, times in ladders:
+    x = make_field(1.0, 100, np.zeros(100), 1.0).nodes
+    starts = ((4.0, 0.0), (2.0, 0.004), (8.0, 0.0))
+    lows = [make_field(1.0, 100, -0.5 + 0.2 * np.cos(3.0 * x), cap, time=t)
+            for cap, t in starts]
+    highs = [make_field(1.0, 100, 0.1 + 0.3 * np.sin(2.0 * x) ** 2,
+                        2.0 * cap, time=t) for cap, t in starts]
+    batches = [(make_problem(1.0, *preset_p_heat(2.0, 2.0, 0.1), _flat()),
+                [make_field(1.0, 30, np.zeros(30), cap)
+                 for cap in (10.0, 20.0, 40.0, 1e13)], (), None),
+               (_curvature_spec(), [make_field(1.0, 100, np.zeros(100), cap)
+                                    for cap in (2.0, 4.0, 8.0, 16.0)],
+                (0.0123,), None),
+               (_curvature_spec(), lows + highs, (), np.full(3, -np.inf))]
+    for spec, fields, times, excess in batches:
         calls.clear()
         caplog.clear()
-        fields = [make_field(1.0, n, spec.u0.values, cap) for cap in caps]
         with caplog.at_level(logging.DEBUG, logger="singflow.solver"):
-            reports = _march(spec, fields, 0.05, times)
+            reports = _march(spec, fields, 0.05, times, excess)
         ends = {rep.dt_history["n_steps"] for rep in reports}
         steps = int(max(ends))
         assert steps > 10 * solver.BLOCK
-        assert len(calls) <= steps + solver.BLOCK * (len(ends) + len(times))
+        assert len(calls) <= steps + solver.BLOCK * len(times)
         (line,) = [rec.getMessage() for rec in caplog.records
                    if rec.getMessage().startswith("march of")]
         counts = re.fullmatch(
-            r"march of (\d+) rows: (\d+) steps, (\d+) blocks of \d+ "
-            r"committed, (\d+) steps replayed", line)
-        rows, logged, committed, replayed = map(int, counts.groups())
-        assert (rows, logged) == (len(caps), steps)
-        assert committed * solver.BLOCK + replayed == steps
-        failed = -(-replayed // solver.BLOCK)   # only the last replay is cut
-        assert len(calls) == steps + solver.BLOCK * failed
+            r"march of (\d+) rows: (\d+) steps, (\d+) committed in blocks, "
+            r"(\d+) replayed, (\d+) kernel calls on failed blocks", line)
+        rows, logged, committed, replayed, failed = map(int, counts.groups())
+        assert (rows, logged) == (len(fields), steps)
+        assert committed + replayed == steps
+        assert len(calls) == steps + failed
+
+
+def test_only_the_one_row_wrappers_and_the_march_call_the_kernel():
+    """One march loop: `_kernel` is called only by `_march` and by
+    `cfl_limit` and `step`, which run it on one row; `march_ordered` marches
+    through `_march` and has no loop of its own."""
+    callers = set()
+    for path in Path(solver.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "_kernel" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    callers.add((path.stem, getattr(top, "name", None)))
+            if getattr(top, "name", None) == "march_ordered":
+                assert not [node for node in ast.walk(top)
+                            if isinstance(node, (ast.For, ast.While))]
+    assert callers == {("solver", "_march"), ("solver", "cfl_limit"),
+                       ("solver", "step")}
 
 
 def test_blocks_report_floating_point_errors_as_steps_do(caplog):
