@@ -7,6 +7,11 @@ land in an output directory as CSV curves (RFC 4180, header row, '.'
 decimal), a JSON report and a reproducibility manifest.  Exit status is 0 on
 pass, 2 when a verification step or a declared expectation fails, and 1 on
 any error; scenario schema violations are reported with file and line.
+Every check raises the offending key with its message, and
+`validate_scenario` alone finds the key's line: the first that holds it at
+or below the line of the top-level field being checked, else the first
+anywhere, else line 1.  An unknown key of a nested object (``u0``, its
+``spec``, ``params``, ``expect``) is refused with the list of known keys.
 
 `SCHEMA` lists each experiment's fields as rows ``(key, kind, default,
 flag)``.  The rows alone decide which keys a scenario may hold, how each
@@ -68,7 +73,6 @@ PRESETS = {
     "p_heat": (preset_p_heat, ("p", "beta1", "eps")),
     "curvature": (preset_curvature, ("beta2",)),
 }
-OPTIONAL_PARAMS = ("f_beta",)
 
 DEFAULT_B = 1.0
 DEFAULT_N_GRID = 512
@@ -82,25 +86,19 @@ PROFILE_MARGIN = 1e-6
 # ---------------------------------------------------------------------------
 
 
-def _key_line(raw: str, key: str) -> int:
-    """Line number of the first occurrence of a JSON key, 1 if absent."""
+class _Violation(Exception):
+    """A schema violation, raised by a check as (offending key, message);
+    `validate_scenario` turns the key into file:line."""
+
+
+def _key_line(raw: str, key: str, field: Optional[str] = None) -> int:
+    """Line number of the first occurrence of a JSON key at or below the
+    first line of key ``field``, else anywhere; 1 if absent."""
     pattern = re.compile(r'"%s"\s*:' % re.escape(key))
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if pattern.search(line):
-            return lineno
-    return 1
-
-
-def _from_key_line(raw: str, key: str) -> str:
-    """raw with the lines above key's first line blanked, so that
-    `_key_line` finds the keys nested under key at their own lines."""
-    lines = raw.splitlines()
-    start = _key_line(raw, key) - 1
-    return "\n" * start + "\n".join(lines[start:])
-
-
-def _schema_error(path: str, raw: str, key: str, msg: str) -> ScenarioError:
-    return ScenarioError(f"{path}:{_key_line(raw, key)}: {msg}")
+    found = [lineno for lineno, line in enumerate(raw.splitlines(), start=1)
+             if pattern.search(line)]
+    start = _key_line(raw, field) if field else 1
+    return next((n for n in found if n >= start), found[0] if found else 1)
 
 
 def _is_number(value) -> bool:
@@ -118,108 +116,79 @@ def _floats(values) -> List[float]:
     return [float(v) for v in values]
 
 
-def _check_rows(doc, key, rows, path, raw, owner, needs="") -> Dict:
+def _check_rows(doc, key, rows, owner, needs="") -> Dict:
     """Check the object doc[key] against rows (name, kind, default): only
     the rows' names may appear, given values go through their kind's check
     and absent ones take the default (REQUIRED raises, None skips)."""
     obj = doc[key]
     if not isinstance(obj, dict):
-        raise _schema_error(path, raw, key, f"'{key}' must be an object")
-    known = {name for name, _, _ in rows}
+        raise _Violation(key, f"'{key}' must be an object")
+    known = [name for name, _, _ in rows]
     for name in obj:
         if name not in known:
-            raise _schema_error(path, raw, name,
-                                f"unknown field '{name}' for {owner}")
+            raise _Violation(name, f"unknown field '{name}' for {owner} "
+                             f"(known: {', '.join(known) or 'none'})")
     out = {}
     for name, kind, default in rows:
         if obj.get(name) is not None:
-            out[name] = kind.check(obj, name, path, raw)
+            out[name] = kind.check(obj, name)
         elif default is REQUIRED:
-            raise _schema_error(path, raw, key,
-                                f"{needs} needs '{name}', {kind.what}")
+            raise _Violation(key, f"{needs} needs '{name}', {kind.what}")
         elif default is not None:
             out[name] = default
     return out
 
 
-def _validate_u0(doc, key, path, raw) -> Dict:
-    u0 = doc[key]
-    # Datum keys share names with top-level ones ("gamma_plus" of barrier
-    # h): anchor them at or below the "u0" line.
-    raw = _from_key_line(raw, "u0")
-    if not isinstance(u0, dict):
-        raise _schema_error(path, raw, "u0", "'u0' must be an object")
-    for name in u0:
-        if name not in ("class", "spec"):
-            raise _schema_error(path, raw, name,
-                                f"unknown field '{name}' for u0")
+def _validate_u0(doc, key) -> Dict:
+    u0 = _check_rows(doc, key, (("class", _ANY, None), ("spec", _ANY, None)),
+                     "u0")
     klass = u0.get("class")
     if klass not in ("B1", "B2", "B3"):
-        raise _schema_error(path, raw, "class",
-                            "u0.class must be one of B1, B2, B3")
+        raise _Violation("class", "u0.class must be one of B1, B2, B3")
     spec = u0.get("spec")
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if not isinstance(kind, str) or kind not in U0_KINDS:
-        raise _schema_error(
-            path, raw, "spec",
+        raise _Violation(
+            "spec",
             f"u0.spec must be an object with kind in {', '.join(U0_KINDS)}")
     datum = U0_KINDS[kind]
     out = _check_rows(u0, "spec", (("kind", _TEXT, REQUIRED),) + datum.fields,
-                      path, raw, f"datum kind '{kind}'", f"{kind} datum")
+                      f"datum kind '{kind}'", f"{kind} datum")
     if klass not in datum.classes:
-        raise _schema_error(path, raw, "class", f"{datum.nature}; use class "
-                            f"{' or '.join(datum.classes)}")
+        raise _Violation("class", f"{datum.nature}; use class "
+                         f"{' or '.join(datum.classes)}")
     if klass == "B2" and out["gamma_plus"] != out["gamma_minus"]:
-        raise _schema_error(
-            path, raw, "gamma_minus",
+        raise _Violation(
+            "gamma_minus",
             "class B2 needs one shared rate; set gamma_plus = "
             "gamma_minus or use class B3")
     return {"class": klass, "spec": out}
 
 
-def _validate_expect(doc, key, path, raw) -> Dict:
+def _validate_expect(doc, key) -> Dict:
     experiment = doc["experiment"]
-    return _check_rows(doc, key, EXPECT[experiment], path,
-                       _from_key_line(raw, key),
+    return _check_rows(doc, key, EXPECT[experiment],
                        f"expect of experiment '{experiment}'")
 
 
-def _validate_params(doc, key, path, raw) -> Dict[str, float]:
-    params, preset = doc[key], doc["preset"]
-    if not isinstance(params, dict):
-        raise _schema_error(path, raw, "params", "'params' must be an object")
-    needed = PRESETS[preset][1]
-    known = needed + OPTIONAL_PARAMS
-    for name, value in params.items():
-        if name not in known:
-            raise _schema_error(path, raw, name,
-                                f"unknown parameter '{name}' for preset "
-                                f"'{preset}' (known: {', '.join(known)})")
-        if not _is_number(value):
-            raise _schema_error(path, raw, name,
-                                f"parameter '{name}' must be a finite number")
-    missing = [k for k in needed if k not in params]
-    if missing:
-        raise _schema_error(path, raw, "params",
-                            f"preset '{preset}' needs parameters "
-                            f"{', '.join(missing)}")
-    return {k: float(v) for k, v in params.items()}
+def _validate_params(doc, key) -> Dict[str, float]:
+    owner = f"preset '{doc['preset']}'"
+    rows = [(name, _NUMBER, REQUIRED) for name in PRESETS[doc["preset"]][1]]
+    rows.append(("f_beta", _NUMBER, None))
+    return _check_rows(doc, key, rows, owner, owner)
 
 
-def _validate_probes(doc, key, path, raw) -> List[Tuple[float, float]]:
+def _validate_probes(doc, key) -> List[Tuple[float, float]]:
     probe, entries = doc.get("probe"), doc.get("probes")
     if probe is not None and entries is not None:
-        raise _schema_error(path, raw, "probe",
-                            "give 'probe' or 'probes', not both")
+        raise _Violation("probe", "give 'probe' or 'probes', not both")
     if probe is not None:
         entries = [probe]
     if entries is None:
-        raise _schema_error(path, raw, "experiment",
-                            "capstudy needs 'probe' or 'probes' "
-                            "(flag --probe)")
+        raise _Violation("experiment",
+                         "capstudy needs 'probe' or 'probes' (flag --probe)")
     if not isinstance(entries, list) or not entries:
-        raise _schema_error(path, raw, "probes",
-                            "'probes' must be a non-empty list")
+        raise _Violation("probes", "'probes' must be a non-empty list")
     probes: List[Tuple[float, float]] = []
     for entry in entries:
         if isinstance(entry, list) and len(entry) == 2 \
@@ -228,19 +197,17 @@ def _validate_probes(doc, key, path, raw) -> List[Tuple[float, float]]:
         elif _is_number(entry):
             # Bare positions share the scenario's t_end as probe time.
             if not _is_number(doc.get("t_end")):
-                raise _schema_error(
-                    path, raw, "probes",
-                    "bare probe positions need a finite 't_end' "
-                    "(flag --t-end)")
+                raise _Violation("probes",
+                                 "bare probe positions need a finite "
+                                 "'t_end' (flag --t-end)")
             probes.append((float(entry), float(doc["t_end"])))
         else:
-            raise _schema_error(path, raw, "probes",
-                                "each probe must be [x, t] or a number")
+            raise _Violation("probes", "each probe must be [x, t] or a number")
     if doc.get("t_end") is not None and all(isinstance(entry, list)
                                             for entry in entries):
-        raise _schema_error(path, raw, "t_end",
-                            "'t_end' is read only by bare probe positions; "
-                            "paired probes [x, t] carry their own times")
+        raise _Violation("t_end",
+                         "'t_end' is read only by bare probe positions; "
+                         "paired probes [x, t] carry their own times")
     return probes
 
 
@@ -283,7 +250,7 @@ def _parse_json(flag: str, text: str):
 class _Kind(NamedTuple):
     """How one scenario field is checked and how its flag is read."""
 
-    check: Callable  # (doc, key, path, raw) -> normalized value
+    check: Callable  # (doc, key) -> normalized value; raises _Violation
     what: str  # completes "'key' must be ..." and the flag's help
     arg: Dict  # argparse keywords of the field's flag
     from_flag: Optional[Callable] = None  # (flag, parsed) -> field value
@@ -292,9 +259,9 @@ class _Kind(NamedTuple):
 
 def _simple(test, what, norm=None, arg=None, from_flag=None) -> _Kind:
     """A kind that tests the field's value alone."""
-    def check(doc, key, path, raw):
+    def check(doc, key):
         if not test(doc[key]):
-            raise _schema_error(path, raw, key, f"'{key}' must be {what}")
+            raise _Violation(key, f"'{key}' must be {what}")
         return norm(doc[key]) if norm else doc[key]
     return _Kind(check, what, arg or {}, from_flag)
 
@@ -306,15 +273,15 @@ def _integer(low: int) -> _Kind:
 
 
 def _choice(options: Tuple[str, ...]) -> _Kind:
-    def check(doc, key, path, raw):
+    def check(doc, key):
         if doc[key] not in options:
-            raise _schema_error(path, raw, key,
-                                f"unknown {key} '{doc[key]}' "
-                                f"(one of {', '.join(options)})")
+            raise _Violation(key, f"unknown {key} '{doc[key]}' "
+                             f"(one of {', '.join(options)})")
         return doc[key]
     return _Kind(check, "one of " + ", ".join(options), {"choices": options})
 
 
+_ANY = _simple(lambda v: True, "any value")
 _TEXT = _simple(lambda v: isinstance(v, str) and v != "",
                 "a non-empty string")
 _NUMBER = _simple(_is_number, "a finite number", float, {"type": float})
@@ -410,11 +377,11 @@ _TOLERANCE = _simple(lambda v: _is_number(v) and v >= 0,
                      "a finite number >= 0")
 
 
-def _check_c_tol(doc, key, path, raw):
+def _check_c_tol(doc, key):
     """A speed tolerance, refused without the speed it applies to."""
-    tol = _TOLERANCE.check(doc, key, path, raw)
+    tol = _TOLERANCE.check(doc, key)
     if doc.get("c") is None:
-        raise _schema_error(path, raw, key, f"'{key}' needs 'c'")
+        raise _Violation(key, f"'{key}' needs 'c'")
     return tol
 
 
@@ -506,43 +473,51 @@ def validate_scenario(doc, raw: str = "", path: str = "<inline>") -> Dict:
     """
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}:1: scenario must be a JSON object")
-    experiment = doc.get("experiment")
-    if experiment is None:
-        raise _schema_error(path, raw, "experiment",
-                            "missing required field 'experiment'")
-    if experiment not in EXPERIMENTS:
-        raise _schema_error(path, raw, "experiment",
-                            f"unknown experiment '{experiment}' "
-                            f"(one of {', '.join(EXPERIMENTS)})")
-    rows = SCHEMA[experiment]
-    allowed = {"experiment"} | {row[0] for row in rows}
-    for key in doc:
-        if key not in allowed:
-            raise _schema_error(path, raw, key,
-                                f"unknown field '{key}' for experiment "
-                                f"'{experiment}'")
+    # Nested keys share names with top-level ones ("gamma_plus" of barrier
+    # h and of a psi datum), so a check's keys are sought below its field.
+    field = None  # the top-level field whose check is running
+    try:
+        experiment = doc.get("experiment")
+        if experiment is None:
+            raise _Violation("experiment",
+                             "missing required field 'experiment'")
+        if experiment not in EXPERIMENTS:
+            raise _Violation("experiment",
+                             f"unknown experiment '{experiment}' "
+                             f"(one of {', '.join(EXPERIMENTS)})")
+        rows = SCHEMA[experiment]
+        allowed = {"experiment"} | {row[0] for row in rows}
+        for key in doc:
+            if key not in allowed:
+                raise _Violation(key, f"unknown field '{key}' for "
+                                 f"experiment '{experiment}'")
 
-    scn: Dict = {"experiment": experiment}
-    for key, kind, default, flag in rows:
-        given = doc.get(key) is not None
-        if default is BY_FAMILY:
-            if key not in FAMILIES[scn["family"]].keys:
-                if given:
-                    raise _schema_error(path, raw, key,
-                                        f"family '{scn['family']}' does "
-                                        f"not take '{key}'")
+        scn: Dict = {"experiment": experiment}
+        for key, kind, default, flag in rows:
+            given = doc.get(key) is not None
+            if default is BY_FAMILY:
+                if key not in FAMILIES[scn["family"]].keys:
+                    if given:
+                        raise _Violation(key, f"family '{scn['family']}' "
+                                         f"does not take '{key}'")
+                    continue
+                default = REQUIRED
+            if default is AUXILIARY:
                 continue
-            default = REQUIRED
-        if default is AUXILIARY:
-            continue
-        if given or kind.whole_doc:
-            scn[key] = kind.check(doc, key, path, raw)
-        elif default is REQUIRED:
-            hint = f" (flag {flag})" if flag else ""
-            raise _schema_error(path, raw, key,
-                                f"missing required field '{key}'{hint}")
-        else:
-            scn[key] = copy.deepcopy(default)
+            if given or kind.whole_doc:
+                field = key
+                scn[key] = kind.check(doc, key)
+                field = None
+            elif default is REQUIRED:
+                hint = f" (flag {flag})" if flag else ""
+                raise _Violation(key,
+                                 f"missing required field '{key}'{hint}")
+            else:
+                scn[key] = copy.deepcopy(default)
+    except _Violation as exc:
+        key, msg = exc.args
+        line = _key_line(raw, key, field)
+        raise ScenarioError(f"{path}:{line}: {msg}") from None
     return scn
 
 
@@ -846,7 +821,7 @@ def _load(path: str, experiment: str) -> Dict:
         raise ScenarioError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}")
     scn = validate_scenario(doc, raw, path)
     if scn["experiment"] != experiment:
-        raise _schema_error(path, raw, "experiment",
+        raise ScenarioError(f"{path}:{_key_line(raw, 'experiment')}: "
                             f"scenario runs '{scn['experiment']}' but the "
                             f"'{experiment}' subcommand was invoked")
     return scn

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import hashlib
 import json
@@ -63,7 +64,8 @@ def test_validate_rejects_unknown_keys_with_line_anchor():
 def test_validate_rejects_incomplete_preset_params():
     doc = {"name": "x", "experiment": "classify", "output_dir": "o",
            "preset": "p_heat", "params": {"p": 2.0}}
-    with pytest.raises(ScenarioError, match="needs parameters"):
+    with pytest.raises(ScenarioError,
+                       match="preset 'p_heat' needs 'beta1', a finite number"):
         validate_scenario(doc)
 
 
@@ -159,6 +161,82 @@ def test_datum_errors_anchor_below_the_u0_key():
         validate_scenario(doc, raw, "scn.json")
     assert str(exc.value).startswith(f"scn.json:{lines[1]}: ")
     assert "'gamma_plus' must be a finite number" in str(exc.value)
+
+
+def _lines_of(raw, key):
+    return [i + 1 for i, text in enumerate(raw.splitlines())
+            if f'"{key}":' in text]
+
+
+def test_expect_errors_anchor_below_the_expect_key():
+    """A solve scenario's top-level n comes first; an unknown expect key n
+    is reported at the expect line."""
+    raw = json.dumps(_with_expect("solve", {"n": 1}), indent=2)
+    lines = _lines_of(raw, "n")
+    assert len(lines) == 2
+    with pytest.raises(ScenarioError) as exc:
+        validate_scenario(json.loads(raw), raw, "scn.json")
+    assert str(exc.value).startswith(f"scn.json:{lines[1]}: unknown field "
+                                     "'n' for expect of experiment 'solve'")
+
+
+def test_probe_errors_find_keys_above_probes():
+    doc = dict(_CURV, name="x", experiment="capstudy", output_dir="o", n=50,
+               caps=[2.0, 4.0], probe=[0.0, 0.01], probes=[[0.0, 0.01]])
+    raw = json.dumps(doc, indent=2)
+    (line,) = _lines_of(raw, "probe")
+    assert line < _lines_of(raw, "probes")[0]
+    with pytest.raises(ScenarioError) as exc:
+        validate_scenario(doc, raw, "scn.json")
+    assert str(exc.value) == (f"scn.json:{line}: give 'probe' or 'probes', "
+                              "not both")
+
+
+def test_top_level_errors_after_a_nested_check_search_the_whole_file():
+    """The u0 check ran before the family check, yet a top-level key that
+    the family does not take is reported at its own line, not at the datum
+    field of the same name below it."""
+    doc = dict(_CURV, name="x", experiment="barrier", output_dir="o",
+               gamma_plus=1.0, family="uk", k=100.0,
+               u0={"class": "B3", "spec": dict(_PSI_SPEC, gamma_minus=1.0)})
+    raw = json.dumps(doc, indent=2)
+    lines = _lines_of(raw, "gamma_plus")
+    assert len(lines) == 2 and lines[0] < _lines_of(raw, "u0")[0]
+    with pytest.raises(ScenarioError) as exc:
+        validate_scenario(doc, raw, "scn.json")
+    assert str(exc.value) == (f"scn.json:{lines[0]}: family 'uk' does not "
+                              "take 'gamma_plus'")
+
+
+def _raw_readers(source: str):
+    """(name, line) of each function that takes or reads a name ``raw`` in
+    its own body; a nested function counts on its own."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = (node.name, node.lineno)
+        if (isinstance(node, ast.arg) and node.arg == "raw"
+                or isinstance(node, ast.Name) and node.id == "raw"):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+    visit(ast.parse(source), ("<module>", 0))
+    return sorted(found)
+
+
+def test_only_the_locator_reads_the_raw_text():
+    """Checks raise the offending key; validate_scenario alone turns it
+    into a line (and _load for the subcommand check)."""
+    readers = _raw_readers(Path(cli.__file__).read_text())
+    assert {name for name, _ in readers} <= {"validate_scenario", "_load",
+                                             "_key_line"}
+
+
+def test_the_raw_check_sees_a_nested_reader():
+    source = ("def outer(doc):\n    def check(raw):\n        return 1\n"
+              "    return check\n\ndef other(doc):\n    return raw\n")
+    assert _raw_readers(source) == [("check", 2), ("other", 6)]
 
 
 def test_integer_datum_fields_normalize_to_floats():
@@ -333,7 +411,8 @@ def test_schema_violation_exits_1_with_line(tmp_path, capsys):
     doc["params"]["zeta"] = 1.0
     path = _scenario(tmp_path, doc)
     assert main(["classify", "--scenario", str(path)]) == 1
-    assert "unknown parameter 'zeta'" in capsys.readouterr().err
+    assert ("unknown field 'zeta' for preset 'p_heat' "
+            "(known: p, beta1, eps, f_beta)" in capsys.readouterr().err)
 
 
 def test_subcommand_scenario_mismatch_exits_1(tmp_path, capsys):

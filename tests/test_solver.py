@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from singflow import (ParameterError, SolverOverflowError, StepSizeError,
                       cap_studies, cap_study, cfl_limit, initial_b1,
@@ -292,6 +294,85 @@ def test_narrow_window_reports_no_rates():
                     chat_plus=psi(1.0, 2.0), chat_minus=psi(1.0, 2.0))
     spec = make_problem(b, f, g, u0)
     assert solve(spec, 200, 30.0, 1e-5).rate_fit is None
+
+
+# ---------------------------------------------------------------------------
+# exact solutions of p_heat(2, beta, eps): g = 1 + eps, f = s^beta
+# ---------------------------------------------------------------------------
+
+
+def _wall_integral(q, s_end):
+    """int_1^Y (y^(q+1) - 1)^(-1/2) dy with y = 1 + s^2, to s_end =
+    sqrt(Y - 1): the substitution removes the singularity at y = 1."""
+    return quad(lambda s: 2.0 * s / math.sqrt(
+        math.expm1((q + 1.0) * math.log1p(s * s))), 0.0, s_end)[0]
+
+
+def _separable(beta, eps, b, x, t):
+    """The large solution u = t^gamma A(x) of zero data for beta < 1.
+
+    With gamma = 1/(1 - beta), A'' = K A^q, q = 1/beta, K = (1 - beta)^(-q)
+    / c, c = 1 + eps, A'(0) = 0 and A(+-b) = infinity (Keller, Comm. Pure
+    Appl. Math. 10, 1957; Osserman, Pacific J. Math. 7, 1957).  The first
+    integral gives b = sqrt((q+1)/(2K)) a0^((1-q)/2) int_1^inf for
+    a0 = A(0), and A(x) = a0 Y where int_1^Y takes the share |x|/b of the
+    whole integral: one quadrature and one root.
+    """
+    q = 1.0 / beta
+    k = (1.0 - beta) ** (-q) / (1.0 + eps)
+    total = _wall_integral(q, math.inf)
+    a0 = (b / (math.sqrt((q + 1.0) / (2.0 * k)) * total)) ** (2.0 / (1.0 - q))
+    share = abs(x) / b * total
+    hi = 1.0
+    while _wall_integral(q, hi) < share:
+        hi *= 2.0
+    s = brentq(lambda s: _wall_integral(q, s) - share, 0.0, hi, xtol=1e-14,
+               rtol=1e-14)
+    return t ** (1.0 / (1.0 - beta)) * a0 * (1.0 + s * s)
+
+
+def test_separable_solution_matches_recorded_values():
+    for x, u in [(0.0, 0.0243307), (0.5, 0.0664726), (0.9, 1.65000)]:
+        assert _separable(0.5, 0.1, 1.0, x, 0.1) == pytest.approx(u,
+                                                                  rel=1e-5)
+
+
+def _p_heat_spec(beta, eps=0.1):
+    return make_problem(1.0, *preset_p_heat(2.0, beta, eps), _flat())
+
+
+def test_capped_scheme_converges_to_the_separable_solution_at_first_order():
+    """At dt = cfl_limit / 16 (so the step error is out) and cap 640 the
+    centre value at t = 0.1 approaches the exact one from above, at first
+    order in dx: +20.86 % at n = 50 and +9.73 % at n = 100 (ratio 2.14).
+    The uniform grid does not resolve the wall layer."""
+    spec, t_end = _p_heat_spec(0.5), 0.1
+    exact = _separable(0.5, 0.1, 1.0, 0.0, t_end)
+    errors = []
+    for n in (50, 100):
+        field = make_field(1.0, n, np.zeros(n), cap=640.0)
+        while field.time < t_end:
+            dt = min(cfl_limit(field, spec) / 16.0, t_end - field.time)
+            field = step(field, spec, dt)
+        errors.append(np.interp(0.0, field.nodes, field.values) / exact - 1)
+    assert errors[0] > errors[1] > 0.0
+    assert 1.8 <= errors[0] / errors[1] <= 2.3
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0])
+def test_cap_scaling_law(beta):
+    """u_M(x, t) = M V(x, M^(beta-1) t) with V the cap-1 solution, exact for
+    the PDE with zero data.  The explicit scheme keeps it up to its step
+    choice: max |u_M - M V| / M at n = 100, t = 0.02 read 1.8e-16 (beta = 1,
+    M = 10 and 40), 7.1e-16 and 5.1e-9 (beta = 1.5), 1.2e-15 and 1.3e-6
+    (beta = 2, where the M = 40 pair takes 18,152 and 19,089 steps)."""
+    spec = _p_heat_spec(beta)
+    for m in (10.0, 40.0):
+        u_m = solve(spec, 100, m, 0.02)
+        v = solve(spec, 100, 1.0, m ** (beta - 1.0) * 0.02)
+        assert not (u_m.diverged or v.diverged)
+        gap = np.max(np.abs(u_m.final.values - m * v.final.values)) / m
+        assert gap <= 1e-5, (m, gap)
 
 
 # ---------------------------------------------------------------------------
