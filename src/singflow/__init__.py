@@ -34,10 +34,10 @@ from .regime import (EXISTS, EXISTS_UNIQUE, NEEDS_B2, NOT_EXISTS,
                      uniqueness_threshold)
 from .wave import (WaveProfile, check_points, compute_wave, divergence_rate,
                    fit_boundary_rate, g_antiderivative, profile_residuals)
-from .barriers import (BarrierFunction, SuperFamilyParams, convex_envelope,
-                       h_tail, residual_values, scale_sub, scale_super,
-                       sub_uk, sub_vL, super_family, super_mu,
-                       translate_wave, verify_inequality)
+from .barriers import (BarrierFunction, convex_envelope, h_tail,
+                       residual_values, scale_sub, scale_super, sub_uk,
+                       sub_vL, super_family, super_mu, translate_wave,
+                       verify_inequality)
 from .solver import (CapStudy, GridField, SolveReport, cap_studies, cap_study,
                      cfl_limit, make_field, march_ordered, solve, step)
 from .suite import run_suite
@@ -60,9 +60,9 @@ __all__ = [
     "WaveProfile", "compute_wave", "divergence_rate", "check_points",
     "profile_residuals", "g_antiderivative", "fit_boundary_rate",
     # barriers
-    "BarrierFunction", "SuperFamilyParams", "h_tail", "sub_uk", "sub_vL",
-    "super_family", "super_mu", "convex_envelope", "translate_wave",
-    "verify_inequality", "residual_values", "scale_super", "scale_sub",
+    "BarrierFunction", "h_tail", "sub_uk", "sub_vL", "super_family",
+    "super_mu", "convex_envelope", "translate_wave", "verify_inequality",
+    "residual_values", "scale_super", "scale_sub",
     # solver
     "GridField", "SolveReport", "CapStudy", "make_field", "cfl_limit",
     "step", "march_ordered", "solve", "cap_study", "cap_studies",

@@ -2,11 +2,11 @@
 
 Each constructor returns a `BarrierFunction`: a closed-form function of
 (x, t), a jet that gives its analytic first and second space derivatives and
-its time derivative in one call, the location and orientation of its kinks,
-and a validity horizon.  `verify_inequality` then checks the defining
-differential inequality pointwise on a stratified sample, which is the
-numerical stand-in for the comparison arguments these families exist to
-feed.
+its time derivative in one call, its kinks, each a (location, kind, slopes)
+record, a validity horizon, and its constants as a ``params`` dict.
+`verify_inequality` then checks the defining differential inequality
+pointwise on a stratified sample, which is the numerical stand-in for the
+comparison arguments these families exist to feed.
 
 Families
 --------
@@ -56,7 +56,7 @@ import logging
 import math
 import numbers
 import re
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -111,7 +111,7 @@ EXPONENT_TABLE_POINTS = 33
 # ROOT_STEP_TOL^2, about 1e-16.
 ROOT_STEP_TOL = 1.0e-8
 
-_SIDE_PATTERN = re.compile(r"^(sub|super)_strict\(\s*([^()\s]+)\s*\)$")
+_SIDE_PATTERN = re.compile(r"^(sub|super)(?:_strict\(\s*([^()\s]+)\s*\))?$")
 
 
 @dataclass(frozen=True)
@@ -123,43 +123,27 @@ class BarrierFunction:
     each other (the verifier passes an (m, 1) column of times against (m, n)
     points).  Scalar x and t give a float from ``eval`` and three floats
     from ``jet``; values at an array of times equal the scalar-time calls
-    bit for bit.  ``kinks`` lists (location(t), kind) pairs where kind is
-    "convex" (admissible for sub-solutions) or "concave" (super-solutions);
-    a location takes a float or an array of times, returns a value
-    broadcastable to it, and may be nan once the kink has left the domain.
-    ``valid_until`` is the time horizon (math.inf when unlimited), and
-    ``domain`` the open x-interval on which eval and jet are defined.
+    bit for bit.  ``kinks`` lists (location(t), kind, slopes) records where
+    kind is "convex" (admissible for sub-solutions) or "concave"
+    (super-solutions); a location takes a float or an array of times,
+    returns a value broadcastable to it, and may be nan once the kink has
+    left the domain.  ``slopes`` is None, or the closed-form one-sided
+    slopes (left(t), right(t)) of a kink whose slope field turns inside a
+    layer narrower than any probe step.  ``valid_until`` is the time
+    horizon (math.inf when unlimited), ``domain`` the open x-interval on
+    which eval and jet are defined, and ``params`` a dict of the
+    construction's constants, its numbers echoed in verification reports.
     """
 
     eval: Callable[..., Any]
     jet: Callable[..., Tuple[Any, Any, Any]]
-    kinks: Tuple[Tuple[Callable[..., Any], str], ...]
+    kinks: Tuple[Tuple[Callable[..., Any], str,
+                       Optional[Tuple[Callable[..., Any],
+                                      Callable[..., Any]]]], ...]
     valid_until: float
     family: str
     domain: Tuple[float, float] = (-math.inf, math.inf)
-    params: Any = None
-    # Closed-form one-sided slopes (left(t), right(t)) per kink, for kinks
-    # whose slope field turns inside a layer narrower than any probe step.
-    kink_slopes: Optional[Tuple[Tuple[Callable[..., Any],
-                                      Callable[..., Any]], ...]] = None
-
-
-@dataclass(frozen=True)
-class SuperFamilyParams:
-    """Constants behind a super_L construction.
-
-    ``L`` is the wall exponent trajectory (callable on [0, T], inverting
-    the time map t(L) by Newton); ``C4`` the certified ODE constant;
-    ``c`` the additive drift covering the middle region.
-    """
-
-    mu: float
-    L0: float
-    nu: float
-    c: float
-    T: float
-    L: Callable[[float], float]
-    C4: float
+    params: Optional[Dict[str, Any]] = None
 
 
 def _xt(core: Callable[[np.ndarray, np.ndarray], Any]):
@@ -461,8 +445,8 @@ def sub_uk(spec: ProblemSpec, k: float) -> BarrierFunction:
               "wall_speed": speed,
               "note": "tail bound certified on the sampled range only"}
     return BarrierFunction(eval=_xt(value), jet=_xt(jet),
-                           kinks=((kink_loc(1.0), "convex"),
-                                  (kink_loc(-1.0), "convex")),
+                           kinks=((kink_loc(1.0), "convex", None),
+                                  (kink_loc(-1.0), "convex", None)),
                            valid_until=math.inf, family="subsolution_uk",
                            domain=(-b, b), params=params)
 
@@ -562,7 +546,7 @@ def sub_vL(spec: ProblemSpec, L: float) -> BarrierFunction:
               "L_g": l_g, "L_f": l_f,
               "note": "tail bounds certified on the sampled range only"}
     return BarrierFunction(eval=_xt(value), jet=_xt(jet),
-                           kinks=((front, "convex"),),
+                           kinks=((front, "convex", None),),
                            valid_until=math.inf, family="blowup_vL",
                            domain=(-b, b), params=params)
 
@@ -595,8 +579,8 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
     arc of steepness sqrt(nu).  The horizon T = t(l_max) is where the kink
     admissibility at |x| = 2b/3 would fail; it grows without bound in nu.
     C4 and the drift constant c are certified by dense sweeps of
-    f(2 g(v_x) v_xx) with a factor-2 margin and recorded on the returned
-    parameters.
+    f(2 g(v_x) v_xx) with a factor-2 margin.  ``params`` holds mu, L0, nu,
+    c, T, the exponent trajectory L (callable on [0, T]) and C4.
     """
     alpha = spec.g.alpha
     beta = _growth_rate(spec)
@@ -795,11 +779,6 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
         dt[p.mid] += p.mid_rate
         return dx, dxx, dt
 
-    params = SuperFamilyParams(mu=mu, L0=L0, nu=nu, c=drift, T=horizon,
-                               L=exponent_at, C4=c4)
-    kinks = ((lambda t: 2.0 * b / 3.0, "concave"),
-             (lambda t: -2.0 * b / 3.0, "concave"))
-
     # Closed-form one-sided slopes at the junctions.  The arc slope climbs
     # to sqrt(nu) inside a layer of width about b/nu^2, far below any probe
     # step, so a finite-difference check there would understate the margin.
@@ -810,14 +789,15 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
     def outer_slope(t):
         return _per_time(outer_slope_at, t)[0]
 
-    kink_slopes = (
-        (lambda t: root_nu, outer_slope),
-        (lambda t: -outer_slope(t), lambda t: -root_nu),
-    )
+    kinks = ((lambda t: 2.0 * b / 3.0, "concave",
+              (lambda t: root_nu, outer_slope)),
+             (lambda t: -2.0 * b / 3.0, "concave",
+              (lambda t: -outer_slope(t), lambda t: -root_nu)))
+    params = {"mu": mu, "L0": L0, "nu": nu, "c": drift, "T": horizon,
+              "L": exponent_at, "C4": c4}
     return BarrierFunction(eval=_xt(value), jet=_xt(jet), kinks=kinks,
                            valid_until=horizon, family="super_L",
-                           domain=(-b, b), params=params,
-                           kink_slopes=kink_slopes)
+                           domain=(-b, b), params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +845,7 @@ def convex_envelope(x, values) -> BarrierFunction:
     def make_loc(xv: float):
         return lambda t: xv
 
-    kinks = tuple((make_loc(float(hx[j])), "convex")
+    kinks = tuple((make_loc(float(hx[j])), "convex", None)
                   for j in range(1, hx.size - 1))
     params = {"n_input": int(xs.size), "n_vertices": int(hx.size)}
     return BarrierFunction(eval=_xt(value), jet=_xt(jet), kinks=kinks,
@@ -908,28 +888,29 @@ def translate_wave(profile: WaveProfile, spec: ProblemSpec,
 # ---------------------------------------------------------------------------
 
 
-def _parse_side(side: str) -> Tuple[str, float, int, bool]:
-    """Return (label, factor, orientation, check_dt_sign)."""
-    name, delta = str(side).strip(), None
-    m = _SIDE_PATTERN.match(name)
-    if m:
-        name = m.group(1) + "_strict"
-        delta = float(m.group(2))
+def _parse_side(side: str) -> Tuple[str, float, bool, bool]:
+    """Return (label, factor, is_sub, check_dt_sign): the name gives the
+    orientation, and a strict margin delta the factor and, on the super
+    side, the dt sign check."""
+    m = _SIDE_PATTERN.match(str(side).strip())
+    if m is None:
+        raise ParameterError(
+            f"unknown side {side!r}; expected sub, super, sub_strict(d) or "
+            "super_strict(d)")
+    name, margin = m.groups()
+    if margin is None:
+        return name, 1.0, name == "sub", False
+    try:
+        delta = float(margin)
+    except ValueError:
+        delta = math.nan
+    if not 0.0 <= delta < math.inf:
+        raise ParameterError(f"{name}_strict needs a finite nonnegative "
+                             f"margin, got {margin!r}")
+    factor = 1.0 + delta
     if name == "sub":
-        return "sub", 1.0, -1, False
-    if name == "super":
-        return "super", 1.0, +1, False
-    if name == "sub_strict":
-        if delta is None or delta < 0.0:
-            raise ParameterError("sub_strict needs a nonnegative margin")
-        return f"sub_strict({delta:g})", 1.0 / (1.0 + delta), -1, False
-    if name == "super_strict":
-        if delta is None or delta < 0.0:
-            raise ParameterError("super_strict needs a nonnegative margin")
-        return f"super_strict({delta:g})", 1.0 + delta, +1, True
-    raise ParameterError(
-        f"unknown side {side!r}; expected sub, super, sub_strict(d) or "
-        "super_strict(d)")
+        return f"sub_strict({delta:g})", 1.0 / factor, True, False
+    return f"super_strict({delta:g})", factor, False, True
 
 
 def _kink_checks(bf: BarrierFunction, times: np.ndarray,
@@ -939,17 +920,15 @@ def _kink_checks(bf: BarrierFunction, times: np.ndarray,
     inside the domain, reporting the worst time: the first nan margin if
     there is one, else the first smallest margin."""
     checks: List[Dict] = []
-    for idx, ((_, kind), xk) in enumerate(zip(bf.kinks, locs)):
+    for idx, ((_, kind, slopes), xk) in enumerate(zip(bf.kinks, locs)):
         inside = np.isfinite(xk) & (x_lo + 2.0 * probe < xk) \
             & (xk < x_hi - 2.0 * probe)
         if not inside.any():
             continue
         ts, xk = times[inside], xk[inside]
-        analytic = bf.kink_slopes is not None and idx < len(bf.kink_slopes)
-        if analytic:
+        if slopes is not None:
             left, right = (np.broadcast_to(np.asarray(fn(ts), dtype=float),
-                                           ts.shape)
-                           for fn in bf.kink_slopes[idx])
+                                           ts.shape) for fn in slopes)
         else:
             sides = np.stack([xk - probe, xk + probe], axis=1)
             both = np.asarray(bf.jet(sides, ts[:, None])[0], dtype=float)
@@ -959,7 +938,7 @@ def _kink_checks(bf: BarrierFunction, times: np.ndarray,
         entry = {"kink": idx, "kind": kind, "t": float(ts[i]),
                  "x": float(xk[i]), "left_slope": float(left[i]),
                  "right_slope": float(right[i]),
-                 "margin": float(margins[i]), "analytic": analytic}
+                 "margin": float(margins[i]), "analytic": slopes is not None}
         scale = max(1.0, abs(entry["left_slope"]), abs(entry["right_slope"]))
         entry["pass"] = bool(entry["margin"] >= -KINK_SLOPE_TOL * scale)
         checks.append(entry)
@@ -992,17 +971,10 @@ def _near_kinks(xs: np.ndarray, locs: Sequence[float]) -> np.ndarray:
     return near
 
 
-def scalar_params(params) -> Dict[str, Any]:
-    """The number and string entries of a barrier's ``params`` (a dict or a
-    dataclass such as `SuperFamilyParams`), in their declared order."""
-    if is_dataclass(params):
-        items = [(field.name, getattr(params, field.name))
-                 for field in fields(params)]
-    elif isinstance(params, dict):
-        items = list(params.items())
-    else:
-        return {}
-    return {key: val for key, val in items
+def scalar_params(params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """The number and string entries of a barrier's ``params``, in their
+    declared order."""
+    return {key: val for key, val in (params or {}).items()
             if isinstance(val, (int, float, str))}
 
 
@@ -1026,19 +998,21 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
     11 for 1e5, each small enough that its temporaries stay off freshly
     mapped pages.  Every slice is computed independently of its block and
     a block's draws continue the same stream, so the block size never
-    changes a report.  The worst residual is taken per slice and then over
-    the slices in order.  Every kink inside the domain gets a one-sided
-    slope check at all slice times in one call; it reports the first nan
-    margin if any (which fails the check), else the first smallest one.
-    Time slices run over ``t_window`` (default: up to min(horizon, 1));
-    windows beyond the validity horizon raise a horizon error.
+    changes a report.  The worst residual of the side checked (the largest
+    for sub sides, the smallest for super sides) is taken per slice and
+    then over the slices in order.  Every kink inside the domain gets a
+    one-sided slope check at all slice times in one call; it reports the
+    first nan margin if any (which fails the check), else the first
+    smallest one.  Time slices run over ``t_window`` (default: up to
+    min(horizon, 1)), whose ends must be finite; windows beyond the validity
+    horizon raise a horizon error.
     """
     for name, value, low in (("samples", samples, 1000), ("seed", seed, 0)):
         if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
                 or value < low):
             raise ParameterError(
                 f"{name} must be an integer >= {low}, got {value!r}")
-    label, factor, orientation, check_dt = _parse_side(side)
+    label, factor, is_sub, check_dt = _parse_side(side)
 
     hi_default = bf.valid_until
     if math.isfinite(hi_default):
@@ -1049,8 +1023,9 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
         raise HorizonError(
             f"time window up to {t_hi:g} exceeds the validity horizon "
             f"{bf.valid_until:g}")
-    if not (0.0 <= t_lo < t_hi):
-        raise ParameterError(f"bad time window ({t_lo}, {t_hi})")
+    if not 0.0 <= t_lo < t_hi < math.inf:
+        raise ParameterError(f"bad time window ({t_lo}, {t_hi}): need "
+                             "0 <= t_lo < t_hi < inf")
 
     x_lo = max(-spec.b, bf.domain[0])
     x_hi = min(spec.b, bf.domain[1])
@@ -1070,10 +1045,11 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
                       in np.random.SeedSequence(seed).spawn(2))
     times = t_lo + (t_hi - t_lo) * (np.arange(n_t) + draws.random(n_t)) / n_t
     locs = [np.broadcast_to(np.asarray(loc(times), dtype=float), times.shape)
-            for loc, _ in bf.kinks]
+            for loc, _, _ in bf.kinks]
 
-    # Blocks of whole strata: their points, then the residual and its
-    # extremes per stratum; Python max/min over the strata in order below.
+    # Blocks of whole strata: their points, then the residual and its worst
+    # point per stratum; a Python max/min over the strata in order below.
+    pick = np.argmax if is_sub else np.argmin
     results = []
     per_block = max(1, BLOCK_POINTS // n_x)
     for start in range(0, n_t, per_block):
@@ -1092,23 +1068,15 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
         with np.errstate(over="ignore", invalid="ignore"):
             res = residual_values(spec.f, spec.g, dtv, dxv, dxxv, factor)
         dt_low = np.min(dtv, axis=1)
-        for r, (hi, lo) in enumerate(zip(np.argmax(res, axis=1),
-                                         np.argmin(res, axis=1))):
-            results.append((float(times[start + r]), res[r, hi],
-                            block[r, hi], res[r, lo], block[r, lo],
-                            float(dt_low[r]), n_x))
+        for r, i in enumerate(pick(res, axis=1)):
+            results.append((float(times[start + r]), res[r, i], block[r, i],
+                            float(dt_low[r])))
 
-    worst_hi = max(results, key=lambda r: r[1])
-    worst_lo = min(results, key=lambda r: r[3])
-    dt_min = min(r[5] for r in results)
-    total = sum(r[6] for r in results)
-
-    if orientation < 0:
-        worst_res, worst_point = worst_hi[1], (worst_hi[2], worst_hi[0])
-        residual_ok = worst_res <= RESIDUAL_SLACK
-    else:
-        worst_res, worst_point = worst_lo[3], (worst_lo[4], worst_lo[0])
-        residual_ok = worst_res >= -RESIDUAL_SLACK
+    t_worst, worst_res, x_worst, _ = (max if is_sub else min)(
+        results, key=lambda r: r[1])
+    residual_ok = (worst_res <= RESIDUAL_SLACK if is_sub
+                   else worst_res >= -RESIDUAL_SLACK)
+    dt_min = min(r[3] for r in results)
 
     probe = KINK_PROBE * max(1.0, spec.b)
     kink_checks = _kink_checks(bf, times, locs, x_lo, x_hi, probe)
@@ -1118,9 +1086,9 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
     report = {
         "family": bf.family,
         "side": label,
-        "n_samples": total,
+        "n_samples": n_t * n_x,
         "worst_residual": float(worst_res),
-        "worst_point": (float(worst_point[0]), float(worst_point[1])),
+        "worst_point": (float(x_worst), t_worst),
         "kink_checks": kink_checks,
         "constant_estimates": {
             key: val for key, val in scalar_params(bf.params).items()

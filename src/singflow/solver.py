@@ -142,7 +142,11 @@ def make_field(b: float, n: int, values, cap: float,
         raise ParameterError(f"cap must be finite and nonnegative, got {cap}")
     if cap_minus is not None and not math.isfinite(cap_minus):
         raise ParameterError(f"cap_minus must be finite, got {cap_minus}")
-    nodes = -b + (2.0 * b / (n + 1)) * np.arange(1, n + 1)
+    dx = 2.0 * b / (n + 1)
+    if not math.isfinite(dx * dx):
+        raise ParameterError(f"grid step dx = {dx:g} (half-width {b:g}, "
+                             f"{n} nodes) has no finite square")
+    nodes = -b + dx * np.arange(1, n + 1)
     vals = np.asarray(values(nodes) if callable(values) else values,
                       dtype=float).copy()
     if vals.shape != (n,):

@@ -305,7 +305,7 @@ def _family_instances() -> List[Tuple[str, BarrierFunction, ProblemSpec,
     spec_s = _spec(f_s, g_s)
     sup = super_family(spec_s, None, 3.0, 1.0e4)
     out.append(("super_family", sup, spec_s, "super_strict(1)",
-                (0.0, 0.9 * sup.params.T)))
+                (0.0, 0.9 * sup.params["T"])))
 
     grid = np.linspace(-1.0, 1.0, 41)
     env = convex_envelope(grid, grid ** 2 + 0.1 * np.abs(grid))
@@ -334,7 +334,7 @@ def _fd_worst(bf: BarrierFunction, spec: ProblemSpec,
         xs = lo + (hi - lo) * rng.random(4 * DERIV_POINTS)
         t = float(t_lo + (t_hi - t_lo) * rng.random())
         keep = np.ones(xs.size, dtype=bool)
-        for loc, _ in bf.kinks:
+        for loc, _, _ in bf.kinks:
             xk = float(loc(t))
             if math.isfinite(xk):
                 keep &= np.abs(xs - xk) > clear
@@ -389,21 +389,21 @@ def check_super_trajectory() -> Tuple[bool, str]:
     alpha, beta = g.alpha, f.beta
     bf = super_family(spec, None, 3.0, 1.0e4)
     p = bf.params
-    ts = np.linspace(0.0, p.T, 200)
-    ls = np.array([p.L(t) for t in ts])
+    ts = np.linspace(0.0, p["T"], 200)
+    ls = np.array([p["L"](t) for t in ts])
     if not np.all(np.diff(ls) > 0.0):
         return False, "L(t) is not strictly increasing"
     closed = ls * (1.0 - beta * (1.0 - alpha)) - beta * (2.0 - alpha)
     if not np.all(closed > 0.0):
         return False, "closed admissibility condition fails on trajectory"
     mu = super_mu(alpha, beta)
-    lhs = 3.0 * math.sqrt(p.nu) / (2.0 * spec.b)
+    lhs = 3.0 * math.sqrt(p["nu"]) / (2.0 * spec.b)
     rhs = (2.0 / spec.b) * ls[:-1] ** (mu + 1.0) * 1.5 ** (ls[:-1] + 1.0)
     if not np.all(lhs > rhs):
         return False, "junction slope inequality fails before the horizon"
     c_star = max(8.0 * spec.b / 9.0, 16.0 / 9.0, 4.0 / spec.b ** 2)
     at_t = c_star * ls[-1] ** (2.0 * mu + 2.0) * 1.5 ** (2.0 * ls[-1] + 2.0)
-    gap = abs(at_t - p.nu) / p.nu
+    gap = abs(at_t - p["nu"]) / p["nu"]
     if gap > 1e-6:
         return False, f"horizon closure gap {gap:.2e}"
     return True, (f"L: {ls[0]:.3f} -> {ls[-1]:.3f}, slope margin "

@@ -178,12 +178,12 @@ def test_super_family_horizon_and_exponent():
     spec = _p_heat_spec(2.0, 0.5, 0.1)
     bf = super_family(spec, None, 3.0, 1e4)
     params = bf.params
-    assert params.L0 == 3.0 and params.nu == 1e4
-    assert 0.0 < params.T < math.inf
-    assert bf.valid_until == params.T
-    assert params.L(0.0) == pytest.approx(3.0, rel=1e-9)
-    assert params.L(0.9 * params.T) > 3.0
-    assert bf.kink_slopes is not None and len(bf.kink_slopes) == 2
+    assert params["L0"] == 3.0 and params["nu"] == 1e4
+    assert 0.0 < params["T"] < math.inf
+    assert bf.valid_until == params["T"]
+    assert params["L"](0.0) == pytest.approx(3.0, rel=1e-9)
+    assert params["L"](0.9 * params["T"]) > 3.0
+    assert [len(slopes) for _, _, slopes in bf.kinks] == [2, 2]
 
 
 def _terminal_exponent(b, mu, l0, nu):
@@ -224,17 +224,17 @@ def test_super_family_horizon_and_exponent_are_exact(case):
         p = super_family(spec, None, l0, nu).params
 
         def time_to(length):
-            return quad(lambda ln: 1.0 / (p.C4 * ln ** a_exp
+            return quad(lambda ln: 1.0 / (p["C4"] * ln ** a_exp
                                           * (ln + 1.0) ** beta),
                         l0, length, epsabs=0.0, epsrel=1e-13)[0]
 
         l_max = _terminal_exponent(spec.b, mu, l0, nu)
-        assert p.T == pytest.approx(time_to(l_max), rel=1e-12, abs=0.0)
+        assert p["T"] == pytest.approx(time_to(l_max), rel=1e-12, abs=0.0)
         for frac in (0.1, 0.5, 0.9, 0.999):
-            t = frac * p.T
-            assert time_to(p.L(t)) == pytest.approx(t, rel=1e-12, abs=0.0)
-        assert p.L(0.0) == pytest.approx(l0, rel=ulps, abs=0.0)
-        assert p.L(p.T) == pytest.approx(l_max, rel=ulps, abs=0.0)
+            t = frac * p["T"]
+            assert time_to(p["L"](t)) == pytest.approx(t, rel=1e-12, abs=0.0)
+        assert p["L"](0.0) == pytest.approx(l0, rel=ulps, abs=0.0)
+        assert p["L"](p["T"]) == pytest.approx(l_max, rel=ulps, abs=0.0)
 
 
 @pytest.mark.parametrize("case", ["heat", "lin"])
@@ -254,7 +254,7 @@ def test_super_family_at_extreme_steepness_builds_or_fails_typed(case, nu):
         return
     assert nu < 1e110
     assert 0.0 < bf.valid_until < math.inf
-    assert bf.params.L(bf.valid_until) > l0
+    assert bf.params["L"](bf.valid_until) > l0
 
 
 # sha256 over repr(scalar_params(params)) of super_family on both
@@ -289,7 +289,7 @@ def test_super_family_takes_no_datum_but_none():
         super_family(spec, zero, l0, 1e4)
     positional = super_family(spec, None, l0, 1e4)
     keyword = super_family(spec, v0=None, L0=l0, nu=1e4)
-    assert positional.params.T == keyword.params.T > 0.0
+    assert positional.params["T"] == keyword.params["T"] > 0.0
 
 
 def test_super_family_sweep_hands_flat_arrays_to_the_nonlinearities():
@@ -323,13 +323,13 @@ def test_super_family_window_beyond_horizon_raises():
     bf = super_family(spec, None, 3.0, 1e4)
     with pytest.raises(HorizonError):
         verify_inequality(bf, spec, "super", samples=2000,
-                          t_window=(0.0, 2.0 * bf.params.T))
+                          t_window=(0.0, 2.0 * bf.params["T"]))
     # At T itself the drift 1/(T - t) is infinite; L(T) is still defined.
-    assert bf.params.L(bf.params.T) > 3.0
+    assert bf.params["L"](bf.params["T"]) > 3.0
     for call in (lambda t: bf.eval(0.0, t), lambda t: bf.jet(0.9, t),
-                 bf.kink_slopes[0][1]):
+                 bf.kinks[0][2][1]):
         with pytest.raises(HorizonError):
-            call(bf.params.T)
+            call(bf.params["T"])
 
 
 def test_super_mu_values():
@@ -476,7 +476,7 @@ def _corner(kind, slope=lambda xs, t: np.sign(xs), **kwargs):
 
     return BarrierFunction(
         eval=lambda xs, t: np.abs(np.asarray(xs, dtype=float)), jet=jet,
-        kinks=((lambda t: 0.0, kind),), valid_until=math.inf,
+        kinks=((lambda t: 0.0, kind, None),), valid_until=math.inf,
         family="corner", **kwargs)
 
 
@@ -502,6 +502,27 @@ def test_verifier_rejects_small_samples_and_bad_sides():
         verify_inequality(bf, spec, "sub", samples=10)
     with pytest.raises(ParameterError):
         verify_inequality(bf, spec, "sideways", samples=2000)
+
+
+@pytest.mark.parametrize("side", ["sub_strict(abc)", "super_strict(abc)",
+                                  "sub_strict(nan)", "super_strict(inf)",
+                                  "sub_strict(1e400)"])
+def test_verifier_refuses_a_margin_that_is_not_a_finite_number(side):
+    """A strict margin must be a finite number >= 0: "abc" used to raise a
+    bare ValueError, nan to report a nan worst residual, and inf or 1e400
+    to pass with the factor 0."""
+    spec = _curvature_spec(1.0)
+    with pytest.raises(ParameterError, match="finite nonnegative margin"):
+        verify_inequality(sub_uk(spec, 100.0), spec, side, samples=2000)
+
+
+def test_verifier_refuses_a_window_end_that_is_not_finite():
+    """With t_window = (0, inf) every stratum time was inf and sub_uk
+    passed with its worst point at t = inf."""
+    spec = _curvature_spec(1.0)
+    with pytest.raises(ParameterError, match="bad time window"):
+        verify_inequality(sub_uk(spec, 100.0), spec, "sub", samples=2000,
+                          t_window=(0.0, math.inf))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -702,8 +723,8 @@ def test_time_column_calls_equal_scalar_time_calls(name):
                 assert part[row].tobytes() == scalar.tobytes(), t
     # Kink locations and closed-form slopes at all times in one call.
     ts = np.array(times)
-    for fn in [loc for loc, _ in bf.kinks] + [
-            fn for pair in (bf.kink_slopes or ()) for fn in pair]:
+    for fn in [loc for loc, _, _ in bf.kinks] + [
+            fn for _, _, pair in bf.kinks for fn in (pair or ())]:
         batched = np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape)
         scalar = np.array([float(fn(t)) for t in times])
         assert batched.tobytes() == scalar.tobytes()

@@ -459,6 +459,17 @@ def test_wave_near_alpha_one_exits_1_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_barrier_with_a_bad_margin_exits_1_without_traceback(tmp_path,
+                                                             capsys):
+    assert main(["barrier", "--preset", "p_heat", "--param", "p=2",
+                 "--param", "beta1=1", "--param", "eps=0.1", "--family",
+                 "vL", "--L", "50", "--samples", "1000", "--side",
+                 "sub_strict(abc)", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "finite nonnegative margin" in err
+    assert "Traceback" not in err
+
+
 def test_barrier_artifacts_and_determinism(tmp_path):
     doc = {
         "name": "uk",

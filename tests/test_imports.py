@@ -1,9 +1,12 @@
-"""Source hygiene: every name a module imports is used in it, and no
-module imports another's private names."""
+"""Source hygiene: every name a module imports is used in it, no module
+imports another's private names, and the names the benchmark harness relies
+on exist."""
 
 from __future__ import annotations
 
 import ast
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,30 @@ def test_the_check_sees_a_private_import():
               "from .solver import _march\n")
     assert _private_imports("barriers", source) == [
         ("barriers", "solver", "_march"), ("barriers", "wave", "_gl_partial")]
+
+
+# The benchmark harness and its declared metrics, read as text: the names
+# they rely on must keep existing, so a rename fails here at once rather
+# than only in the benchmark's own self-test.
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_imports_exist_on_the_package():
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "singflow"
+             for alias in node.names]
+    assert "verify_inequality" in names
+    missing = [name for name in names if not hasattr(singflow, name)
+               and importlib.util.find_spec(f"singflow.{name}") is None]
+    assert missing == []
+
+
+def test_benchmark_suite_layers_name_the_suite_checks():
+    from singflow import suite
+
+    layers = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    prefix = "suite.check_ms."
+    declared = [layer["name"][len(prefix):] for layer in layers
+                if layer["name"].startswith(prefix)]
+    assert sorted(declared) == sorted(name for name, _ in suite.CHECKS)

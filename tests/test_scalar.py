@@ -74,7 +74,7 @@ def test_root_finders_match_scipy_on_the_steepness_equation(case, log_nu):
 
     top = math.log(nu / c_star) / (2.0 * math.log(1.5)) - 1.0
     ref = scipy_brentq(lambda ln: needed(ln) - nu, l0, top, **TIGHT)
-    assert p.L(p.T) == pytest.approx(ref, rel=8.0 * EPS, abs=0.0)
+    assert p["L"](p["T"]) == pytest.approx(ref, rel=8.0 * EPS, abs=0.0)
 
 
 # Each increasing fn with fn(0) = 0 and its derivative.
