@@ -112,6 +112,7 @@ EXPONENT_TABLE_POINTS = 33
 ROOT_STEP_TOL = 1.0e-8
 
 _SIDE_PATTERN = re.compile(r"^(sub|super)(?:_strict\(\s*([^()\s]+)\s*\))?$")
+SIDE_FORMS = "sub, super, sub_strict(d) or super_strict(d)"
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,11 @@ class BarrierFunction:
     family: str
     domain: Tuple[float, float] = (-math.inf, math.inf)
     params: Optional[Dict[str, Any]] = None
+
+    @property
+    def t_cap(self) -> float:
+        """End of the default time window, just inside the horizon."""
+        return min(self.valid_until * (1.0 - 1e-3), DEFAULT_T_CAP)
 
 
 def _xt(core: Callable[[np.ndarray, np.ndarray], Any]):
@@ -888,15 +894,13 @@ def translate_wave(profile: WaveProfile, spec: ProblemSpec,
 # ---------------------------------------------------------------------------
 
 
-def _parse_side(side: str) -> Tuple[str, float, bool, bool]:
+def parse_side(side: str) -> Tuple[str, float, bool, bool]:
     """Return (label, factor, is_sub, check_dt_sign): the name gives the
     orientation, and a strict margin delta the factor and, on the super
     side, the dt sign check."""
     m = _SIDE_PATTERN.match(str(side).strip())
     if m is None:
-        raise ParameterError(
-            f"unknown side {side!r}; expected sub, super, sub_strict(d) or "
-            "super_strict(d)")
+        raise ParameterError(f"unknown side {side!r}; expected {SIDE_FORMS}")
     name, margin = m.groups()
     if margin is None:
         return name, 1.0, name == "sub", False
@@ -1004,7 +1008,7 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
     one-sided slope check at all slice times in one call; it reports the
     first nan margin if any (which fails the check), else the first
     smallest one.  Time slices run over ``t_window`` (default: up to
-    min(horizon, 1)), whose ends must be finite; windows beyond the validity
+    ``bf.t_cap``), whose ends must be finite; windows beyond the validity
     horizon raise a horizon error.
     """
     for name, value, low in (("samples", samples, 1000), ("seed", seed, 0)):
@@ -1012,13 +1016,9 @@ def verify_inequality(bf: BarrierFunction, spec: ProblemSpec, side,
                 or value < low):
             raise ParameterError(
                 f"{name} must be an integer >= {low}, got {value!r}")
-    label, factor, is_sub, check_dt = _parse_side(side)
+    label, factor, is_sub, check_dt = parse_side(side)
 
-    hi_default = bf.valid_until
-    if math.isfinite(hi_default):
-        hi_default = hi_default * (1.0 - 1e-3)
-    t_lo, t_hi = t_window if t_window is not None else \
-        (0.0, min(hi_default, DEFAULT_T_CAP))
+    t_lo, t_hi = t_window if t_window is not None else (0.0, bf.t_cap)
     if t_hi > bf.valid_until:
         raise HorizonError(
             f"time window up to {t_hi:g} exceeds the validity horizon "

@@ -4,9 +4,11 @@ Subcommands mirror the experiment vocabulary: ``classify``, ``wave``,
 ``barrier``, ``solve``, ``capstudy`` and ``verify``.  Each accepts either
 ``--scenario <file>`` (a JSON document) or inline flags, never both; results
 land in an output directory as CSV curves (RFC 4180, header row, '.'
-decimal), a JSON report and a reproducibility manifest.  Exit status is 0 on
-pass, 2 when a verification step or a declared expectation fails, and 1 on
-any error; scenario schema violations are reported with file and line.
+decimal), a JSON report and a reproducibility manifest, all written once
+the run has returned, so a run that raises writes nothing.  Exit status is
+0 on pass, 2 when a verification step or a declared expectation fails, and
+1 on any error; scenario schema violations, a barrier ``side`` that
+`parse_side` refuses among them, are reported with file and line.
 Every check raises the offending key with its message, and
 `validate_scenario` alone finds the key's line: the first that holds it at
 or below the line of the top-level field being checked, else the first
@@ -49,17 +51,16 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from . import __version__
-from .barriers import (h_tail, scalar_params, sub_uk, sub_vL, super_family,
-                       verify_inequality)
-from .errors import ScenarioError, SingflowError
+from .barriers import (SIDE_FORMS, h_tail, parse_side, scalar_params, sub_uk,
+                       sub_vL, super_family, verify_inequality)
+from .errors import ParameterError, ScenarioError, SingflowError
 from .model import (ProblemSpec, initial_b1, initial_b2, initial_b3,
                     make_problem, preset_curvature, preset_p_heat, psi,
                     signed_power)
 from .regime import classify, uniqueness_threshold
 from .solver import cap_studies, solve
 from .suite import run_suite
-from .wave import (check_points, compute_wave, divergence_rate,
-                   profile_residuals)
+from .wave import check_points, compute_wave, profile_residuals
 
 log = logging.getLogger(__name__)
 
@@ -377,6 +378,15 @@ _TOLERANCE = _simple(lambda v: _is_number(v) and v >= 0,
                      "a finite number >= 0")
 
 
+def _check_side(doc, key):
+    """A side that `parse_side` reads; kept as given."""
+    try:
+        parse_side(doc[key])
+    except ParameterError as exc:
+        raise _Violation(key, str(exc)) from None
+    return doc[key]
+
+
 def _check_c_tol(doc, key):
     """A speed tolerance, refused without the speed it applies to."""
     tol = _TOLERANCE.check(doc, key)
@@ -429,9 +439,7 @@ SCHEMA = {
     ) + tuple((key, _NUMBER, BY_FAMILY, "--" + key.replace("_", "-"))
               for family in FAMILIES.values() for key in family.keys) + (
         ("samples", _integer(1000), DEFAULT_SAMPLES, "--samples"),
-        ("side", _simple(lambda v: isinstance(v, str),
-                         "sub, super, sub_strict(d) or super_strict(d)"),
-         None, "--side"),
+        ("side", _Kind(_check_side, SIDE_FORMS, {}), None, "--side"),
         ("verify", _simple(lambda v: isinstance(v, bool), "a boolean",
                            arg={"action": "store_const", "const": False}),
          True, "--no-verify"),
@@ -590,10 +598,10 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_columns(path: Path, header: Sequence[str], *columns) -> None:
-    """A CSV of numeric columns, one row per index."""
-    _write_csv(path, header, zip(*(np.asarray(col, dtype=float).tolist()
-                                   for col in columns)))
+def _columns(*columns) -> List:
+    """The rows of numeric columns, one per index."""
+    return list(zip(*(np.asarray(col, dtype=float).tolist()
+                      for col in columns), strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +609,16 @@ def _write_columns(path: Path, header: Sequence[str], *columns) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_classify(scn, spec: ProblemSpec, out: Path):
+def _judge_verdicts(scn, report: Dict, verdicts: List[str]) -> bool:
+    """Record the expected verdict, if any; True if every verdict is it."""
+    expected = scn["expect"].get("verdict")
+    if expected is None:
+        return True
+    report["expected_verdict"] = expected
+    return all(verdict == expected for verdict in verdicts)
+
+
+def _run_classify(scn, spec: ProblemSpec):
     verdict = classify(spec)
     report = {
         "verdict": verdict.verdict,
@@ -611,35 +628,24 @@ def _run_classify(scn, spec: ProblemSpec, out: Path):
         "beta": spec.f.beta,
         "u0_class": spec.u0.klass,
     }
-    passed = True
-    expected = scn["expect"].get("verdict")
-    if expected is not None:
-        report["expected_verdict"] = expected
-        passed = verdict.verdict == expected
-    _write_csv(out / "classify.csv",
-               ["alpha", "beta", "u0_class", "verdict"],
-               [[spec.g.alpha, spec.f.beta, spec.u0.klass, verdict.verdict]])
-    return report, passed, ["classify.csv"]
+    passed = _judge_verdicts(scn, report, [verdict.verdict])
+    return report, passed, {"classify.csv": (
+        ["alpha", "beta", "u0_class", "verdict"],
+        [[spec.g.alpha, spec.f.beta, spec.u0.klass, verdict.verdict]])}
 
 
-def _run_wave(scn, spec: ProblemSpec, out: Path):
+def _run_wave(scn, spec: ProblemSpec):
     profile = compute_wave(spec, n_grid=scn["n_grid"], w0=scn["w0"])
     xs = check_points(profile)
     residuals = profile_residuals(profile, spec, xs)
-    _write_columns(out / "wave_profile.csv", ["x", "W", "Wx", "residual"],
-                   xs, profile.w(xs), profile.wx(xs), residuals)
-
-    alpha = spec.g.alpha
-    d_plus = d_minus = gamma = None
-    if alpha <= 2.0:
-        d_plus, d_minus = divergence_rate(profile, alpha)
-        gamma = uniqueness_threshold(alpha)
+    # compute_wave fits D_plus and D_minus exactly when 1 < alpha <= 2.
     report = {
         "c": profile.c,
         "f_inv_c": profile.f_inv_c,
-        "D_plus": d_plus,
-        "D_minus": d_minus,
-        "gamma": gamma,
+        "D_plus": profile.d_plus,
+        "D_minus": profile.d_minus,
+        "gamma": (None if profile.d_plus is None
+                  else uniqueness_threshold(spec.g.alpha)),
         "g_total": profile.g_total,
         "b": profile.b,
         "n_grid": scn["n_grid"],
@@ -652,28 +658,28 @@ def _run_wave(scn, spec: ProblemSpec, out: Path):
         passed = abs(profile.c - expect["c"]) <= expect.get("c_tol", 1e-8)
     if "max_residual" in expect:
         passed = passed and report["max_residual"] <= expect["max_residual"]
-    return report, passed, ["wave_profile.csv"]
+    return report, passed, {"wave_profile.csv": (
+        ["x", "W", "Wx", "residual"],
+        _columns(xs, profile.w(xs), profile.wx(xs), residuals))}
 
 
-def _run_barrier(scn, spec: ProblemSpec, out: Path):
+def _run_barrier(scn, spec: ProblemSpec):
     family = FAMILIES[scn["family"]]
     bf = family.build(spec, *(scn[key] for key in family.keys))
     side = scn["side"] or family.side
 
     # Slice curves at a few deterministic times inside the horizon.
-    horizon = bf.valid_until
-    t_hi = min(horizon * (1.0 - 1e-3), 1.0) if math.isfinite(horizon) else 1.0
-    times = sorted({0.0, 0.5 * t_hi, t_hi})
+    times = np.array(sorted({0.0, 0.5 * bf.t_cap, bf.t_cap}))
     x_lo = max(-spec.b, bf.domain[0]) + PROFILE_MARGIN * spec.b
     x_hi = min(spec.b, bf.domain[1]) - PROFILE_MARGIN * spec.b
     grid = np.linspace(x_lo, x_hi, PROFILE_POINTS)
     with np.errstate(over="ignore"):
-        vals = [bf.eval(grid, t) for t in times]
-        slopes = [bf.jet(grid, t)[0] for t in times]
-    _write_columns(out / "barrier_profile.csv", ["t", "x", "value", "slope"],
-                   np.repeat(times, grid.size), np.tile(grid, len(times)),
-                   np.concatenate(vals, axis=None),
-                   np.concatenate(slopes, axis=None))
+        vals = bf.eval(grid, times[:, None])
+        slopes = bf.jet(grid, times[:, None])[0]
+    tables = {"barrier_profile.csv": (
+        ["t", "x", "value", "slope"],
+        _columns(np.repeat(times, grid.size), np.tile(grid, times.size),
+                 np.ravel(vals), np.ravel(slopes)))}
 
     report = {
         "family": bf.family,
@@ -688,24 +694,21 @@ def _run_barrier(scn, spec: ProblemSpec, out: Path):
                                   t_window=window, seed=scn["seed"])
         report.update({k: v for k, v in check.items() if k != "family"})
         passed = bool(check["pass"])
-    return report, passed, ["barrier_profile.csv"]
+    return report, passed, tables
 
 
-def _run_solve(scn, spec: ProblemSpec, out: Path):
+def _run_solve(scn, spec: ProblemSpec):
     result = solve(spec, scn["n"], scn["cap"], scn["t_end"],
                    cap_minus=scn["cap_minus"],
                    snapshot_times=scn["snapshot_times"] or None)
-    files = []
     nodes = result.final.nodes
-    snapshots = []
+    tables, snapshots = {}, []
     for index, (t, values) in enumerate(result.snapshots):
         fname = f"snapshot_{index:02d}.csv"
-        _write_columns(out / fname, ["x", "u"], nodes, values)
-        files.append(fname)
+        tables[fname] = (["x", "u"], _columns(nodes, values))
         snapshots.append({"t": t, "file": fname})
-    _write_columns(out / "final_state.csv", ["x", "u"], nodes,
-                   result.final.values)
-    files.append("final_state.csv")
+    tables["final_state.csv"] = (["x", "u"],
+                                 _columns(nodes, result.final.values))
 
     report = {
         "n": scn["n"],
@@ -723,10 +726,10 @@ def _run_solve(scn, spec: ProblemSpec, out: Path):
     passed = True
     if "diverged" in scn["expect"]:
         passed = scn["expect"]["diverged"] == result.diverged
-    return report, passed, files
+    return report, passed, tables
 
 
-def _run_capstudy(scn, spec: ProblemSpec, out: Path):
+def _run_capstudy(scn, spec: ProblemSpec):
     studies = []
     rows = []
     for study in cap_studies(spec, scn["n"], scn["caps"], scn["probes"]):
@@ -736,33 +739,27 @@ def _run_capstudy(scn, spec: ProblemSpec, out: Path):
         for row in study.rows:
             rows.append([x, t, row["cap"], row["value"], row["diff"],
                          int(row["monotone"]), int(row["diverged"])])
-    _write_csv(out / "capstudy.csv",
-               ["probe_x", "probe_t", "cap", "value", "diff", "monotone",
-                "diverged"], rows)
     report = {
         "n": scn["n"],
         "caps": scn["caps"],
         "studies": studies,
     }
-    passed = True
-    expected = scn["expect"].get("verdict")
-    if expected is not None:
-        report["expected_verdict"] = expected
-        passed = all(s["verdict"] == expected for s in studies)
-    return report, passed, ["capstudy.csv"]
+    passed = _judge_verdicts(scn, report, [s["verdict"] for s in studies])
+    return report, passed, {"capstudy.csv": (
+        ["probe_x", "probe_t", "cap", "value", "diff", "monotone",
+         "diverged"], rows)}
 
 
-def _run_verify(scn, _spec, out: Path):
+def _run_verify(scn, _spec):
     report = run_suite()
-    _write_csv(out / "suite_checks.csv", ["name", "pass", "detail"],
-               [[c["name"], int(c["pass"]), c["detail"]]
-                for c in report["checks"]])
-    return report, report["pass"], ["suite_checks.csv"]
+    return report, report["pass"], {"suite_checks.csv": (
+        ["name", "pass", "detail"],
+        [[c["name"], int(c["pass"]), c["detail"]] for c in report["checks"]])}
 
 
 # Each experiment's runner and its subcommand help.  A runner takes the
-# validated scenario, its ProblemSpec (None without a preset) and the output
-# directory, and returns (report, passed, written file names).
+# validated scenario and its ProblemSpec (None without a preset) and returns
+# (report, passed, tables), tables mapping CSV file names to (header, rows).
 _RUNNERS = {
     "classify": (_run_classify, "regime classification"),
     "wave": (_run_wave, "traveling-wave profile by quadrature"),
@@ -793,16 +790,18 @@ def _manifest(scn: Dict, report: Dict, files: List[str]) -> Dict:
 
 
 def _execute(scn: Dict, out_override: Optional[str] = None) -> int:
-    out = Path(out_override) if out_override else Path(scn["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     spec = _build_problem(scn) if "preset" in scn else None
-    report, passed, files = _RUNNERS[scn["experiment"]][0](scn, spec, out)
+    report, passed, tables = _RUNNERS[scn["experiment"]][0](scn, spec)
     report.update({"experiment": scn["experiment"], "name": scn["name"],
                    "pass": passed})
+    out = Path(out_override or scn["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
     _write_json(out / "report.json", report)
     _write_json(out / "manifest.json",
-                _manifest(scn, report, files + ["report.json",
-                                                "manifest.json"]))
+                _manifest(scn, report, [*tables, "report.json",
+                                        "manifest.json"]))
     print(f"{scn['experiment']} '{scn['name']}': "
           f"{'pass' if passed else 'FAIL'} -> {out}")
     return EXIT_PASS if passed else EXIT_FAIL

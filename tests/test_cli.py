@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -208,16 +209,16 @@ def test_top_level_errors_after_a_nested_check_search_the_whole_file():
                               "take 'gamma_plus'")
 
 
-def _raw_readers(source: str):
-    """(name, line) of each function that takes or reads a name ``raw`` in
+def _readers(source: str, name: str):
+    """(function, line) of each function that takes or reads ``name`` in
     its own body; a nested function counts on its own."""
     found = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = (node.name, node.lineno)
-        if (isinstance(node, ast.arg) and node.arg == "raw"
-                or isinstance(node, ast.Name) and node.id == "raw"):
+        if (isinstance(node, ast.arg) and node.arg == name
+                or isinstance(node, ast.Name) and node.id == name):
             found.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -228,15 +229,30 @@ def _raw_readers(source: str):
 def test_only_the_locator_reads_the_raw_text():
     """Checks raise the offending key; validate_scenario alone turns it
     into a line (and _load for the subcommand check)."""
-    readers = _raw_readers(Path(cli.__file__).read_text())
+    readers = _readers(Path(cli.__file__).read_text(), "raw")
     assert {name for name, _ in readers} <= {"validate_scenario", "_load",
                                              "_key_line"}
+
+
+def test_only_execute_writes_and_no_runner_takes_a_directory():
+    """Runners return their tables; _execute alone writes files, after the
+    runner has returned."""
+    source = Path(cli.__file__).read_text()
+    for writer in ("_write_csv", "_write_json"):
+        assert {name for name, _ in _readers(source, writer)} == {"_execute"}
+    runners = {node.name: node.args for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_run_")}
+    assert set(runners) == {run.__name__ for run, _ in cli._RUNNERS.values()}
+    for name, args in runners.items():
+        assert (len(args.args), args.vararg, args.kwonlyargs,
+                args.kwarg) == (2, None, [], None), name
 
 
 def test_the_raw_check_sees_a_nested_reader():
     source = ("def outer(doc):\n    def check(raw):\n        return 1\n"
               "    return check\n\ndef other(doc):\n    return raw\n")
-    assert _raw_readers(source) == [("check", 2), ("other", 6)]
+    assert _readers(source, "raw") == [("check", 2), ("other", 6)]
 
 
 def test_integer_datum_fields_normalize_to_floats():
@@ -460,14 +476,37 @@ def test_wave_near_alpha_one_exits_1_without_traceback(tmp_path, capsys):
 
 
 def test_barrier_with_a_bad_margin_exits_1_without_traceback(tmp_path,
-                                                             capsys):
+                                                             capsys,
+                                                             monkeypatch):
+    """The side is read by the verifier's own grammar when the scenario
+    loads: the refusal names the side's line, and no barrier is built and
+    no output directory made."""
+    monkeypatch.setattr(cli, "sub_vL", _no_run)
+    out = tmp_path / "out"
     assert main(["barrier", "--preset", "p_heat", "--param", "p=2",
                  "--param", "beta1=1", "--param", "eps=0.1", "--family",
                  "vL", "--L", "50", "--samples", "1000", "--side",
-                 "sub_strict(abc)", "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert "finite nonnegative margin" in err
-    assert "Traceback" not in err
+                 "sub_strict(abc)", "--out", str(out)]) == 1
+    message = "sub_strict needs a finite nonnegative margin, got 'abc'\n"
+    assert capsys.readouterr().err == "<inline>:1: " + message
+    doc = dict(_HEAT, name="s", experiment="barrier", family="vL", L=50.0,
+               samples=1000, side="sub_strict(abc)", output_dir=str(out))
+    path = _scenario(tmp_path, doc)
+    assert main(["barrier", "--scenario", str(path)]) == 1
+    line = _lines_of(path.read_text(), "side")[0]
+    assert capsys.readouterr().err == f"{path}:{line}: " + message
+    assert not out.exists()
+
+
+def test_a_run_that_raises_writes_nothing(tmp_path, capsys):
+    """capstudy refuses decreasing caps only once it runs; the output
+    directory is made after the runner returns, so none is left."""
+    out = tmp_path / "out"
+    assert main(["capstudy", "--preset", "curvature", "--param", "beta2=1",
+                 "--n", "50", "--caps", "4,2", "--probe", "0,0.01",
+                 "--out", str(out)]) == 1
+    assert "caps must be strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_barrier_artifacts_and_determinism(tmp_path):
@@ -758,6 +797,56 @@ def test_parity_cases_use_every_flag():
         used = {a for argv, _ in PARITY if argv[0] == experiment
                 for a in argv}
         assert {flag for *_, flag in rows if flag} <= used, experiment
+
+
+def _readme_tables():
+    """(caption, header, rows) of each table in README.md, the caption
+    being the last text line above it; cells are stripped strings."""
+    tables, caption, rows = [], "", []
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    for line in [*lines, ""]:
+        if line.startswith("|"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+            continue
+        if rows:
+            tables.append((caption, rows[0], rows[2:]))
+            rows = []
+        if line.strip():
+            caption = line
+    return tables
+
+
+def _ticked(cell):
+    return set(re.findall(r"`([^`]+)`", cell))
+
+
+def test_readme_schema_tables_match_the_schema():
+    """README's field and expect tables list, per experiment, the keys of
+    SCHEMA and EXPECT."""
+    fields = {experiment: set() for experiment in cli.SCHEMA}
+    expect = {experiment: set() for experiment in cli.EXPECT}
+    seen = []
+    for caption, header, rows in _readme_tables():
+        seen.append(header)
+        for row in rows:
+            if header == ["key", "flag", "value"]:
+                for experiment in fields:
+                    if not ("except `verify`" in caption
+                            and experiment == "verify"):
+                        fields[experiment] |= _ticked(row[0])
+            elif header == ["experiment", "key", "flag", "value"]:
+                for experiment in _ticked(row[0]):
+                    fields[experiment] |= _ticked(row[1])
+            elif header == ["experiment", "key", "value"]:
+                for experiment in _ticked(row[0]):
+                    expect[experiment] |= _ticked(row[1])
+    assert seen.count(["key", "flag", "value"]) == 2
+    assert seen.count(["experiment", "key", "flag", "value"]) == 1
+    assert seen.count(["experiment", "key", "value"]) == 1
+    assert fields == {experiment: {row[0] for row in rows}
+                      for experiment, rows in cli.SCHEMA.items()}
+    assert expect == {experiment: {row[0] for row in rows}
+                      for experiment, rows in cli.EXPECT.items()}
 
 
 @pytest.mark.parametrize("sub", cli.EXPERIMENTS)

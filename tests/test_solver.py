@@ -152,6 +152,21 @@ def test_lockstep_comparison_preserves_order():
             assert excess == want[2] <= 1e-12
 
 
+def test_a_failed_block_restores_each_pairs_excess():
+    """The CFL step grows on these pairs, so a block overshoots the stop
+    and is replayed step by step; the excess widened on the failed block
+    is put back, and equals the reference loop's bit for bit."""
+    spec = make_problem(1.0, *preset_p_heat(3.0, 1.0, 0.1), _flat())
+    lo, hi = (make_field(1.0, 60, lambda x, top=top:
+                         top - np.exp(-(x / 0.1) ** 2), 2.0)
+              for top in (1.5, 1.55))
+    lows, highs, excess = march_ordered(spec, [lo], [hi], 3e-3)
+    want = _lockstep(spec, lo, hi, 3e-3)
+    assert (lows[0].values.tobytes(), highs[0].values.tobytes()) == (
+        want[0].values.tobytes(), want[1].values.tobytes())
+    assert excess[0] == want[2] == -0.005534041417934121
+
+
 def test_march_ordered_validation():
     spec, lo = _curvature_spec(), _field()
     for highs in ([lo, lo], [make_field(2.0, 9, _FLAT, 2.0)],

@@ -418,6 +418,19 @@ def test_table_cache_frees_dropped_weights():
                                             rel=1e-12)
 
 
+def test_wave_grid_extends_past_the_default_tail():
+    """At alpha = 2.99 the model slope at j = 40 is below 1e6, so the
+    geometric tail grows by one index to reach it (alpha = 2.95 stops at
+    40)."""
+    spec = make_problem(1.0, signed_power(1.0),
+                        power_tail_weight(2.99, 1.0, 1.0),
+                        initial_b1(lambda x: np.zeros_like(x)))
+    profile = compute_wave(spec)
+    x_last = profile.x_grid[-1]
+    assert -math.log2(1.0 - x_last) > 40.0
+    assert profile.wx(x_last) >= 1e6
+
+
 @pytest.mark.parametrize("alpha", [1.005, 1.01, 1.02, 1.03])
 def test_wave_near_alpha_one_fails_typed(alpha):
     """Just above alpha = 1 the model wall slope overflows a float at the
