@@ -7,8 +7,11 @@ land in an output directory as CSV curves (RFC 4180, header row, '.'
 decimal), a JSON report and a reproducibility manifest, all written once
 the run has returned, so a run that raises writes nothing.  Exit status is
 0 on pass, 2 when a verification step or a declared expectation fails, and
-1 on any error; scenario schema violations, a barrier ``side`` that
-`parse_side` refuses among them, are reported with file and line.
+1 on any error; scenario schema violations are reported with file and
+line.  Among them are the values a run would refuse, read by the rule
+that refuses them (`_ruled`): a barrier ``side`` that `parse_side`
+refuses, and a cap, cap ladder, probe or snapshot time that `check_cap`,
+`check_ladder` or `check_snapshot_times` of the solver refuses.
 Every check raises the offending key with its message, and
 `validate_scenario` alone finds the key's line: the first that holds it at
 or below the line of the top-level field being checked, else the first
@@ -58,7 +61,8 @@ from .model import (ProblemSpec, initial_b1, initial_b2, initial_b3,
                     make_problem, preset_curvature, preset_p_heat, psi,
                     signed_power)
 from .regime import classify, uniqueness_threshold
-from .solver import cap_studies, solve
+from .solver import (cap_studies, check_cap, check_ladder,
+                     check_snapshot_times, solve)
 from .suite import run_suite
 from .wave import check_points, compute_wave, profile_residuals
 
@@ -179,17 +183,22 @@ def _validate_params(doc, key) -> Dict[str, float]:
     return _check_rows(doc, key, rows, owner, owner)
 
 
+def _half_width(doc) -> float:
+    return DEFAULT_B if doc.get("b") is None else doc["b"]
+
+
 def _validate_probes(doc, key) -> List[Tuple[float, float]]:
     probe, entries = doc.get("probe"), doc.get("probes")
     if probe is not None and entries is not None:
         raise _Violation("probe", "give 'probe' or 'probes', not both")
+    name = "probes"
     if probe is not None:
-        entries = [probe]
+        entries, name = [probe], "probe"
     if entries is None:
         raise _Violation("experiment",
                          "capstudy needs 'probe' or 'probes' (flag --probe)")
     if not isinstance(entries, list) or not entries:
-        raise _Violation("probes", "'probes' must be a non-empty list")
+        raise _Violation(name, "'probes' must be a non-empty list")
     probes: List[Tuple[float, float]] = []
     for entry in entries:
         if isinstance(entry, list) and len(entry) == 2 \
@@ -198,18 +207,21 @@ def _validate_probes(doc, key) -> List[Tuple[float, float]]:
         elif _is_number(entry):
             # Bare positions share the scenario's t_end as probe time.
             if not _is_number(doc.get("t_end")):
-                raise _Violation("probes",
+                raise _Violation(name,
                                  "bare probe positions need a finite "
                                  "'t_end' (flag --t-end)")
             probes.append((float(entry), float(doc["t_end"])))
         else:
-            raise _Violation("probes", "each probe must be [x, t] or a number")
+            raise _Violation(name, "each probe must be [x, t] or a number")
     if doc.get("t_end") is not None and all(isinstance(entry, list)
                                             for entry in entries):
         raise _Violation("t_end",
                          "'t_end' is read only by bare probe positions; "
                          "paired probes [x, t] carry their own times")
-    return probes
+    try:
+        return check_ladder(_half_width(doc), (), probes)[1]
+    except ParameterError as exc:
+        raise _Violation(name, str(exc)) from None
 
 
 def _parse_floats(flag: str, text: str) -> List[float]:
@@ -265,6 +277,20 @@ def _simple(test, what, norm=None, arg=None, from_flag=None) -> _Kind:
             raise _Violation(key, f"'{key}' must be {what}")
         return norm(doc[key]) if norm else doc[key]
     return _Kind(check, what, arg or {}, from_flag)
+
+
+def _ruled(kind: _Kind, rule: Callable) -> _Kind:
+    """``kind`` whose value must also pass ``rule(doc, value)``, a rule the
+    library owns that raises ParameterError, so a run would refuse the
+    value too."""
+    def check(doc, key):
+        value = kind.check(doc, key)
+        try:
+            rule(doc, value)
+        except ParameterError as exc:
+            raise _Violation(key, str(exc)) from None
+        return value
+    return kind._replace(check=check)
 
 
 def _integer(low: int) -> _Kind:
@@ -378,15 +404,6 @@ _TOLERANCE = _simple(lambda v: _is_number(v) and v >= 0,
                      "a finite number >= 0")
 
 
-def _check_side(doc, key):
-    """A side that `parse_side` reads; kept as given."""
-    try:
-        parse_side(doc[key])
-    except ParameterError as exc:
-        raise _Violation(key, str(exc)) from None
-    return doc[key]
-
-
 def _check_c_tol(doc, key):
     """A speed tolerance, refused without the speed it applies to."""
     tol = _TOLERANCE.check(doc, key)
@@ -439,7 +456,8 @@ SCHEMA = {
     ) + tuple((key, _NUMBER, BY_FAMILY, "--" + key.replace("_", "-"))
               for family in FAMILIES.values() for key in family.keys) + (
         ("samples", _integer(1000), DEFAULT_SAMPLES, "--samples"),
-        ("side", _Kind(_check_side, SIDE_FORMS, {}), None, "--side"),
+        ("side", _ruled(_ANY._replace(what=SIDE_FORMS),
+                        lambda doc, side: parse_side(side)), None, "--side"),
         ("verify", _simple(lambda v: isinstance(v, bool), "a boolean",
                            arg={"action": "store_const", "const": False}),
          True, "--no-verify"),
@@ -448,18 +466,23 @@ SCHEMA = {
     ),
     "solve": _PROBLEM + (
         ("n", _integer(3), REQUIRED, "--n"),
-        ("cap", _NUMBER, REQUIRED, "--cap"),
+        ("cap", _ruled(_NUMBER, lambda doc, cap: check_cap(cap)), REQUIRED,
+         "--cap"),
         ("cap_minus", _NUMBER, None, "--cap-minus"),
         ("t_end", _POSITIVE, REQUIRED, "--t-end"),
-        ("snapshot_times", _simple(_is_numbers, "a list of numbers", _floats,
-                                   {"metavar": "T1,T2,..."}, _parse_floats),
+        ("snapshot_times", _ruled(
+            _simple(_is_numbers, "a list of numbers", _floats,
+                    {"metavar": "T1,T2,..."}, _parse_floats),
+            lambda doc, times: check_snapshot_times(times, doc["t_end"])),
          [], "--snapshots"),
     ),
     "capstudy": _PROBLEM + (
         ("n", _integer(3), REQUIRED, "--n"),
-        ("caps", _simple(lambda v: _is_numbers(v) and len(v) >= 2,
-                         "a list of at least 2 numbers", _floats,
-                         {"metavar": "C1,C2,..."}, _parse_floats),
+        ("caps", _ruled(
+            _simple(lambda v: _is_numbers(v) and len(v) >= 2,
+                    "a list of at least 2 numbers", _floats,
+                    {"metavar": "C1,C2,..."}, _parse_floats),
+            lambda doc, caps: check_ladder(_half_width(doc), caps, ())),
          REQUIRED, "--caps"),
         ("t_end", _NUMBER, AUXILIARY, "--t-end"),
         ("probe", _PROBES, AUXILIARY, None),

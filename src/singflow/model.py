@@ -217,6 +217,14 @@ def _bracketed_inverse(fn) -> Callable[[float], float]:
     return inv
 
 
+def certify_nonlinearity(f: Nonlinearity) -> None:
+    """Sampled certificate that f is strictly increasing through zero and,
+    when it declares beta, grows like |s|^(-beta) f(s) -> +-cf."""
+    _check_increasing_through_zero(f.eval, "f")
+    if f.beta is not None:
+        _check_tail(f.eval, -f.beta, f.cf_plus, f.cf_minus, "f tail", odd=True)
+
+
 def custom_nonlinearity(fn, beta: Optional[float] = None,
                         cf_plus: Optional[float] = None,
                         cf_minus: Optional[float] = None) -> Nonlinearity:
@@ -225,34 +233,41 @@ def custom_nonlinearity(fn, beta: Optional[float] = None,
     When ``beta`` is declared, both tail constants must be declared too and
     the growth |s|^(-beta) fn(s) -> +-cf is certified by sampling.
     """
-    _check_increasing_through_zero(fn, "f")
     if beta is not None:
         if beta <= 0.0:
             raise ParameterError(f"custom nonlinearity: beta must be > 0, got {beta}")
         if cf_plus is None or cf_minus is None:
             raise ParameterError(
                 "custom nonlinearity: declaring beta requires cf_plus and cf_minus")
-        _check_tail(fn, -beta, cf_plus, cf_minus, "f tail", odd=True)
     elif cf_plus is not None or cf_minus is not None:
         raise ParameterError(
             "custom nonlinearity: tail constants make no sense without beta")
-    return Nonlinearity(eval=fn, inverse=_bracketed_inverse(fn), beta=beta,
-                        cf_plus=cf_plus, cf_minus=cf_minus, kind="custom")
+    f = Nonlinearity(eval=fn, inverse=_bracketed_inverse(fn), beta=beta,
+                     cf_plus=cf_plus, cf_minus=cf_minus, kind="custom")
+    certify_nonlinearity(f)
+    return f
 
 
 # ---------------------------------------------------------------------------
 # DiffusionWeight constructors
 
 
+def certify_weight(g: DiffusionWeight) -> None:
+    """Sampled certificate that g is finite and positive and that
+    |s|^alpha g(s) approaches the declared tail constants."""
+    vals = np.asarray(g.eval(_SAMPLE_GRID), dtype=float)
+    if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
+        raise ParameterError("g must be finite and positive on the sample grid")
+    _check_tail(g.eval, g.alpha, g.cg_plus, g.cg_minus, "g tail")
+
+
 def custom_weight(fn, alpha: float, cg_plus: float,
                   cg_minus: float) -> DiffusionWeight:
     """Wrap a user-supplied positive fn with declared tail data as a weight."""
-    vals = np.asarray(fn(_SAMPLE_GRID), dtype=float)
-    if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-        raise ParameterError("g must be finite and positive on the sample grid")
-    _check_tail(fn, alpha, cg_plus, cg_minus, "g tail")
-    return DiffusionWeight(eval=fn, alpha=alpha, cg_plus=cg_plus,
-                           cg_minus=cg_minus, kind="custom")
+    g = DiffusionWeight(eval=fn, alpha=alpha, cg_plus=cg_plus,
+                        cg_minus=cg_minus, kind="custom")
+    certify_weight(g)
+    return g
 
 
 def power_tail_weight(alpha: float, cg_plus: float,

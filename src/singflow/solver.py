@@ -125,6 +125,12 @@ class SolveReport:
     snapshots: Tuple[Tuple[float, np.ndarray], ...] = ()
 
 
+def check_cap(cap: float) -> None:
+    """A cap must be finite and nonnegative; raises ParameterError if not."""
+    if not (math.isfinite(cap) and cap >= 0.0):
+        raise ParameterError(f"cap must be finite and nonnegative, got {cap}")
+
+
 def make_field(b: float, n: int, values, cap: float,
                cap_minus: Optional[float] = None,
                time: float = 0.0) -> GridField:
@@ -138,8 +144,7 @@ def make_field(b: float, n: int, values, cap: float,
             f"half-width must be positive and finite, got {b}")
     if n < 3:
         raise ParameterError(f"need at least 3 interior nodes, got {n}")
-    if not (math.isfinite(cap) and cap >= 0.0):
-        raise ParameterError(f"cap must be finite and nonnegative, got {cap}")
+    check_cap(cap)
     if cap_minus is not None and not math.isfinite(cap_minus):
         raise ParameterError(f"cap_minus must be finite, got {cap_minus}")
     dx = 2.0 * b / (n + 1)
@@ -502,6 +507,14 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
     return reports
 
 
+def check_snapshot_times(times: Sequence[float], t_end: float) -> None:
+    """Snapshot times must lie in [0, t_end] (nan fails); raises
+    ParameterError if one does not."""
+    if not all(0.0 <= float(t) <= t_end for t in times):
+        raise ParameterError(
+            f"snapshot times must lie in [0, t_end = {t_end:g}]")
+
+
 def solve(spec: ProblemSpec, n: int, cap: float, t_end: float,
           cap_minus: Optional[float] = None,
           snapshot_times: Optional[Sequence[float]] = None) -> SolveReport:
@@ -520,9 +533,7 @@ def solve(spec: ProblemSpec, n: int, cap: float, t_end: float,
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ParameterError(f"t_end must be positive and finite, got {t_end}")
-    if not all(0.0 <= float(t) <= t_end for t in snapshot_times or ()):
-        raise ParameterError(
-            f"snapshot times must lie in [0, t_end = {t_end:g}]")
+    check_snapshot_times(snapshot_times or (), t_end)
     field = make_field(spec.b, n, spec.u0.values, cap, cap_minus=cap_minus)
     report = _march(spec, [field], t_end, snapshot_times)[0]
     if spec.u0.klass != "B3" or report.diverged:
@@ -578,6 +589,26 @@ def cap_study(spec: ProblemSpec, n: int, caps: Sequence[float],
     return cap_studies(spec, n, caps, [probe])[0]
 
 
+def check_ladder(b: float, caps: Sequence[float],
+                 probes: Sequence[Tuple[float, float]]
+                 ) -> Tuple[List[float], List[Tuple[float, float]]]:
+    """The caps and probes of cap studies on (-b, b), as floats.
+
+    Raises ParameterError for a cap that `make_field` refuses, caps that do
+    not strictly increase, or a probe outside (-b, b) x (0, inf).
+    """
+    caps = [float(cv) for cv in caps]
+    for cap in caps:
+        check_cap(cap)
+    if any(c2 <= c1 for c1, c2 in zip(caps, caps[1:])):
+        raise ParameterError("caps must be strictly increasing")
+    probes = [(float(x), float(t)) for x, t in probes]
+    if any(not (-b < x < b and 0.0 < t < math.inf) for x, t in probes):
+        raise ParameterError(
+            "probe must be interior with a positive finite time")
+    return caps, probes
+
+
 def cap_studies(spec: ProblemSpec, n: int, caps: Sequence[float],
                 probes: Sequence[Tuple[float, float]]) -> List[CapStudy]:
     """`cap_study` at each probe; probes that share a time share one march.
@@ -588,15 +619,7 @@ def cap_studies(spec: ProblemSpec, n: int, caps: Sequence[float],
     Probes at different times keep their own march: a stop at one probe's
     time would shorten a step of the other's and change every later bit.
     """
-    caps = [float(cv) for cv in caps]
-    if any(c2 <= c1 for c1, c2 in zip(caps, caps[1:])):
-        raise ParameterError("caps must be strictly increasing")
-    probes = [(float(x), float(t)) for x, t in probes]
-    if any(not (-spec.b < x < spec.b and 0.0 < t < math.inf)
-           for x, t in probes):
-        raise ParameterError(
-            "probe must be interior with a positive finite time")
-
+    caps, probes = check_ladder(spec.b, caps, probes)
     fields = [make_field(spec.b, n, spec.u0.values, cap) for cap in caps]
     marched: Dict[float, List[SolveReport]] = {}
     studies: List[CapStudy] = []

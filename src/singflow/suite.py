@@ -9,14 +9,24 @@ and emits its summary as JSON.
 
 Each check is independent and returns (passed, detail); a check that fails
 or raises never aborts the run, so one report covers the whole suite.
+
+The checks share their fixtures: four preset problems are module constants,
+and the curvature(1) waves and the barrier family set are built on first use
+and kept for the process.  Every fixture is a pure function of fixed
+parameters, and no check writes to one, so sharing cannot change a result:
+a rerun reports the same bits.  The cache keeps no exception, so a fixture
+that fails to build fails each check that asks for it, each time.
+Preset contracts are checked by the model's own certificates.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
-from typing import Callable, Dict, List, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -25,16 +35,17 @@ from .barriers import (BarrierFunction, convex_envelope, h_tail,
                        sub_vL, super_family, super_mu, translate_wave,
                        verify_inequality)
 from .errors import InsufficientDataError, SingflowError
-from .model import (InitialDatum, ProblemSpec, initial_b1, initial_b2,
-                    initial_b3, make_problem, preset_curvature,
-                    preset_p_heat, psi, signed_power)
+from .model import (InitialDatum, ProblemSpec, certify_nonlinearity,
+                    certify_weight, initial_b1, initial_b2, initial_b3,
+                    make_problem, preset_curvature, preset_p_heat, psi,
+                    signed_power)
 from .regime import (EXISTS, EXISTS_UNIQUE, NEEDS_B2, NOT_EXISTS,
                      OUTSIDE_THEORY, WAVE_EXISTS_BOUNDED,
                      WAVE_EXISTS_UNBOUNDED, WAVE_NOT_EXISTS, classify,
                      classify_wave)
 from .solver import make_field, march_ordered, solve
-from .wave import (compute_wave, fit_boundary_rate, g_antiderivative,
-                   profile_residuals)
+from .wave import (WaveProfile, compute_wave, fit_boundary_rate,
+                   g_antiderivative, profile_residuals)
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +56,6 @@ ROUNDTRIP_TOL = 1.0e-12
 INVERSE_TOL = 1.0e-10
 SPEED_IDENTITY_TOL = 1.0e-10
 G_COMPOSE_TOL = 1.0e-8
-TAIL_RTOL = 0.05
 PLANTED_SPREAD_TOL = 1.0e-10
 UK_LIMIT_TOL = 1.0e-3
 
@@ -63,9 +73,24 @@ def _zero_datum() -> InitialDatum:
     return initial_b1(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
 
-def _spec(f, g, b: float = 1.0, u0: InitialDatum = None) -> ProblemSpec:
-    return ProblemSpec(b=b, f=f, g=g, u0=u0 if u0 is not None
-                       else _zero_datum())
+def _spec(f, g) -> ProblemSpec:
+    return ProblemSpec(b=1.0, f=f, g=g, u0=_zero_datum())
+
+
+# The preset problems the checks share, on (-1, 1) with zero data.
+_CURVATURE_1 = _spec(*preset_curvature(1.0))            # alpha = 2
+_CURVATURE_2_3 = _spec(*preset_curvature(2.0 / 3.0))    # alpha = 1.5, thr = 1
+_HEAT = _spec(*preset_p_heat(2.0, 1.0, 0.1))            # alpha = 0, beta = 1
+_HEAT_SLOW = _spec(*preset_p_heat(2.0, 0.5, 0.1))       # alpha = 0, beta = 0.5
+
+
+@functools.cache
+def _wave(n_grid: int) -> WaveProfile:
+    """The curvature(1) traveling wave on n_grid interior points, its
+    sample arrays read-only since every caller gets this one object."""
+    prof = compute_wave(_CURVATURE_1, n_grid=n_grid)
+    prof.x_grid.flags.writeable = prof.w_values.flags.writeable = False
+    return prof
 
 
 # ---------------------------------------------------------------------------
@@ -74,48 +99,30 @@ def _spec(f, g, b: float = 1.0, u0: InitialDatum = None) -> ProblemSpec:
 
 def check_nonlinearity_contracts() -> Tuple[bool, str]:
     worst = 0.0
+    ref = np.concatenate([-np.logspace(-3, 6, 200)[::-1], [0.0],
+                          np.logspace(-3, 6, 200)])[::25]
     for beta in (0.5, 1.0, 2.0):
         f = signed_power(beta)
-        s = np.concatenate([-np.logspace(-3, 6, 200)[::-1], [0.0],
-                            np.logspace(-3, 6, 200)])
-        vals = np.asarray(f.eval(s), dtype=float)
-        if not np.all(np.diff(vals) > 0.0):
-            return False, f"signed_power({beta}): not strictly increasing"
-        if abs(float(f.eval(0.0))) != 0.0:
-            return False, f"signed_power({beta}): f(0) != 0"
-        back = np.asarray([f.inverse(v) for v in vals[::25]], dtype=float)
-        ref = s[::25]
+        certify_nonlinearity(f)
+        vals = np.asarray(f.eval(ref), dtype=float)
+        back = np.asarray([f.inverse(v) for v in vals], dtype=float)
         err = np.max(np.abs(back - ref) / np.maximum(np.abs(ref), 1e-30))
         worst = max(worst, float(err))
         if err > INVERSE_TOL:
             return False, f"signed_power({beta}): inverse error {err:.2e}"
-        for sgn, cf in ((1.0, f.cf_plus), (-1.0, f.cf_minus)):
-            tail = float(f.eval(sgn * 1e8)) / (1e8 ** beta)
-            if abs(tail - sgn * cf) > TAIL_RTOL * abs(cf):
-                return False, f"signed_power({beta}): tail mismatch {tail}"
     return True, f"3 presets; worst inverse error {worst:.2e}"
 
 
 def check_weight_contracts() -> Tuple[bool, str]:
-    cases = [preset_p_heat(2.0, 1.0, 0.1)[1],
-             preset_p_heat(3.0, 1.0, 0.5)[1],
-             preset_curvature(1.0)[1],
-             preset_curvature(2.0 / 3.0)[1]]
+    cases = (_HEAT.g, preset_p_heat(3.0, 1.0, 0.5)[1], _CURVATURE_1.g,
+             _CURVATURE_2_3.g)
     for g in cases:
-        s = np.concatenate([-np.logspace(-2, 8, 300)[::-1], [0.0],
-                            np.logspace(-2, 8, 300)])
-        vals = np.asarray(g.eval(s), dtype=float)
-        if not np.all(vals > 0.0):
-            return False, f"{g.kind}: weight not positive"
-        for sgn, cg in ((1.0, g.cg_plus), (-1.0, g.cg_minus)):
-            tail = float(g.eval(sgn * 1e8)) * 1e8 ** g.alpha
-            if abs(tail - cg) > TAIL_RTOL * abs(cg):
-                return False, f"{g.kind}: tail limit {tail} vs {cg}"
+        certify_weight(g)
     return True, f"{len(cases)} preset weights positive with declared tails"
 
 
 def check_datum_certificates() -> Tuple[bool, str]:
-    f, g = preset_curvature(1.0)
+    f, g = _CURVATURE_1.f, _CURVATURE_1.g
     make_problem(1.0, f, g, initial_b1(lambda x: np.cos(x)))
     make_problem(1.0, f, g, initial_b2(
         lambda x: 1.0 / ((1.0 - x) * (1.0 + x)), gamma=1.0))
@@ -150,27 +157,24 @@ def check_classifier_branches() -> Tuple[bool, str]:
     dipping = initial_b1(lambda x: np.where(
         1.0 - np.abs(np.asarray(x, dtype=float)) < 1e-8, -np.inf, 0.0))
 
-    f_cur, g_cur = preset_curvature(1.0)          # alpha = 2
-    f_slow, g_slow = preset_curvature(2.0)        # alpha = 2.5
-    f_mid, g_mid = preset_curvature(2.0 / 3.0)    # alpha = 1.5, thr = 1
-    f_crit, g_crit = preset_curvature(0.5)        # alpha = 1
-    f_heat, g_heat = preset_p_heat(2.0, 1.0, 0.1)      # alpha = 0, beta = 1
-    f_slow0, g_slow0 = preset_p_heat(2.0, 0.5, 0.1)    # alpha = 0, beta = 0.5
+    slow = _spec(*preset_curvature(2.0))        # alpha = 2.5
+    crit = _spec(*preset_curvature(0.5))        # alpha = 1
 
     expected = [
-        (_spec(f_slow, g_slow, u0=b3_steep), EXISTS_UNIQUE),
-        (_spec(f_slow, g_slow, u0=b2), EXISTS),
-        (_spec(f_slow, g_slow, u0=flat), NEEDS_B2),
-        (_spec(f_mid, g_mid, u0=b3_steep), EXISTS_UNIQUE),
-        (_spec(f_mid, g_mid, u0=b3_flat), EXISTS),
-        (_spec(f_cur, g_cur, u0=flat), EXISTS),
-        (_spec(f_crit, g_crit, u0=flat), EXISTS),
-        (_spec(f_heat, g_heat, u0=flat), NOT_EXISTS),
-        (_spec(f_heat, g_heat, u0=dipping), OUTSIDE_THEORY),
-        (_spec(f_slow0, g_slow0, u0=flat), EXISTS),
+        (slow, b3_steep, EXISTS_UNIQUE),
+        (slow, b2, EXISTS),
+        (slow, flat, NEEDS_B2),
+        (_CURVATURE_2_3, b3_steep, EXISTS_UNIQUE),
+        (_CURVATURE_2_3, b3_flat, EXISTS),
+        (_CURVATURE_1, flat, EXISTS),
+        (crit, flat, EXISTS),
+        (_HEAT, flat, NOT_EXISTS),
+        (_HEAT, dipping, OUTSIDE_THEORY),
+        (_HEAT_SLOW, flat, EXISTS),
     ]
     seen = set()
-    for spec, want in expected:
+    for base, u0, want in expected:
+        spec = replace(base, u0=u0)
         got = classify(spec).verdict
         if got != want:
             return False, (f"alpha={spec.g.alpha:g} {spec.u0.klass}: "
@@ -181,9 +185,8 @@ def check_classifier_branches() -> Tuple[bool, str]:
     if missing:
         return False, f"branches never produced: {sorted(missing)}"
 
-    wave_got = (classify_wave(_spec(f_slow, g_slow)),
-                classify_wave(_spec(f_mid, g_mid)),
-                classify_wave(_spec(f_crit, g_crit)))
+    wave_got = (classify_wave(slow), classify_wave(_CURVATURE_2_3),
+                classify_wave(crit))
     wave_want = (WAVE_EXISTS_BOUNDED, WAVE_EXISTS_UNBOUNDED, WAVE_NOT_EXISTS)
     if wave_got != wave_want:
         return False, f"wave trichotomy {wave_got} != {wave_want}"
@@ -192,7 +195,7 @@ def check_classifier_branches() -> Tuple[bool, str]:
     fb = type(fb)(eval=fb.eval, inverse=fb.inverse, beta=None, cf_plus=None,
                   cf_minus=None, kind="custom")
     try:
-        classify(_spec(fb, g_heat, u0=flat))
+        classify(replace(_HEAT, f=fb))
     except InsufficientDataError:
         pass
     else:
@@ -201,11 +204,9 @@ def check_classifier_branches() -> Tuple[bool, str]:
 
 
 def check_classifier_purity() -> Tuple[bool, str]:
-    f, g = preset_p_heat(2.0, 1.0, 0.1)
-    spec = _spec(f, g)
-    first = classify(spec)
+    first = classify(_HEAT)
     for _ in range(5):
-        again = classify(spec)
+        again = classify(_HEAT)
         if (again.verdict, again.theorem) != (first.verdict, first.theorem):
             return False, "classifier verdict changed between calls"
     return True, f"verdict stable: {first.verdict}"
@@ -216,10 +217,8 @@ def check_classifier_purity() -> Tuple[bool, str]:
 
 
 def check_wave_speed_identity() -> Tuple[bool, str]:
-    f, g = preset_curvature(1.0)
-    spec = _spec(f, g)
-    prof = compute_wave(spec)
-    lhs = 2.0 * spec.b * prof.f_inv_c
+    prof = _wave(512)
+    lhs = 2.0 * _CURVATURE_1.b * prof.f_inv_c
     err = abs(lhs - prof.g_total) / abs(prof.g_total)
     if err > SPEED_IDENTITY_TOL:
         return False, f"2b f^-1(c) vs G(inf): relative gap {err:.2e}"
@@ -227,12 +226,10 @@ def check_wave_speed_identity() -> Tuple[bool, str]:
 
 
 def check_wave_inverse_consistency() -> Tuple[bool, str]:
-    f, g = preset_curvature(1.0)
-    spec = _spec(f, g)
-    prof = compute_wave(spec)
+    spec, prof = _CURVATURE_1, _wave(512)
     xs = prof.x_grid[(np.abs(prof.x_grid) < spec.b * (1.0 - 2.0 ** -20))]
     slopes = prof.wx(xs)
-    lhs = g_antiderivative(g, slopes)
+    lhs = g_antiderivative(spec.g, slopes)
     rhs = (xs + spec.b) * prof.f_inv_c
     err = float(np.max(np.abs(lhs - rhs))) / prof.g_total
     if err > G_COMPOSE_TOL:
@@ -241,11 +238,10 @@ def check_wave_inverse_consistency() -> Tuple[bool, str]:
 
 
 def check_wave_residual_refinement() -> Tuple[bool, str]:
-    f, g = preset_curvature(1.0)
-    spec = _spec(f, g)
+    spec = _CURVATURE_1
     worst = []
     for n in (512, 1024):
-        prof = compute_wave(spec, n_grid=n)
+        prof = _wave(n)
         xs = prof.x_grid[np.minimum(spec.b - prof.x_grid,
                                     spec.b + prof.x_grid) > spec.b * 2e-8]
         res = profile_residuals(prof, spec, xs)
@@ -257,9 +253,8 @@ def check_wave_residual_refinement() -> Tuple[bool, str]:
 
 def check_wave_divergence() -> Tuple[bool, str]:
     edges = []
-    for beta2 in (2.0 / 3.0, 1.0):
-        f, g = preset_curvature(beta2)
-        prof = compute_wave(_spec(f, g))
+    for g, prof in ((_CURVATURE_2_3.g, compute_wave(_CURVATURE_2_3)),
+                    (_CURVATURE_1.g, _wave(512))):
         tail_r = prof.w_values[-5:]
         tail_l = prof.w_values[:5]
         if (np.any(np.diff(tail_r) <= 0.0)
@@ -278,43 +273,30 @@ def check_wave_divergence() -> Tuple[bool, str]:
 # barriers
 
 
-def _family_instances() -> List[Tuple[str, BarrierFunction, ProblemSpec,
-                                      str, Tuple[float, float]]]:
-    """(label, barrier, spec, side, t_window) per family.
+@functools.cache
+def _family_instances() -> Dict[str, Tuple[BarrierFunction, ProblemSpec,
+                                           str, Tuple[float, float]]]:
+    """label -> (barrier, spec, side, t_window) per family.
 
     Parameters are deliberately gentle (small k, small L): the derivative
     check needs feature lengths well above the fixed 1e-5 step, and formula
     correctness does not depend on the parameter size.  The steep acceptance
     parameters are exercised separately through verify_inequality.
     """
-    out = []
-
-    f_cur, g_cur = preset_curvature(1.0)
-    spec_cur = _spec(f_cur, g_cur)
-    out.append(("h_tail", h_tail(1.0, 1.0, 1.0, 1.0, 1.0, 0.5), spec_cur,
-                "sub", (0.0, 1.0)))
-    out.append(("sub_uk", sub_uk(spec_cur, 5.0), spec_cur, "sub",
-                (0.0, 1.0)))
-
-    f_h, g_h = preset_p_heat(2.0, 1.0, 0.1)
-    spec_h = _spec(f_h, g_h)
-    out.append(("sub_vL", sub_vL(spec_h, 8.0), spec_h, "sub_strict(1)",
-                (0.0, 1.0)))
-
-    f_s, g_s = preset_p_heat(2.0, 0.5, 0.1)
-    spec_s = _spec(f_s, g_s)
-    sup = super_family(spec_s, None, 3.0, 1.0e4)
-    out.append(("super_family", sup, spec_s, "super_strict(1)",
-                (0.0, 0.9 * sup.params["T"])))
-
+    cur, whole = _CURVATURE_1, (0.0, 1.0)
+    sup = super_family(_HEAT_SLOW, None, 3.0, 1.0e4)
     grid = np.linspace(-1.0, 1.0, 41)
-    env = convex_envelope(grid, grid ** 2 + 0.1 * np.abs(grid))
-    out.append(("convex_envelope", env, spec_cur, "sub", (0.0, 1.0)))
-
-    prof = compute_wave(spec_cur)
-    out.append(("translate_wave", translate_wave(prof, spec_cur), spec_cur,
-                "sub", (0.0, 1.0)))
-    return out
+    return {
+        "h_tail": (h_tail(1.0, 1.0, 1.0, 1.0, 1.0, 0.5), cur, "sub", whole),
+        "sub_uk": (sub_uk(cur, 5.0), cur, "sub", whole),
+        "sub_vL": (sub_vL(_HEAT, 8.0), _HEAT, "sub_strict(1)", whole),
+        "super_family": (sup, _HEAT_SLOW, "super_strict(1)",
+                         (0.0, 0.9 * sup.params["T"])),
+        "convex_envelope": (convex_envelope(
+            grid, grid ** 2 + 0.1 * np.abs(grid)), cur, "sub", whole),
+        "translate_wave": (translate_wave(_wave(512), cur), cur, "sub",
+                           whole),
+    }
 
 
 def _fd_worst(bf: BarrierFunction, spec: ProblemSpec,
@@ -363,7 +345,7 @@ def check_barrier_derivatives() -> Tuple[bool, str]:
     rng = np.random.default_rng(SUITE_SEED)
     report = []
     ok = True
-    for label, bf, spec, _side, t_window in _family_instances():
+    for label, (bf, spec, _side, t_window) in _family_instances().items():
         dev = _fd_worst(bf, spec, t_window, rng)
         report.append(f"{label} {dev:.1e}")
         ok = ok and dev <= DERIV_RTOL
@@ -373,7 +355,7 @@ def check_barrier_derivatives() -> Tuple[bool, str]:
 def check_barrier_inequalities() -> Tuple[bool, str]:
     parts = []
     ok = True
-    for label, bf, spec, side, t_window in _family_instances():
+    for label, (bf, spec, side, t_window) in _family_instances().items():
         rep = verify_inequality(bf, spec, side, 2000, t_window=t_window,
                                 seed=SUITE_SEED)
         kinks_ok = all(entry["pass"] for entry in rep["kink_checks"])
@@ -384,10 +366,8 @@ def check_barrier_inequalities() -> Tuple[bool, str]:
 
 
 def check_super_trajectory() -> Tuple[bool, str]:
-    f, g = preset_p_heat(2.0, 0.5, 0.1)
-    spec = _spec(f, g)
-    alpha, beta = g.alpha, f.beta
-    bf = super_family(spec, None, 3.0, 1.0e4)
+    bf, spec = _family_instances()["super_family"][:2]
+    alpha, beta = spec.g.alpha, spec.f.beta
     p = bf.params
     ts = np.linspace(0.0, p["T"], 200)
     ls = np.array([p["L"](t) for t in ts])
@@ -411,8 +391,7 @@ def check_super_trajectory() -> Tuple[bool, str]:
 
 
 def check_uk_limits() -> Tuple[bool, str]:
-    f, g = preset_curvature(1.0)
-    spec = _spec(f, g)
+    spec = _CURVATURE_1
     b = spec.b
     xs = np.linspace(-0.95 * b, 0.95 * b, 201)
     bf = sub_uk(spec, 1.0e4)
@@ -426,10 +405,8 @@ def check_uk_limits() -> Tuple[bool, str]:
     # swamps the barrier's inner length scale e^(-E(t)) as k grows, which
     # makes near-wall probes look non-monotone even though the wall trace
     # itself is monotone in k.
-    edge = []
-    for k in (1.0e2, 1.0e3, 1.0e4):
-        bfk = sub_uk(spec, k)
-        edge.append(float(bfk.eval(np.array([b]), 1.0)[0]))
+    edge = [float(bfk.eval(np.array([b]), 1.0)[0])
+            for bfk in (sub_uk(spec, 1.0e2), sub_uk(spec, 1.0e3), bf)]
     if not (edge[0] < edge[1] < edge[2]):
         return False, f"wall values not increasing in k: {edge}"
 
@@ -441,16 +418,15 @@ def check_uk_limits() -> Tuple[bool, str]:
 
 
 def check_vl_properties() -> Tuple[bool, str]:
-    f, g = preset_p_heat(2.0, 1.0, 0.1)
-    spec = _spec(f, g)
+    spec = _HEAT
     xs = np.linspace(-0.99, 0.99, 101)
     bf = sub_vL(spec, 50.0)
     slice0 = np.asarray(bf.eval(xs, 0.0), dtype=float)
     if float(np.max(np.abs(slice0 - 1.0))) > 0.0:
         return False, "initial slice is not identically 1"
 
-    interior = [float(sub_vL(spec, L).eval(np.array([0.5]), 2.0)[0])
-                for L in (50.0, 100.0, 200.0)]
+    interior = [float(bfl.eval(np.array([0.5]), 2.0)[0])
+                for bfl in (bf, sub_vL(spec, 100.0), sub_vL(spec, 200.0))]
     if not (interior[0] < interior[1] < interior[2]):
         return False, f"interior values not growing in L: {interior}"
 
@@ -469,10 +445,9 @@ def check_vl_properties() -> Tuple[bool, str]:
 
 
 def check_solver_max_principle() -> Tuple[bool, str]:
-    f, g = preset_p_heat(2.0, 1.0, 0.1)
     rng = np.random.default_rng(SUITE_SEED)
     bumps = rng.random(200) * 2.0
-    spec = _spec(f, g, u0=initial_b1(lambda x: np.interp(
+    spec = replace(_HEAT, u0=initial_b1(lambda x: np.interp(
         x, np.linspace(-1.0, 1.0, 200), bumps)))
     rep = solve(spec, n=200, cap=5.0, t_end=0.02)
     top = float(np.max(rep.final.values))
@@ -483,8 +458,6 @@ def check_solver_max_principle() -> Tuple[bool, str]:
 
 
 def check_solver_comparison() -> Tuple[bool, str]:
-    f, g = preset_curvature(1.0)
-    spec = _spec(f, g)
     rng = np.random.default_rng(SUITE_SEED + 1)
     n = 120
     lows, highs = [], []
@@ -493,7 +466,7 @@ def check_solver_comparison() -> Tuple[bool, str]:
         gap = 0.05 + rng.random(n) * 0.1
         lows.append(make_field(1.0, n, base, cap=4.0))
         highs.append(make_field(1.0, n, np.minimum(base + gap, 4.0), cap=4.0))
-    lows, highs, excess = march_ordered(spec, lows, highs, 4.0e-3)
+    lows, highs, excess = march_ordered(_CURVATURE_1, lows, highs, 4.0e-3)
     if excess.max() > 0.0:
         return False, f"ordering violated by {excess.max():.3e}"
     worst = min(float(np.min(hi.values - lo.values))
@@ -506,7 +479,7 @@ def check_solver_comparison() -> Tuple[bool, str]:
 
 
 def check_residual_monotonicity() -> Tuple[bool, str]:
-    f, g = preset_curvature(1.0)
+    f, g = _CURVATURE_1.f, _CURVATURE_1.g
     rng = np.random.default_rng(SUITE_SEED + 2)
     dx = rng.standard_normal(500) * 3.0
     dt = rng.standard_normal(500)

@@ -499,13 +499,12 @@ def test_barrier_with_a_bad_margin_exits_1_without_traceback(tmp_path,
 
 
 def test_a_run_that_raises_writes_nothing(tmp_path, capsys):
-    """capstudy refuses decreasing caps only once it runs; the output
-    directory is made after the runner returns, so none is left."""
+    """A wave on p_heat (alpha = 0) is refused only once it runs; the
+    output directory is made after the runner returns, so none is left."""
     out = tmp_path / "out"
-    assert main(["capstudy", "--preset", "curvature", "--param", "beta2=1",
-                 "--n", "50", "--caps", "4,2", "--probe", "0,0.01",
-                 "--out", str(out)]) == 1
-    assert "caps must be strictly increasing" in capsys.readouterr().err
+    assert main(["wave", "--preset", "p_heat", "--param", "p=2", "--param",
+                 "beta1=1", "--param", "eps=0.1", "--out", str(out)]) == 1
+    assert "the weight integral diverges" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -588,6 +587,43 @@ def test_console_script_entry_point(tmp_path):
                    "--param", "beta2=1", "--out", str(tmp_path / "o"))
     assert proc.returncode == 0, proc.stderr
     assert "classify" in proc.stdout
+
+
+_SUITE_WORK = """
+import json
+from singflow import suite, wave
+counts = {"compute_wave": 0, "wave_tables": 0, "super_family": 0,
+          "family_sets": 0}
+
+def counted(name, fn):
+    def call(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return call
+
+suite.compute_wave = counted("compute_wave", suite.compute_wave)
+suite.super_family = counted("super_family", suite.super_family)
+suite.convex_envelope = counted("family_sets", suite.convex_envelope)
+table = wave._TailCorrectedG
+table._build_tables = counted("wave_tables", table._build_tables)
+first = suite.run_suite()
+work = dict(counts)
+print(json.dumps({"work": work, "pass": first["pass"],
+                  "rerun_equal": suite.run_suite() == first}))
+"""
+
+
+def test_verify_builds_each_fixture_once():
+    """One run_suite in a fresh interpreter computes three waves
+    (curvature(1) at n_grid 512 and 1024, curvature(2/3)) on two wave
+    tables, and builds the barrier family set, super_family included, once;
+    a second run reports the same."""
+    proc = _python("-c", _SUITE_WORK)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["work"] == {"compute_wave": 3, "wave_tables": 2,
+                           "super_family": 1, "family_sets": 1}
+    assert out["pass"] and out["rerun_equal"]
 
 
 _BARRIER_SESSION = """
@@ -1011,7 +1047,7 @@ _CAPSTUDY_ARGV = ["capstudy", "--preset", "curvature", "--param", "beta2=1",
 
 @pytest.mark.parametrize("flags,key,value", [
     (["--caps", "2,4", "--probe", "-0.5,0.01"], "probes", [(-0.5, 0.01)]),
-    (["--caps", "-4,-2", "--probe", "0,0.01"], "caps", [-4.0, -2.0]),
+    (["--caps", "-0,2", "--probe", "0,0.01"], "caps", [-0.0, 2.0]),
     (["--caps", "2,4", "--probe", "-0.5", "--t-end", "0.01"], "probes",
      [(-0.5, 0.01)]),
 ])
@@ -1027,18 +1063,72 @@ def test_snapshot_past_t_end_exits_1(tmp_path, capsys):
     assert "snapshot times must lie in [0, t_end" in capsys.readouterr().err
 
 
+# Rules of make_field, solve and cap_studies that the schema reads at load
+# time: (experiment, scenario fields, the same as flags, the key whose line
+# the refusal names, message).
+_SOLVER_RULES = {
+    "caps-decreasing": (
+        "capstudy", {"caps": [4.0, 2.0], "probes": [[0.0, 0.01]]},
+        ["--caps", "4,2", "--probe", "0,0.01"], "caps",
+        "caps must be strictly increasing"),
+    "caps-negative": (
+        "capstudy", {"caps": [-1.0, 2.0], "probes": [[0.0, 0.01]]},
+        ["--caps=-1,2", "--probe", "0,0.01"], "caps",
+        "cap must be finite and nonnegative, got -1.0"),
+    "probe-outside": (
+        "capstudy", {"caps": [2.0, 4.0], "probes": [[3.0, 0.01]]},
+        ["--caps", "2,4", "--probe", "3,0.01"], "probes",
+        "probe must be interior with a positive finite time"),
+    "probe-at-time-0": (
+        "capstudy", {"caps": [2.0, 4.0], "probe": [0.0, 0.0]},
+        ["--caps", "2,4", "--probe", "0,0"], "probe",
+        "probe must be interior with a positive finite time"),
+    "cap-negative": (
+        "solve", {"cap": -1.0, "t_end": 0.01},
+        ["--cap=-1", "--t-end", "0.01"], "cap",
+        "cap must be finite and nonnegative, got -1.0"),
+    "snapshot-past-t_end": (
+        "solve", {"cap": 1.0, "t_end": 0.01, "snapshot_times": [0.02]},
+        ["--cap", "1", "--t-end", "0.01", "--snapshots", "0.02"],
+        "snapshot_times", "snapshot times must lie in [0, t_end = 0.01]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SOLVER_RULES))
+def test_solver_rules_are_refused_at_load_time(tmp_path, capsys,
+                                               monkeypatch, case):
+    """The schema checks caps, probes, a cap and snapshot times with the
+    solver's own rules: the refusal names its line, nothing runs and no
+    output directory is made."""
+    experiment, fields, flags, anchor, message = _SOLVER_RULES[case]
+    monkeypatch.setattr(cli, "solve", _no_run)
+    monkeypatch.setattr(cli, "cap_studies", _no_run)
+    out = tmp_path / "out"
+    assert main([experiment, "--preset", "curvature", "--param", "beta2=1",
+                 "--n", "50", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"<inline>:1: {message}\n"
+    path = _scenario(tmp_path, dict(_CURV, name="r", experiment=experiment,
+                                    n=50, output_dir=str(out), **fields))
+    assert main([experiment, "--scenario", str(path)]) == 1
+    (line,) = _lines_of(path.read_text(), anchor)
+    assert capsys.readouterr().err == f"{path}:{line}: {message}\n"
+    assert not out.exists()
+
+
 def test_dash_leading_solve_values(monkeypatch, capsys):
     base = ["solve", "--preset", "curvature", "--param", "beta2=1", "--n",
             "50", "--t-end", "0.01"]
-    scn = _validated_inline(monkeypatch, [*base, "--cap", "-3",
-                                          "--cap-minus", "-5e-1",
-                                          "--snapshots", "-0.5,0.01"])
-    assert (scn["cap"], scn["cap_minus"]) == (-3.0, -0.5)
-    assert scn["snapshot_times"] == [-0.5, 0.01]
-    # A non-finite value now reaches the schema, which refuses it.
-    assert _validated_inline(monkeypatch, [*base, "--cap", "-inf"]) == 1
-    assert "<inline>:1: 'cap' must be a finite number" \
-        in capsys.readouterr().err
+    scn = _validated_inline(monkeypatch, [*base, "--cap", "3",
+                                          "--cap-minus", "-5e-1"])
+    assert (scn["cap"], scn["cap_minus"]) == (3.0, -0.5)
+    # A negative or non-finite value reaches the schema, which refuses it.
+    for flags, message in (
+            (["--cap", "-inf"], "'cap' must be a finite number"),
+            (["--cap", "-3"], "cap must be finite and nonnegative"),
+            (["--cap", "3", "--snapshots", "-0.5,0.01"],
+             "snapshot times must lie in [0, t_end = 0.01]")):
+        assert _validated_inline(monkeypatch, [*base, *flags]) == 1
+        assert f"<inline>:1: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t_end", [0.1, "abc"])

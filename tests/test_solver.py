@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -103,6 +105,34 @@ def test_max_principle_and_no_violations():
     assert report.comparison_violations == 0
     assert not report.diverged
     assert float(np.max(report.final.values)) <= 5.0 + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(1.0, 2.0), eps=st.floats(0.05, 1.0),
+       n=st.integers(10, 60), cap=st.floats(1.0, 20.0),
+       t_end=st.floats(1e-6, 5e-3), gap=st.floats(0.05, 0.25),
+       data=st.data())
+def test_max_principle_and_order_hold_on_p_heat(beta, eps, n, cap, t_end,
+                                                 gap, data):
+    """p_heat(2, beta, eps) has a constant g and, for beta >= 1, a convex
+    f, so the explicit step is monotone at its CFL step: bounded data stay
+    within their bounds (the walls hold the cap) and ordered pairs stay
+    ordered."""
+    values = cap * np.array(data.draw(st.lists(
+        st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    nodes = make_field(1.0, n, values, cap).nodes
+    spec = make_problem(1.0, *preset_p_heat(2.0, beta, eps), initial_b1(
+        lambda x: np.interp(x, nodes, values)))
+    report = solve(spec, n, cap, t_end)
+    bound = max(cap, float(np.max(values)))
+    tol = 1e-9 * max(1.0, bound)
+    assert report.comparison_violations == 0
+    assert float(np.max(report.final.values)) <= bound + tol
+    assert float(np.min(report.final.values)) >= float(np.min(values)) - tol
+    _, _, excess = march_ordered(spec, [make_field(1.0, n, values, cap)],
+                                 [make_field(1.0, n, values + gap, cap)],
+                                 t_end)
+    assert excess.max() <= 0.0
 
 
 @pytest.mark.parametrize("fg", [preset_curvature(0.6), preset_curvature(1.0),

@@ -196,3 +196,28 @@ def test_run_suite_survives_a_raising_check(monkeypatch):
     assert [c["pass"] for c in summary["checks"]] == [False, True]
     assert "ZeroDivisionError" in summary["checks"][0]["detail"]
     assert summary["n_failed"] == 1 and not summary["pass"]
+
+
+def test_a_fixture_that_fails_fails_each_check_that_uses_it(monkeypatch):
+    """The suite's fixture cache keeps no exception: each check that asks
+    for the barrier family set builds it again, fails, and the run goes
+    on."""
+    from singflow import suite
+
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(suite, "super_family", broken)
+    monkeypatch.setattr(suite, "CHECKS", tuple(
+        (name, fn) for name, fn in suite.CHECKS
+        if name in ("barrier_derivative_consistency", "super_trajectory",
+                    "rate_fit_recovery")))
+    suite._family_instances.cache_clear()
+    summary = suite.run_suite()
+    assert [c["pass"] for c in summary["checks"]] == [False, False, True]
+    assert all("ZeroDivisionError" in c["detail"]
+               for c in summary["checks"][:2])
+    assert len(calls) == 2
