@@ -64,7 +64,7 @@ import numpy as np
 
 from ._scalar import root
 from .errors import HorizonError, ParameterError, RegimeError
-from .model import DiffusionWeight, Nonlinearity, ProblemSpec
+from .model import DiffusionWeight, Nonlinearity, ProblemSpec, check_finite
 from .wave import WaveProfile, _gl_partial
 
 log = logging.getLogger(__name__)
@@ -291,6 +291,8 @@ def h_tail(b: float, gamma_plus: float, gamma_minus: float, d_plus: float,
     curvature at both junctions, so the result is twice continuously
     differentiable on the whole open interval.
     """
+    check_finite("h_tail", b=b, gamma_plus=gamma_plus, gamma_minus=gamma_minus,
+                 d_plus=d_plus, d_minus=d_minus, b0=b0)
     if not 0.0 < b0 < b:
         raise ParameterError(f"need 0 < b0 < b, got b0 = {b0}, b = {b}")
     if gamma_plus < 0.0 or gamma_minus < 0.0:
@@ -358,6 +360,7 @@ def sub_uk(spec: ProblemSpec, k: float) -> BarrierFunction:
     forces infinite boundary data in the limit.  Kinks at +-x(k, t) are
     convex, with the arc and layer slopes both equal to k at time zero.
     """
+    check_finite("sub_uk", k=k)
     if k <= 0.0:
         raise ParameterError(f"k must be positive, got {k}")
     alpha = spec.g.alpha
@@ -480,6 +483,7 @@ def sub_vL(spec: ProblemSpec, L: float) -> BarrierFunction:
     barrier is stationary.  c_L grows like L^(2 beta - alpha beta - 1), so
     interior values blow up along L -> infinity.
     """
+    check_finite("sub_vL", L=L)
     alpha = spec.g.alpha
     beta = _growth_rate(spec)
     if alpha >= 1.0 or beta < 1.0 / (1.0 - alpha):
@@ -588,6 +592,7 @@ def super_family(spec: ProblemSpec, v0, L0: float, nu: float
     f(2 g(v_x) v_xx) with a factor-2 margin.  ``params`` holds mu, L0, nu,
     c, T, the exponent trajectory L (callable on [0, T]) and C4.
     """
+    check_finite("super_family", L0=L0)
     alpha = spec.g.alpha
     beta = _growth_rate(spec)
     if not (alpha == 1.0 or (alpha < 1.0 and beta < 1.0 / (1.0 - alpha))):
@@ -822,6 +827,8 @@ def convex_envelope(x, values) -> BarrierFunction:
     vals = np.asarray(values, dtype=float)
     if xs.ndim != 1 or xs.shape != vals.shape or xs.size < 2:
         raise ParameterError("need matching 1-d arrays with >= 2 points")
+    if not np.all(np.isfinite(xs)):
+        raise ParameterError("sample abscissae must be finite")
     if np.any(np.diff(xs) <= 0.0):
         raise ParameterError("sample abscissae must be strictly increasing")
     if not np.all(np.isfinite(vals)):

@@ -47,6 +47,14 @@ _SAMPLE_GRID = np.concatenate([
 ])
 
 
+def check_finite(what: str, **params: float) -> None:
+    """Raise ParameterError naming the first of ``params`` that is nan or
+    +-inf; ``what`` names the construction."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{what} needs a finite {name}, got {value}")
+
+
 def psi(gamma: float, s):
     """Boundary profile psi_gamma: s^(-gamma) for gamma > 0, -log(s) at gamma = 0.
 
@@ -180,6 +188,7 @@ def _check_tail(fn, exponent: float, c_plus: float, c_minus: float,
 
 def signed_power(beta: float) -> Nonlinearity:
     """The odd power f(s) = |s|^(beta-1) s, with closed-form inverse."""
+    check_finite("signed_power", beta=beta)
     if beta <= 0.0:
         raise ParameterError(f"signed_power needs beta > 0, got {beta}")
 
@@ -308,6 +317,7 @@ def preset_p_heat(p: float, beta1: float, eps: float):
     -------
     (Nonlinearity, DiffusionWeight)
     """
+    check_finite("p-heat preset", p=p, beta1=beta1, eps=eps)
     if p < 2.0:
         raise ParameterError(f"p-heat preset needs p >= 2, got {p}")
     if beta1 <= 0.0:
@@ -337,6 +347,7 @@ def preset_curvature(beta2: float):
     -------
     (Nonlinearity, DiffusionWeight)
     """
+    check_finite("curvature preset", beta2=beta2)
     if beta2 <= 0.0:
         raise ParameterError(f"curvature preset needs beta2 > 0, got {beta2}")
     expo = (1.0 - 3.0 * beta2) / (2.0 * beta2)

@@ -134,7 +134,7 @@ def check_cap(cap: float) -> None:
 def make_field(b: float, n: int, values, cap: float,
                cap_minus: Optional[float] = None,
                time: float = 0.0) -> GridField:
-    """Build a GridField from an array or a callable on the nodes.
+    """The one GridField constructor: values or a callable on the nodes.
 
     Values above the cap are clamped to it, the finite stand-in for data
     diverging at the walls.
@@ -147,20 +147,19 @@ def make_field(b: float, n: int, values, cap: float,
     check_cap(cap)
     if cap_minus is not None and not math.isfinite(cap_minus):
         raise ParameterError(f"cap_minus must be finite, got {cap_minus}")
-    dx = 2.0 * b / (n + 1)
-    if not math.isfinite(dx * dx):
-        raise ParameterError(f"grid step dx = {dx:g} (half-width {b:g}, "
+    grid = GridField(b=b, n=n, values=values, cap=cap, time=time,
+                     cap_minus=cap_minus)
+    if not math.isfinite(grid.dx * grid.dx):
+        raise ParameterError(f"grid step dx = {grid.dx:g} (half-width {b:g}, "
                              f"{n} nodes) has no finite square")
-    nodes = -b + dx * np.arange(1, n + 1)
-    vals = np.asarray(values(nodes) if callable(values) else values,
+    vals = np.asarray(values(grid.nodes) if callable(values) else values,
                       dtype=float).copy()
     if vals.shape != (n,):
         raise ParameterError(f"values must have shape ({n},), got {vals.shape}")
     if not np.all(np.isfinite(np.minimum(vals, cap))):
         raise ParameterError("initial values are not finite below the cap")
     np.minimum(vals, cap, out=vals)
-    return GridField(b=b, n=n, values=vals, cap=cap, time=time,
-                     cap_minus=cap_minus)
+    return replace(grid, values=vals)
 
 
 def _padded(fields: Sequence[GridField]) -> np.ndarray:
@@ -249,6 +248,9 @@ def step(field: GridField, spec: ProblemSpec, dt: float) -> GridField:
         raise SolverOverflowError(
             f"non-finite value at node {node} (x = {field.nodes[node]:.6g}) "
             f"at t = {field.time + dt:.6g}", node=node, time=field.time + dt)
+    if math.isnan(limit[0]):   # f returned non-finite values on the secants
+        raise StepSizeError(f"the stability limit is nan at t = "
+                            f"{field.time:.6g}; no step is admissible")
     return replace(field, values=new, time=field.time + dt)
 
 
@@ -317,7 +319,7 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
     """
     if not fields:
         return []
-    b, n, dx = fields[0].b, fields[0].n, fields[0].dx
+    n, dx = fields[0].n, fields[0].dx
     wanted = sorted(map(float, snapshot_times or ()))
     # Requested times per stop; times 0.0 are snapshotted at the start.
     groups: List[List[float]] = []
@@ -335,9 +337,8 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
     def retire(k: int, values: np.ndarray, time: float, n_steps: int,
                blowup_time: Optional[float]) -> None:
         """Copy batch row k out as a report."""
-        src = fields[row[k]]
-        final = GridField(b=b, n=n, values=values.copy(), cap=src.cap,
-                          time=float(time), cap_minus=src.cap_minus)
+        final = replace(fields[row[k]], values=values.copy(),
+                        time=float(time))
         reports[row[k]] = SolveReport(
             final=final,
             dt_history={
@@ -367,11 +368,9 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
     # step writes only the interior of the idle buffer.
     u = _padded(fields)
     time = np.array([fld.time for fld in fields])
-    bounds = [max(fld.cap, fld.ghost_left, float(np.max(fld.values)))
-              for fld in fields]
-    tol = np.array([bd + 1e-9 * max(1.0, abs(bd)) for bd in bounds])
-    # A block commits only if no value passes this: no violation, no blow-up.
-    ceiling = np.minimum(tol, BLOWUP_VALUE)
+    # Each row's maximum-principle bound: its largest value, ghosts included.
+    bound = u.max(axis=1)
+    tol = bound + 1e-9 * np.maximum(1.0, np.abs(bound))
     blowup = BLOWUP_VALUE if excess is None else math.inf
     dt_min = np.full(len(fields), math.inf)
     dt_max = np.zeros(len(fields))
@@ -394,10 +393,10 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
     while not gone.all():
         if gone.any():
             keep = ~gone
-            (row, u, time, tol, ceiling, dt_min, dt_max, violations, nxt,
-             last, gone) = (arr[keep] for arr in (
-                 row, u, time, tol, ceiling, dt_min, dt_max, violations, nxt,
-                 last, gone))
+            (row, u, time, tol, dt_min, dt_max, violations, nxt, last,
+             gone) = (arr[keep] for arr in (
+                 row, u, time, tol, dt_min, dt_max, violations, nxt, last,
+                 gone))
         stop, mark = stops[nxt], marks[nxt]
         if shape != u.shape:
             # Per batch shape, never per block: large temporaries are mapped
@@ -434,7 +433,8 @@ def _march(spec: ProblemSpec, fields: Sequence[GridField], t_end: float,
             # min carry nan, so end-of-block checks cover every step.
             if (not errors and (time < mark).all()
                     and block.min() >= DT_FLOOR
-                    and (np.maximum.reduce(peak, axis=1) <= ceiling).all()
+                    and (np.maximum.reduce(peak, axis=1)
+                         <= np.minimum(tol, BLOWUP_VALUE)).all()
                     and u[:, 1:-1].min() > -math.inf):
                 n_steps += size
                 np.minimum(dt_min, block.min(axis=0), out=dt_min)
@@ -551,8 +551,7 @@ class CapStudy:
 def _probe_value(report: SolveReport, x: float) -> float:
     field = report.final
     xs = np.concatenate([[-field.b], field.nodes, [field.b]])
-    us = np.concatenate([[field.ghost_left], field.values, [field.cap]])
-    return float(np.interp(x, xs, us))
+    return float(np.interp(x, xs, _padded([field])[0]))
 
 
 def _cap_verdict(values: List[float], any_diverged: bool) -> str:

@@ -43,6 +43,47 @@ def _p_heat_spec(p, beta1, eps, b=1.0):
 
 
 # ---------------------------------------------------------------------------
+# residuals
+# ---------------------------------------------------------------------------
+
+
+def test_residual_sign_convention():
+    spec = _curvature_spec(1.0)
+    f, g = spec.f, spec.g
+    # dt = 0, positive curvature: the flow pushes up, residual negative.
+    assert residual_values(f, g, 0.0, 0.0, 1.0) == pytest.approx(-1.0)
+    assert residual_values(f, g, 2.0, 0.0, 1.0) == pytest.approx(1.0)
+    assert residual_values(f, g, 0.0, 0.0, 0.0, factor=0.5) == 0.0
+
+
+def test_residual_values_vectorized():
+    spec = _curvature_spec(1.0)
+    dx = np.array([0.0, 1.0, -2.0])
+    dxx = np.array([1.0, -1.0, 2.0])
+    out = residual_values(spec.f, spec.g, 0.0, dx, dxx)
+    expected = [float(residual_values(spec.f, spec.g, 0.0, float(p), float(z)))
+                for p, z in zip(dx, dxx)]
+    np.testing.assert_allclose(out, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dt=st.floats(-3.0, 3.0), dx=st.floats(-10.0, 10.0),
+       dxx=st.floats(-5.0, 5.0),
+       fa=st.floats(0.1, 4.0), fb=st.floats(0.1, 4.0))
+def test_residual_monotone_in_factor(dt, dx, dxx, fa, fb):
+    """Raising the factor lowers the residual wherever dxx >= 0 and raises
+    it wherever dxx <= 0 (monotonicity of the outer nonlinearity)."""
+    spec = _curvature_spec(1.0)
+    lo_f, hi_f = min(fa, fb), max(fa, fb)
+    lo = residual_values(spec.f, spec.g, dt, dx, dxx, factor=lo_f)
+    hi = residual_values(spec.f, spec.g, dt, dx, dxx, factor=hi_f)
+    if dxx >= 0.0:
+        assert hi <= lo + 1e-12
+    else:
+        assert hi >= lo - 1e-12
+
+
+# ---------------------------------------------------------------------------
 # h_tail
 # ---------------------------------------------------------------------------
 
@@ -73,6 +114,19 @@ def test_h_tail_validation():
         h_tail(1.0, -0.5, 1.0, 1.0, 1.0, 0.5)
     with pytest.raises(ParameterError):
         h_tail(1.0, 1.0, 1.0, 0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["b", "gamma_plus", "gamma_minus", "d_plus",
+                                  "d_minus", "b0"])
+def test_h_tail_refuses_non_finite_parameters(name, value):
+    """An infinite b used to build a barrier whose certificate passed, a
+    non-finite rate or coefficient one whose certificate failed on nan."""
+    params = {"b": 1.0, "gamma_plus": 1.0, "gamma_minus": 0.5, "d_plus": 2.0,
+              "d_minus": 1.0, "b0": 0.6}
+    params[name] = value
+    with pytest.raises(ParameterError, match=f"finite {name}, got {value}$"):
+        h_tail(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +177,13 @@ def test_uk_large_k_is_refused_or_finite():
             assert np.all(np.isfinite(part)), k
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_uk_refuses_a_non_finite_k(value):
+    """Such a k used to fail only inside the layer root-finder."""
+    with pytest.raises(ParameterError, match=f"finite k, got {value}$"):
+        sub_uk(_curvature_spec(1.0), value)
+
+
 # ---------------------------------------------------------------------------
 # flattening-wave family
 # ---------------------------------------------------------------------------
@@ -142,6 +203,14 @@ def test_vl_rejects_short_waves():
     spec = _p_heat_spec(2.0, 1.0, 0.1)
     with pytest.raises(ParameterError):
         sub_vL(spec, 2.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_vl_refuses_a_non_finite_exponent(value):
+    """L = nan and L = inf used to build barriers whose sub certificate
+    passed with worst residual 0."""
+    with pytest.raises(ParameterError, match=f"finite L, got {value}$"):
+        sub_vL(_p_heat_spec(2.0, 1.0, 0.1), value)
 
 
 def test_vl_interior_value_grows_with_l():
@@ -172,6 +241,13 @@ def test_super_family_needs_steep_arcs():
     spec = _p_heat_spec(2.0, 0.5, 0.1)
     with pytest.raises(ParameterError):
         super_family(spec, None, 3.0, 10.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_super_family_refuses_a_non_finite_initial_exponent(value):
+    """L0 = nan used to fail only inside the terminal-exponent root-finder."""
+    with pytest.raises(ParameterError, match=f"finite L0, got {value}$"):
+        super_family(_p_heat_spec(2.0, 0.5, 0.1), None, value, 1e4)
 
 
 def test_super_family_horizon_and_exponent():
@@ -362,6 +438,16 @@ def test_envelope_below_and_convex(values):
     mid = 0.5 * (xs[:-1] + xs[1:])
     slopes = np.asarray(env.jet(mid, 0.0)[0])
     assert np.all(np.diff(slopes) >= -1e-12)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_envelope_refuses_non_finite_abscissae(where, value):
+    """A nan abscissa used to build an envelope that is nan everywhere."""
+    xs = np.array([0.0, 0.5, 1.0])
+    xs[where] = value
+    with pytest.raises(ParameterError, match="abscissae must be finite"):
+        convex_envelope(xs, np.array([0.0, 1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------

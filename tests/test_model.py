@@ -145,6 +145,31 @@ def test_preset_parameter_validation():
         preset_curvature(0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_signed_power_refuses_a_non_finite_rate(value):
+    with pytest.raises(ParameterError, match=f"finite beta, got {value}$"):
+        signed_power(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["p", "beta1", "eps"])
+def test_preset_p_heat_refuses_non_finite_parameters(name, value):
+    """A nan parameter used to build a preset whose zero-datum problem
+    classify read as `exists`, and a nan eps a weight that is nan
+    everywhere."""
+    params = {"p": 2.0, "beta1": 1.0, "eps": 0.1}
+    params[name] = value
+    with pytest.raises(ParameterError, match=f"finite {name}, got {value}$"):
+        preset_p_heat(**params)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_preset_curvature_refuses_a_non_finite_rate(value):
+    """beta2 = inf used to read as `needs_B2`, nan as `exists`."""
+    with pytest.raises(ParameterError, match=f"finite beta2, got {value}$"):
+        preset_curvature(value)
+
+
 def test_power_tail_weight_asymmetric():
     g = power_tail_weight(1.0, 2.0, 0.5)
     assert g.cg_plus == 2.0 and g.cg_minus == 0.5

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from singflow import (ParameterError, SolverOverflowError, StepSizeError,
-                      cap_studies, cap_study, cfl_limit, compute_wave,
-                      initial_b1, initial_b3, make_field, make_problem,
-                      march_ordered, preset_curvature, preset_p_heat, psi,
-                      solve, step)
+from singflow import (Nonlinearity, ParameterError, SolverOverflowError,
+                      StepSizeError, cap_studies, cap_study, cfl_limit,
+                      compute_wave, initial_b1, initial_b3, make_field,
+                      make_problem, march_ordered, preset_curvature,
+                      preset_p_heat, psi, solve, step)
 from singflow import solver
 from singflow.solver import _kernel, _march, _padded, _probe_value
 
@@ -261,6 +261,26 @@ def test_cfl_collapse_flags_divergence():
     report = solve(spec, 20, 1e13, 0.1)
     assert report.diverged
     assert report.blowup_time == 0.0
+
+
+def test_step_refuses_every_dt_when_the_stability_limit_is_nan():
+    """f is nan beyond |s| = 1.5, so the CFL secants are nan: `solve` stops
+    at t = 0, and `step` used to take dt = 1e6."""
+    def clipped(s):
+        a = np.asarray(s, dtype=float)
+        return np.where(np.abs(a) <= 1.5, a, np.nan)
+
+    f = Nonlinearity(eval=clipped, inverse=float, beta=None, cf_plus=None,
+                     cf_minus=None, kind="clipped")
+    _, g = preset_p_heat(2.0, 1.0, 0.1)
+    spec = make_problem(1.0, f, g, initial_b1(
+        lambda x: 0.5 * np.asarray(x, dtype=float) ** 2))
+    field = make_field(1.0, 20, spec.u0.values, 0.5)
+    assert math.isnan(cfl_limit(field, spec))
+    with pytest.raises(StepSizeError, match="stability limit is nan"):
+        step(field, spec, 1e6)
+    report = solve(spec, 20, 0.5, 0.1)
+    assert report.diverged and report.blowup_time == 0.0
 
 
 def test_solve_validation():
@@ -951,23 +971,37 @@ def test_march_work_is_bounded_by_steps_and_events(monkeypatch, caplog):
         assert len(calls) == steps + failed
 
 
+def _callers(name):
+    """(module, top-level definition) pairs under src/singflow that call
+    ``name``, as a plain or an attribute call."""
+    callers = set()
+    for path in Path(solver.__file__).parent.rglob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    callers.add((path.stem, getattr(top, "name", None)))
+    return callers
+
+
 def test_only_the_one_row_wrappers_and_the_march_call_the_kernel():
     """One march loop: `_kernel` is called only by `_march` and by
     `cfl_limit` and `step`, which run it on one row; `march_ordered` marches
     through `_march` and has no loop of its own."""
-    callers = set()
-    for path in Path(solver.__file__).parent.glob("*.py"):
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "_kernel" in (
-                        getattr(node.func, "id", None),
-                        getattr(node.func, "attr", None)):
-                    callers.add((path.stem, getattr(top, "name", None)))
-            if getattr(top, "name", None) == "march_ordered":
-                assert not [node for node in ast.walk(top)
-                            if isinstance(node, (ast.For, ast.While))]
-    assert callers == {("solver", "_march"), ("solver", "cfl_limit"),
-                       ("solver", "step")}
+    tree = ast.parse(Path(solver.__file__).read_text())
+    ordered = next(node for node in tree.body
+                   if getattr(node, "name", None) == "march_ordered")
+    assert not [node for node in ast.walk(ordered)
+                if isinstance(node, (ast.For, ast.While))]
+    assert _callers("_kernel") == {("solver", "_march"),
+                                   ("solver", "cfl_limit"), ("solver", "step")}
+
+
+def test_only_make_field_constructs_a_grid_field():
+    """One field record: every other field is a `dataclasses.replace` copy
+    of one that `make_field` built."""
+    assert _callers("GridField") == {("solver", "make_field")}
 
 
 def test_blocks_report_floating_point_errors_as_steps_do(caplog):

@@ -1,4 +1,4 @@
-"""Residual bookkeeping, scaling maps, boundary-rate fitting."""
+"""Scaling maps, boundary-rate fitting and the invariant suite."""
 
 from __future__ import annotations
 
@@ -10,57 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singflow import (InsufficientDataError, ParameterError,
-                      fit_boundary_rate, initial_b1, make_problem,
-                      preset_curvature, residual_values, scale_sub,
-                      scale_super)
+                      fit_boundary_rate, scale_sub, scale_super)
 from singflow.wave import _default_gamma_grid
-
-
-def _curvature_spec():
-    f, g = preset_curvature(1.0)
-    return make_problem(1.0, f, g, initial_b1(
-        lambda x: np.zeros_like(np.asarray(x, dtype=float))))
-
-
-# ---------------------------------------------------------------------------
-# residuals
-# ---------------------------------------------------------------------------
-
-
-def test_residual_sign_convention():
-    spec = _curvature_spec()
-    f, g = spec.f, spec.g
-    # dt = 0, positive curvature: the flow pushes up, residual negative.
-    assert residual_values(f, g, 0.0, 0.0, 1.0) == pytest.approx(-1.0)
-    assert residual_values(f, g, 2.0, 0.0, 1.0) == pytest.approx(1.0)
-    assert residual_values(f, g, 0.0, 0.0, 0.0, factor=0.5) == 0.0
-
-
-def test_residual_values_vectorized():
-    spec = _curvature_spec()
-    dx = np.array([0.0, 1.0, -2.0])
-    dxx = np.array([1.0, -1.0, 2.0])
-    out = residual_values(spec.f, spec.g, 0.0, dx, dxx)
-    expected = [float(residual_values(spec.f, spec.g, 0.0, float(p), float(z)))
-                for p, z in zip(dx, dxx)]
-    np.testing.assert_allclose(out, expected)
-
-
-@settings(max_examples=60, deadline=None)
-@given(dt=st.floats(-3.0, 3.0), dx=st.floats(-10.0, 10.0),
-       dxx=st.floats(-5.0, 5.0),
-       fa=st.floats(0.1, 4.0), fb=st.floats(0.1, 4.0))
-def test_residual_monotone_in_factor(dt, dx, dxx, fa, fb):
-    """Raising the factor lowers the residual wherever dxx >= 0 and raises
-    it wherever dxx <= 0 (monotonicity of the outer nonlinearity)."""
-    spec = _curvature_spec()
-    lo_f, hi_f = min(fa, fb), max(fa, fb)
-    lo = residual_values(spec.f, spec.g, dt, dx, dxx, factor=lo_f)
-    hi = residual_values(spec.f, spec.g, dt, dx, dxx, factor=hi_f)
-    if dxx >= 0.0:
-        assert hi <= lo + 1e-12
-    else:
-        assert hi >= lo - 1e-12
 
 
 # ---------------------------------------------------------------------------
